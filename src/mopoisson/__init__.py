@@ -36,7 +36,6 @@ from .fem import (
     assemble_load_pwc,
     assemble_point_load,
     assemble_stiffness,
-    element_mean,
     evaluate,
     point_evaluation_matrix,
     solve_spd,
@@ -46,9 +45,7 @@ from .mesh import (
     PointLocation,
     TriMesh,
     build_uniform_mesh,
-    dump_text,
     locate_point,
-    nested_element_map,
     parent_elements,
 )
 from .objective import (

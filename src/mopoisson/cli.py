@@ -1,7 +1,7 @@
 """Command-line interface for single solves, front sweeps, and studies.
 
-Exit codes: 0 on success, 2 for invalid arguments, 3 when a single-solve
-subcommand fails to converge.
+Exit codes: 0 on success, 2 for invalid arguments, 3 when a linear solve
+fails its residual check or a single-solve subcommand fails to converge.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import numpy as np
 from .control import BoxBounds, write_control
 from .experiments import (
     ExperimentConfig,
+    compute_front,
     export_csv,
     run_convergence_rpm,
     run_convergence_wsm,
@@ -107,32 +108,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _iter_actions(parser: argparse.ArgumentParser):
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for sub in action.choices.values():
-                yield from _iter_actions(sub)
-        else:
-            yield action
+def _splice_config_file(argv: list) -> list:
+    """Insert the ``--config`` file's entries as flags right after the subcommand.
 
-
-def _apply_config_file(parser: argparse.ArgumentParser, argv: list) -> list:
-    """Load ``--config`` defaults before parsing so flags override the file.
-
-    Defaults set on the top-level parser pre-populate the namespace, which
-    argparse leaves untouched unless a flag is passed explicitly.
+    Argparse keeps the last value of a repeated flag, so explicit flags,
+    which follow the inserted ones, override the file.  ``key=true`` becomes
+    a bare flag and ``key=false`` is dropped.
     """
-    path = None
-    for i, arg in enumerate(argv):
-        if arg == "--config" and i + 1 < len(argv):
-            path = Path(argv[i + 1])
-        elif arg.startswith("--config="):
-            path = Path(arg.split("=", 1)[1])
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("--config", type=Path)
+    path = pre.parse_known_args(argv)[0].config
     if path is None:
         return argv
     if not path.exists():
         raise ValueError(f"config file {path} does not exist")
-    overrides = {}
+    tokens = []
     for line in path.read_text().splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
@@ -140,31 +130,13 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list) -> list:
         key, _, value = line.partition("=")
         if not value:
             raise ValueError(f"config line {line!r} is not key=value")
-        overrides[key.strip().replace("-", "_")] = value.strip()
-    known = {action.dest: action.type for action in _iter_actions(parser)}
-    typed = {}
-    for key, value in overrides.items():
-        dest = {"lambda": "lambdas"}.get(key, key)
-        if dest not in known:
-            raise ValueError(f"unknown config key {key!r}")
-        kind = known[dest]
-        if kind is None:
-            typed[dest] = value if value not in ("true", "false") else value == "true"
-        else:
-            typed[dest] = kind(value)
-    # subparsers parse into a fresh namespace, so defaults must land on them
-    for sub in _iter_subparsers(parser):
-        sub.set_defaults(**typed)
-    parser.set_defaults(**typed)
-    return argv
-
-
-def _iter_subparsers(parser: argparse.ArgumentParser):
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for sub in action.choices.values():
-                yield sub
-                yield from _iter_subparsers(sub)
+        flag = "--" + key.strip().replace("_", "-")
+        value = value.strip()
+        if value == "true":
+            tokens.append(flag)
+        elif value != "false":
+            tokens.append(f"{flag}={value}")
+    return argv[:1] + tokens + argv[1:]
 
 
 def _problem_from_args(args) -> ProblemData:
@@ -242,9 +214,7 @@ def _run_front(args) -> int:
         fronts, errors = run_front(config, args.method)
     else:
         # no finer reference requested: sweep the one level, skip the error series
-        from .experiments import _compute_front
-
-        fronts = {args.level: _compute_front(config, args.method, args.level)}
+        fronts = {args.level: compute_front(config, args.method, args.level)}
         errors = None
     args.out.mkdir(parents=True, exist_ok=True)
     tag = _lambda_tag(problem)
@@ -297,8 +267,9 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
     try:
-        argv = _apply_config_file(parser, argv)
-        args = parser.parse_args(argv)
+        args, unknown = parser.parse_known_args(_splice_config_file(argv))
+        if unknown:
+            raise ValueError(f"unrecognized arguments: {' '.join(unknown)}")
         if args.command == "solve-wsm":
             return _run_single(args, "wsm")
         if args.command == "solve-rpm":

@@ -9,7 +9,9 @@ swept controls measured against a fine reference level.
 from __future__ import annotations
 
 import hashlib
+import os
 import threading
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -30,6 +32,7 @@ __all__ = [
     "estimate_rate",
     "run_convergence_wsm",
     "run_convergence_rpm",
+    "compute_front",
     "run_front",
     "export_csv",
     "load_csv",
@@ -147,6 +150,7 @@ def _cache_key(config: ExperimentConfig, method: str, parameter, level: int) -> 
             format(config.bb.tol, ".17g"),
             str(config.bb.max_iter),
             format(config.bb.fallback_step, ".17g"),
+            format(config.bb.linear_tol, ".17g"),
         ]
     )
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
@@ -164,16 +168,25 @@ def _solve_at_level(
 def _reference_control(
     config: ExperimentConfig, method: str, parameter
 ) -> PwcControl | None:
-    """Reference-level solve, cached on disk keyed by data and parameter."""
+    """Reference-level solve, cached on disk keyed by data and parameter.
+
+    Cache files are replaced atomically; an unreadable one is a miss that
+    is recomputed and overwritten.
+    """
     cache_dir = config.output_dir / "cache"
     cache_dir.mkdir(parents=True, exist_ok=True)
     path = cache_dir / f"{method}_{_cache_key(config, method, parameter, config.reference_level)}.ctrl"
     if path.exists():
-        return read_control(path)
+        try:
+            return read_control(path)
+        except ValueError as exc:
+            warnings.warn(f"ignoring unreadable reference cache file: {exc}", RuntimeWarning)
     report = _solve_at_level(config, method, parameter, config.reference_level)
     if not report.converged:
         return None
-    write_control(report.control, path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    write_control(report.control, tmp)
+    os.replace(tmp, path)
     return report.control
 
 
@@ -249,7 +262,8 @@ def reference_sweep_zetas(config: ExperimentConfig, steps=(2, 4, 7, 9)) -> list:
     return [rpm_params[s - 1] for s in steps]
 
 
-def _compute_front(config: ExperimentConfig, method: str, level: int) -> ParetoFront:
+def compute_front(config: ExperimentConfig, method: str, level: int) -> ParetoFront:
+    """Sweep the ``method`` front on one level with the configured sweep settings."""
     mesh, system = shared_system(level)
     if method == "wsm":
         return wsm_front(
@@ -278,7 +292,7 @@ def run_front(config: ExperimentConfig, method: str) -> tuple[dict, np.ndarray]:
     """
     fronts = {}
     for level in list(config.levels) + [config.reference_level]:
-        fronts[level] = _compute_front(config, method, level)
+        fronts[level] = compute_front(config, method, level)
 
     ref_objectives = fronts[config.reference_level].objective_array()
     errors = np.full((len(config.levels), ref_objectives.shape[0]), np.nan)

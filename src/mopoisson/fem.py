@@ -29,7 +29,6 @@ __all__ = [
     "point_evaluation_matrix",
     "solve_spd",
     "evaluate",
-    "element_mean",
 ]
 
 
@@ -65,8 +64,8 @@ class StiffnessSystem:
     ``matrix[i, j] = sum_T grad(phi_i) . grad(phi_j) |T|`` for interior
     basis functions, with unknown ``k`` attached to node
     ``interior_nodes[k]``.  Immutable after assembly; concurrent solves
-    against one system are permitted (direct solves serialize on an
-    internal lock because SuperLU re-entrancy is not guaranteed).
+    against one system are permitted (solves serialize on an internal
+    lock because SuperLU re-entrancy is not guaranteed).
     """
 
     mesh: TriMesh
@@ -173,47 +172,12 @@ def assemble_point_load(mesh: TriMesh, points, coeffs) -> np.ndarray:
     return full[mesh.interior_mask]
 
 
-def _pcg(matrix: sparse.csr_matrix, rhs: np.ndarray, tol: float, maxiter: int) -> np.ndarray:
-    """Jacobi-preconditioned conjugate gradients, deterministic from x0 = 0."""
-    target = tol * max(1.0, float(np.linalg.norm(rhs)))
-    x = np.zeros_like(rhs)
-    r = rhs.copy()
-    if np.linalg.norm(r) <= target:
-        return x
-    diag = matrix.diagonal()
-    z = r / diag
-    p = z.copy()
-    rz = float(r @ z)
-    for _ in range(maxiter):
-        q = matrix @ p
-        alpha = rz / float(p @ q)
-        x += alpha * p
-        r -= alpha * q
-        if np.linalg.norm(r) <= target:
-            return x
-        z = r / diag
-        rz_next = float(r @ z)
-        p = z + (rz_next / rz) * p
-        rz = rz_next
-    raise SolverError(
-        f"PCG did not reach tolerance {target:.3e} within {maxiter} iterations",
-        residual=float(np.linalg.norm(r)),
-    )
-
-
-def solve_spd(
-    system: StiffnessSystem,
-    rhs: np.ndarray,
-    tol: float = 1e-12,
-    method: str = "auto",
-    maxiter: int | None = None,
-) -> P1Function:
+def solve_spd(system: StiffnessSystem, rhs: np.ndarray, tol: float = 1e-12) -> P1Function:
     """Solve the interior system and return the zero-boundary P1 solution.
 
-    Guarantees ``|A x - rhs| <= tol * max(1, |rhs|)``.  ``method`` is
-    ``"cg"`` (Jacobi-PCG, the baseline), ``"direct"`` (cached sparse LU),
-    or ``"auto"``, which uses the factorization if :meth:`StiffnessSystem.
-    factorize` has run and PCG otherwise.
+    Uses the cached sparse LU factorization (computed on first use) plus at
+    most one refinement step, and guarantees ``|A x - rhs| <= tol *
+    max(1, |rhs|)``; :class:`SolverError` carries the residual otherwise.
     """
     rhs = np.asarray(rhs, dtype=np.float64)
     if rhs.shape != (system.num_unknowns,):
@@ -221,21 +185,20 @@ def solve_spd(
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
 
-    if method == "auto":
-        method = "direct" if system._lu is not None else "cg"
-    if method == "cg":
-        x = _pcg(system.matrix, rhs, tol, 10 * system.num_unknowns if maxiter is None else maxiter)
-    elif method == "direct":
-        system.factorize()
-        with system._lock:
-            x = system._lu.solve(rhs)
-            residual = np.linalg.norm(rhs - system.matrix @ x)
-            if residual > tol * max(1.0, np.linalg.norm(rhs)):
-                x = x + system._lu.solve(rhs - system.matrix @ x)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
     full = np.zeros(system.mesh.num_nodes)
+    if system.num_unknowns == 0:
+        return P1Function(system.mesh, full)
+    system.factorize()
+    target = tol * max(1.0, np.linalg.norm(rhs))
+    with system._lock:
+        x = system._lu.solve(rhs)
+        r = rhs - system.matrix @ x
+        if np.linalg.norm(r) > target:
+            x = x + system._lu.solve(r)
+            r = rhs - system.matrix @ x
+    residual = float(np.linalg.norm(r))
+    if residual > target:
+        raise SolverError(f"LU residual {residual:.3e} exceeds tolerance {target:.3e}", residual=residual)
     full[system.interior_nodes] = x
     return P1Function(system.mesh, full)
 
@@ -244,10 +207,3 @@ def evaluate(f: P1Function, p) -> float:
     """Evaluate by barycentric interpolation; exact for linear nodal data."""
     loc = locate_point(f.mesh, p)
     return float(loc.bary @ f.nodal_values[f.mesh.triangles[loc.element]])
-
-
-def element_mean(f: P1Function, t: int) -> float:
-    """Mean of the three vertex values; equals the exact cell average."""
-    if not 0 <= t < f.mesh.num_triangles:
-        raise IndexError(f"triangle index {t} out of range")
-    return float(f.nodal_values[f.mesh.triangles[t]].mean())

@@ -20,8 +20,6 @@ __all__ = [
     "build_uniform_mesh",
     "locate_point",
     "parent_elements",
-    "nested_element_map",
-    "dump_text",
 ]
 
 # 2 * 4**14 triangles is ~5.4e8; one level further the index arithmetic no
@@ -196,28 +194,3 @@ def parent_elements(fine: TriMesh, coarse: TriMesh) -> np.ndarray:
     coarse_kind = np.where(b < a, 0, np.where(b > a, 1, kind))
     return 2 * (iyc * nc + ixc) + coarse_kind
 
-
-def nested_element_map(coarse: TriMesh, fine: TriMesh) -> list[np.ndarray]:
-    """Map each coarse triangle to the fine triangles tiling it.
-
-    Entry ``k`` lists, in ascending order, the ``4**(fine.level -
-    coarse.level)`` fine triangles whose union is coarse triangle ``k``;
-    together the lists partition the fine mesh.
-    """
-    parents = parent_elements(fine, coarse)
-    order = np.argsort(parents, kind="stable")
-    children_per_parent = 4 ** (fine.level - coarse.level)
-    counts = np.bincount(parents, minlength=coarse.num_triangles)
-    if not np.all(counts == children_per_parent):  # pragma: no cover
-        raise RuntimeError("meshes are not from the nested uniform family")
-    return list(order.reshape(coarse.num_triangles, children_per_parent))
-
-
-def dump_text(mesh: TriMesh) -> str:
-    """Plain-text debug listing: one node or triangle per line."""
-    lines = [f"level={mesh.level} nodes={mesh.num_nodes} triangles={mesh.num_triangles}"]
-    for i, (x, y) in enumerate(mesh.nodes):
-        lines.append(f"node {i} {x:.17g} {y:.17g}")
-    for t, (a, b, c) in enumerate(mesh.triangles):
-        lines.append(f"tri {t} {a} {b} {c}")
-    return "\n".join(lines) + "\n"

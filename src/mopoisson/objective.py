@@ -153,20 +153,26 @@ def _check_weights(alpha) -> tuple[float, float]:
     return a1, a2
 
 
-def grad_wsm(
-    problem: ProblemData, bundle: StateAdjointBundle, u: PwcControl, alpha
+def _weighted_gradient(
+    problem: ProblemData, bundle: StateAdjointBundle, u: PwcControl, c1: float, c2: float
 ) -> PwcControl:
-    """Control-space gradient representer of the weighted-sum objective.
+    """Control-space gradient representer of ``c1 j1 + c2 j2``.
 
-    Per triangle: ``sum_k alpha_k (mean_T(p_k) + lambda_k u_T)``, the unique
+    Per triangle: ``sum_k c_k (mean_T(p_k) + lambda_k u_T)``, the unique
     piecewise-constant function realizing the derivative against
     piecewise-constant variations.
     """
-    a1, a2 = _check_weights(alpha)
     m1 = pi0_project(bundle.adjoint1).values
     m2 = pi0_project(bundle.adjoint2).values
-    g = a1 * (m1 + problem.lambda1 * u.values) + a2 * (m2 + problem.lambda2 * u.values)
+    g = c1 * (m1 + problem.lambda1 * u.values) + c2 * (m2 + problem.lambda2 * u.values)
     return PwcControl(u.mesh, g)
+
+
+def grad_wsm(
+    problem: ProblemData, bundle: StateAdjointBundle, u: PwcControl, alpha
+) -> PwcControl:
+    """Gradient representer of the weighted-sum objective: coefficients ``alpha``."""
+    return _weighted_gradient(problem, bundle, u, *_check_weights(alpha))
 
 
 def grad_rpm(
@@ -176,16 +182,8 @@ def grad_rpm(
     zeta,
     j: ObjectivePair,
 ) -> PwcControl:
-    """Gradient representer of the reference-point distance objective.
-
-    Per triangle: ``sum_k (j_k - zeta_k) (mean_T(p_k) + lambda_k u_T)``.
-    """
-    c1 = j.j1 - float(zeta[0])
-    c2 = j.j2 - float(zeta[1])
-    m1 = pi0_project(bundle.adjoint1).values
-    m2 = pi0_project(bundle.adjoint2).values
-    g = c1 * (m1 + problem.lambda1 * u.values) + c2 * (m2 + problem.lambda2 * u.values)
-    return PwcControl(u.mesh, g)
+    """Gradient representer of the reference-point distance: coefficients ``j - zeta``."""
+    return _weighted_gradient(problem, bundle, u, j.j1 - float(zeta[0]), j.j2 - float(zeta[1]))
 
 
 def wsm_value(alpha, j: ObjectivePair) -> float:

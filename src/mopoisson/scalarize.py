@@ -18,6 +18,7 @@ from .fem import StiffnessSystem
 from .objective import (
     ObjectivePair,
     ProblemData,
+    StateAdjointBundle,
     _check_weights,
     _objectives_from_residuals,
     grad_rpm,
@@ -110,7 +111,6 @@ def _require_feasible(u: PwcControl, bounds: BoxBounds, name: str) -> None:
 
 def bb_projected_gradient(
     problem: ProblemData,
-    system: StiffnessSystem,
     grad_eval: GradEval,
     u0: PwcControl,
     u_minus1: PwcControl,
@@ -185,47 +185,36 @@ def bb_projected_gradient(
     )
 
 
-def _perturbed(u0: PwcControl, bounds: BoxBounds) -> PwcControl:
-    """Second starting iterate: a uniform in-box offset of the first."""
+def _solve(
+    problem: ProblemData,
+    system: StiffnessSystem,
+    gradient: Callable[[StateAdjointBundle, PwcControl, ObjectivePair], PwcControl],
+    config: BBConfig | None,
+    u_start: PwcControl | None,
+) -> SolveReport:
+    """BB iteration from ``u_start`` (zero if absent) and a uniform in-box offset of it.
+
+    Each evaluation solves the state and both adjoints, forms the objective
+    pair from the cached residuals, and hands them to ``gradient(bundle, u, j)``.
+    """
+    config = config or BBConfig()
+
+    def evaluate_control(u: PwcControl):
+        state = solve_state(problem, system, u, tol=config.linear_tol)
+        bundle = solve_adjoints(problem, system, state, tol=config.linear_tol)
+        j = _objectives_from_residuals(problem, u, bundle.residuals1, bundle.residuals2)
+        return gradient(bundle, u, j), j, _SOLVES_PER_EVAL
+
+    bounds = problem.bounds
     if not bounds.ub > bounds.ua:
         raise ValueError("box bounds must have a nonempty interior")
-    delta = 1e-2 * min(1.0, bounds.ub - bounds.ua)
-    values = np.where(u0.values + delta <= bounds.ub, u0.values + delta, u0.values - delta)
-    return PwcControl(u0.mesh, values)
-
-
-def _start_pair(
-    problem: ProblemData, mesh, u_start: PwcControl | None
-) -> tuple[PwcControl, PwcControl]:
+    mesh = system.mesh
     if u_start is None:
-        u0 = clip_to_box(PwcControl(mesh, np.zeros(mesh.num_triangles)), problem.bounds)
-    else:
-        u0 = clip_to_box(u_start, problem.bounds)
-    return u0, _perturbed(u0, problem.bounds)
-
-
-def _make_wsm_eval(
-    problem: ProblemData, system: StiffnessSystem, alpha, linear_tol: float
-) -> GradEval:
-    def evaluate_control(u: PwcControl):
-        state = solve_state(problem, system, u, tol=linear_tol)
-        bundle = solve_adjoints(problem, system, state, tol=linear_tol)
-        j = _objectives_from_residuals(problem, u, bundle.residuals1, bundle.residuals2)
-        return grad_wsm(problem, bundle, u, alpha), j, _SOLVES_PER_EVAL
-
-    return evaluate_control
-
-
-def _make_rpm_eval(
-    problem: ProblemData, system: StiffnessSystem, zeta, linear_tol: float
-) -> GradEval:
-    def evaluate_control(u: PwcControl):
-        state = solve_state(problem, system, u, tol=linear_tol)
-        bundle = solve_adjoints(problem, system, state, tol=linear_tol)
-        j = _objectives_from_residuals(problem, u, bundle.residuals1, bundle.residuals2)
-        return grad_rpm(problem, bundle, u, zeta, j), j, _SOLVES_PER_EVAL
-
-    return evaluate_control
+        u_start = PwcControl(mesh, np.zeros(mesh.num_triangles))
+    u0 = clip_to_box(u_start, bounds)
+    delta = 1e-2 * min(1.0, bounds.ub - bounds.ua)
+    u_minus1 = np.where(u0.values + delta <= bounds.ub, u0.values + delta, u0.values - delta)
+    return bb_projected_gradient(problem, evaluate_control, u0, PwcControl(mesh, u_minus1), config)
 
 
 def solve_wsm(
@@ -236,13 +225,8 @@ def solve_wsm(
     u_start: PwcControl | None = None,
 ) -> SolveReport:
     """Minimize the weighted sum of the two criteria over the box."""
-    config = config or BBConfig()
     alpha = _check_weights(alpha)
-    system.factorize()
-    u0, u_minus1 = _start_pair(problem, system.mesh, u_start)
-    report = bb_projected_gradient(
-        problem, system, _make_wsm_eval(problem, system, alpha, config.linear_tol), u0, u_minus1, config
-    )
+    report = _solve(problem, system, lambda b, u, j: grad_wsm(problem, b, u, alpha), config, u_start)
     report.meta["alpha"] = alpha
     return report
 
@@ -260,13 +244,8 @@ def solve_rpm(
     reference point componentwise, the regime in which the distance
     objective is convex.
     """
-    config = config or BBConfig()
     zeta = (float(zeta[0]), float(zeta[1]))
-    system.factorize()
-    u0, u_minus1 = _start_pair(problem, system.mesh, u_start)
-    report = bb_projected_gradient(
-        problem, system, _make_rpm_eval(problem, system, zeta, config.linear_tol), u0, u_minus1, config
-    )
+    report = _solve(problem, system, lambda b, u, j: grad_rpm(problem, b, u, zeta, j), config, u_start)
     report.meta["zeta"] = zeta
     report.meta["zeta_dominated"] = bool(
         report.objectives.j1 > zeta[0] and report.objectives.j2 > zeta[1]

@@ -122,3 +122,18 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     config.write_text("not_a_flag=1\n")
     assert main(["solve-wsm", "--alpha", "0.5,0.5", "--config", str(config)]) == 2
     assert main(["solve-wsm", "--alpha", "0.5,0.5", "--config", str(tmp_path / "missing.cfg")]) == 2
+
+
+
+def test_config_file_matches_explicit_flags(tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("level=2\nref_level=2\npoints=3\nbounds=-1,1\ncold_start=true\n")
+    shared = ["front", "--method", "wsm", "--level", "2", "--ref-level", "2", "--points", "3"]
+    assert main(["front", "--method", "wsm", "--config", str(config), "--out", str(tmp_path / "file")]) == 0
+    assert main(shared + ["--bounds=-1,1", "--cold-start", "--out", str(tmp_path / "flags")]) == 0
+    assert main(shared + ["--out", str(tmp_path / "default")]) == 0
+    csv = {d: (tmp_path / d / "front_wsm_0.1_0.1.csv").read_bytes() for d in ("file", "flags", "default")}
+    assert csv["file"] == csv["flags"] != csv["default"]
+
+    config.write_text("level=2\ncold_start=false\n")
+    assert main(["solve-wsm", "--alpha", "0.5,0.5", "--config", str(config), "--out", str(tmp_path)]) == 0

@@ -14,7 +14,7 @@ from mopoisson import (
     run_convergence_wsm,
     run_front,
 )
-from mopoisson.experiments import ConvergenceTable
+from mopoisson.experiments import ConvergenceTable, _cache_key
 
 PUBLISHED_H = [2.0 ** -k for k in (2, 3, 4, 5)]
 PUBLISHED_WSM_ERRORS = [0.727125, 0.399550, 0.209558, 0.107604]
@@ -82,6 +82,26 @@ def test_reference_cache_round_trip(tmp_path):
 
     assert l2_error(cached, recomputed) <= 1e-10
     assert np.allclose(table_first.errors, table_second.errors, atol=1e-10)
+
+
+def test_cache_key_depends_on_linear_tolerance(tmp_path):
+    problem = benchmark_problem()
+    loose = small_config(problem, tmp_path, bb=BBConfig(linear_tol=1e-10))
+    tight = small_config(problem, tmp_path, bb=BBConfig(linear_tol=1e-12))
+    assert _cache_key(loose, "wsm", (0.5, 0.5), 4) != _cache_key(tight, "wsm", (0.5, 0.5), 4)
+
+
+def test_truncated_cache_file_is_recomputed(tmp_path):
+    config = small_config(benchmark_problem(), tmp_path)
+    table_first = run_convergence_wsm(config, [(0.5, 0.5)])
+    (cache_file,) = (tmp_path / "cache").glob("wsm_*.ctrl")
+    complete = cache_file.read_text()
+    cache_file.write_text(complete[: len(complete) // 2])
+    with pytest.warns(RuntimeWarning, match="unreadable reference cache"):
+        table_second = run_convergence_wsm(config, [(0.5, 0.5)])
+    assert cache_file.read_text() == complete
+    assert np.array_equal(table_first.errors, table_second.errors)
+    assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == [cache_file.name]
 
 
 def test_parallel_cells_match_sequential(tmp_path):

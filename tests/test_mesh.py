@@ -4,9 +4,7 @@ import pytest
 from mopoisson import (
     MAX_LEVEL,
     build_uniform_mesh,
-    dump_text,
     locate_point,
-    nested_element_map,
     parent_elements,
 )
 from oracles import brute_force_locate
@@ -123,16 +121,14 @@ def test_locate_matches_brute_force_on_edges_and_vertices(rng):
 
 def test_nested_map_identity():
     mesh = build_uniform_mesh(2)
-    mapping = nested_element_map(mesh, mesh)
-    assert all(np.array_equal(children, [t]) for t, children in enumerate(mapping))
+    assert np.array_equal(parent_elements(mesh, mesh), np.arange(mesh.num_triangles))
 
 
 def test_nested_map_children_tile_parent():
     coarse = build_uniform_mesh(1)
     fine = build_uniform_mesh(2)
-    mapping = nested_element_map(coarse, fine)
-    for children in mapping:
-        assert len(children) == 4
+    parents = parent_elements(fine, coarse)
+    assert np.array_equal(np.bincount(parents), np.full(coarse.num_triangles, 4))
     child_area = fine.element_area * 4
     assert child_area == coarse.element_area * 1  # 4 children recover the parent area
 
@@ -140,20 +136,19 @@ def test_nested_map_children_tile_parent():
 def test_nested_map_centroids_land_in_parent():
     coarse = build_uniform_mesh(2)
     fine = build_uniform_mesh(4)
-    mapping = nested_element_map(coarse, fine)
-    for parent, children in enumerate(mapping):
-        assert len(children) == 16
-        for child in children:
-            centroid = fine.nodes[fine.triangles[child]].mean(axis=0)
-            assert locate_point(coarse, centroid).element == parent
+    parents = parent_elements(fine, coarse)
+    for child, parent in enumerate(parents):
+        centroid = fine.nodes[fine.triangles[child]].mean(axis=0)
+        assert locate_point(coarse, centroid).element == parent
 
 
 def test_nested_map_partitions_fine_mesh():
     coarse = build_uniform_mesh(1)
     fine = build_uniform_mesh(3)
-    mapping = nested_element_map(coarse, fine)
-    seen = np.sort(np.concatenate(mapping))
-    assert np.array_equal(seen, np.arange(fine.num_triangles))
+    parents = parent_elements(fine, coarse)
+    assert parents.shape == (fine.num_triangles,)
+    assert 0 <= parents.min() and parents.max() < coarse.num_triangles
+    assert np.array_equal(np.bincount(parents), np.full(coarse.num_triangles, 4 ** 2))
 
 
 def test_parent_elements_rejects_wrong_direction():
@@ -166,11 +161,3 @@ def test_meshes_are_immutable():
     with pytest.raises(ValueError):
         mesh.nodes[0, 0] = 7.0
 
-
-def test_dump_text_lists_every_entity():
-    mesh = build_uniform_mesh(1)
-    text = dump_text(mesh)
-    lines = text.strip().splitlines()
-    assert lines[0].startswith("level=1")
-    assert sum(1 for l in lines if l.startswith("node ")) == mesh.num_nodes
-    assert sum(1 for l in lines if l.startswith("tri ")) == mesh.num_triangles

@@ -76,7 +76,7 @@ def test_quadratic_surrogate_converges_in_three_iterations(level3):
 
     u0 = PwcControl(mesh, np.full(mesh.num_triangles, 5.0))
     u_minus1 = PwcControl(mesh, np.full(mesh.num_triangles, 5.01))
-    report = bb_projected_gradient(problem, system, grad, u0, u_minus1, BBConfig())
+    report = bb_projected_gradient(problem, grad, u0, u_minus1, BBConfig())
     assert report.converged
     assert report.iterations <= 3
     assert np.abs(report.control.values).max() <= 1e-10
@@ -144,10 +144,10 @@ def test_solver_requires_distinct_feasible_starts(level3):
     u = clip_to_box(PwcControl(mesh, np.zeros(mesh.num_triangles)), problem.bounds)
     grad = lambda v: (v, ObjectivePair(0.0, 0.0), 0)
     with pytest.raises(ValueError):
-        bb_projected_gradient(problem, system, grad, u, u, BBConfig())
+        bb_projected_gradient(problem, grad, u, u, BBConfig())
     outside = PwcControl(mesh, np.full(mesh.num_triangles, 100.0))
     with pytest.raises(ValueError):
-        bb_projected_gradient(problem, system, grad, outside, u, BBConfig())
+        bb_projected_gradient(problem, grad, outside, u, BBConfig())
 
 
 def test_max_iter_returns_unconverged_report(level3):
@@ -167,7 +167,7 @@ def test_constant_gradient_triggers_fallback(level3):
 
     u0 = clip_to_box(PwcControl(mesh, np.zeros(mesh.num_triangles)), problem.bounds)
     u_minus1 = PwcControl(mesh, np.full(mesh.num_triangles, 0.01))
-    report = bb_projected_gradient(problem, system, grad, u0, u_minus1, BBConfig(max_iter=50))
+    report = bb_projected_gradient(problem, grad, u0, u_minus1, BBConfig(max_iter=50))
     assert report.fallback_steps >= 1
     assert report.converged
     assert np.all(report.control.values == problem.bounds.ua)
@@ -178,6 +178,14 @@ def test_solve_counts_are_audited(level3):
     report = solve_wsm(problem, system, (0.5, 0.5))
     # one evaluation for each starting iterate plus one per BB pass
     assert report.solve_count == 3 * (report.iterations + 2)
+
+
+def test_wsm_converges_on_mesh_without_unknowns(bench):
+    mesh = build_uniform_mesh(0)
+    report = solve_wsm(bench, assemble_stiffness(mesh), (0.5, 0.5))
+    assert report.converged
+    assert report.objectives == ObjectivePair(18.0, 2.0)
+    assert np.all(report.control.values == 0.0)
 
 
 def test_wsm_front_endpoints():
