@@ -55,7 +55,6 @@ from .objective import (
     eval_objectives,
     grad_rpm,
     grad_wsm,
-    objective_values,
     rpm_value,
     solve_adjoints,
     solve_state,

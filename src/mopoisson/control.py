@@ -9,7 +9,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .mesh import TriMesh, build_uniform_mesh, parent_elements
+from .mesh import MAX_LEVEL, TriMesh, build_uniform_mesh, parent_elements
 
 if TYPE_CHECKING:
     from .fem import P1Function
@@ -112,7 +112,7 @@ def pi0_project(f: "P1Function") -> PwcControl:
 def write_control(u: PwcControl, path) -> None:
     """Serialize as ``level=<L>`` followed by one value per line."""
     lines = [f"level={u.mesh.level}"]
-    lines.extend(format(v, ".17g") for v in u.values)
+    lines.extend(format(v, ".17g") for v in u.values.tolist())
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -121,8 +121,11 @@ def read_control(path) -> PwcControl:
     lines = Path(path).read_text().split()
     if not lines or not lines[0].startswith("level="):
         raise ValueError(f"{path}: missing level header")
-    mesh = build_uniform_mesh(int(lines[0][len("level="):]))
-    values = np.array([float(v) for v in lines[1:]])
-    if values.shape != (mesh.num_triangles,):
-        raise ValueError(f"{path}: expected {mesh.num_triangles} values, found {values.shape[0]}")
-    return PwcControl(mesh, values)
+    level = int(lines[0][len("level="):])
+    if not 0 <= level <= MAX_LEVEL:
+        raise ValueError(f"{path}: level {level} outside [0, {MAX_LEVEL}]")
+    expected = 2 * 4 ** level  # checked before the mesh is built
+    if len(lines) - 1 != expected:
+        raise ValueError(f"{path}: expected {expected} values, found {len(lines) - 1}")
+    values = np.fromiter(map(float, lines[1:]), np.float64, expected)
+    return PwcControl(build_uniform_mesh(level), values)

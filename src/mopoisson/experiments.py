@@ -149,8 +149,6 @@ def _cache_key(config: ExperimentConfig, method: str, parameter, level: int) -> 
             _problem_fingerprint(config.problem),
             format(config.bb.tol, ".17g"),
             str(config.bb.max_iter),
-            format(config.bb.fallback_step, ".17g"),
-            format(config.bb.linear_tol, ".17g"),
         ]
     )
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
@@ -203,11 +201,8 @@ def _run_convergence(config: ExperimentConfig, method: str, parameters, labels) 
         return l2_error(report.control, refs[index])
 
     tasks = [(ip, p, level) for level in config.levels for ip, p in enumerate(parameters)]
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            flat = list(pool.map(cell, tasks))
-    else:
-        flat = [cell(t) for t in tasks]
+    with ThreadPoolExecutor(max_workers=config.jobs) as pool:
+        flat = list(pool.map(cell, tasks))
 
     errors = np.array(flat).reshape(len(config.levels), len(parameters))
     hs = np.array([2.0 ** -level for level in config.levels])
@@ -243,17 +238,7 @@ def run_convergence_rpm(config: ExperimentConfig, zetas=None) -> ConvergenceTabl
 
 def reference_sweep_zetas(config: ExperimentConfig, steps=(2, 4, 7, 9)) -> list:
     """Reference points visited by the reference-level sweep at given steps."""
-    mesh, system = shared_system(config.reference_level)
-    front = rpm_front(
-        config.problem,
-        system,
-        config.rpm_front_size,
-        config.h_perp,
-        config.h_par,
-        config.eps,
-        config.bb,
-        cold_start=config.cold_start,
-    )
+    front = compute_front(config, "rpm", config.reference_level)
     rpm_params = [e.parameter for e in front.entries if e.method == "rpm"]
     if max(steps) > len(rpm_params):
         raise ValueError(

@@ -31,6 +31,9 @@ __all__ = [
     "evaluate",
 ]
 
+# Residual tolerance of every linear solve, relative to max(1, |rhs|).
+LINEAR_TOL = 1e-12
+
 
 class SolverError(RuntimeError):
     """Raised when a linear solve does not reach the requested tolerance."""
@@ -172,7 +175,7 @@ def assemble_point_load(mesh: TriMesh, points, coeffs) -> np.ndarray:
     return full[mesh.interior_mask]
 
 
-def solve_spd(system: StiffnessSystem, rhs: np.ndarray, tol: float = 1e-12) -> P1Function:
+def solve_spd(system: StiffnessSystem, rhs: np.ndarray, tol: float = LINEAR_TOL) -> P1Function:
     """Solve the interior system and return the zero-boundary P1 solution.
 
     Uses the cached sparse LU factorization (computed on first use) plus at

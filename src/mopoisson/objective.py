@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .control import BoxBounds, PwcControl, l2_norm, pi0_project
-from .fem import P1Function, StiffnessSystem, assemble_load_pwc, assemble_point_load, evaluate, solve_spd
+from .fem import P1Function, StiffnessSystem, assemble_load_pwc, point_evaluation_matrix, solve_spd
 
 __all__ = [
     "ProblemData",
@@ -23,7 +23,6 @@ __all__ = [
     "solve_state",
     "solve_adjoints",
     "eval_objectives",
-    "objective_values",
     "grad_wsm",
     "grad_rpm",
     "wsm_value",
@@ -36,8 +35,8 @@ class ProblemData:
     """Observation points, desired values, weights, and box bounds.
 
     ``obs1``/``obs2`` are (n_k, 2) arrays of strictly interior points with
-    desired values ``y1``/``y2``; ``lambda1``/``lambda2`` are the positive
-    control-cost weights of the two criteria.
+    finite desired values ``y1``/``y2``; ``lambda1``/``lambda2`` are the
+    positive, finite control-cost weights of the two criteria.
     """
 
     obs1: np.ndarray
@@ -60,10 +59,12 @@ class ProblemData:
                 raise ValueError(f"observation set {k} and desired values do not match")
             if not np.all((obs > 0.0) & (obs < 1.0)):
                 raise ValueError(f"observation set {k} must lie strictly inside the domain")
+            if not np.all(np.isfinite(des)):
+                raise ValueError(f"desired values of observation set {k} must be finite")
         self.lambda1 = float(self.lambda1)
         self.lambda2 = float(self.lambda2)
-        if self.lambda1 <= 0.0 or self.lambda2 <= 0.0:
-            raise ValueError("regularization weights must be positive")
+        if not (0.0 < self.lambda1 < np.inf and 0.0 < self.lambda2 < np.inf):
+            raise ValueError("regularization weights must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -88,48 +89,37 @@ class StateAdjointBundle:
     residuals2: np.ndarray
 
 
-def solve_state(
-    problem: ProblemData, system: StiffnessSystem, u: PwcControl, tol: float = 1e-12
-) -> P1Function:
+def solve_state(problem: ProblemData, system: StiffnessSystem, u: PwcControl) -> P1Function:
     """Discrete control-to-state map: Poisson solve with source ``u``."""
-    return solve_spd(system, assemble_load_pwc(system.mesh, u), tol=tol)
+    return solve_spd(system, assemble_load_pwc(system.mesh, u))
 
 
-def _point_residuals(state: P1Function, obs: np.ndarray, desired: np.ndarray) -> np.ndarray:
-    return np.array([evaluate(state, p) for p in obs]) - desired
-
-
-def solve_adjoints(
-    problem: ProblemData, system: StiffnessSystem, state: P1Function, tol: float = 1e-12
-) -> StateAdjointBundle:
+def solve_adjoints(problem: ProblemData, system: StiffnessSystem, state: P1Function) -> StateAdjointBundle:
     """Solve both adjoint systems, loaded by the observation residuals.
 
-    The residuals ``state(x_k^i) - y_k^i`` are cached in the returned
-    bundle so objective values and gradients reuse this one state.
+    Each observation set is located once: its point-evaluation matrix
+    ``E`` gives the residuals ``E state - y`` and, transposed, the adjoint
+    load ``E^T r``.  The residuals are cached in the returned bundle so
+    objective values and gradients reuse this one state.
     """
     if state.mesh.level != system.mesh.level:
         raise ValueError("state lives on a different mesh than the system")
-    r1 = _point_residuals(state, problem.obs1, problem.y1)
-    r2 = _point_residuals(state, problem.obs2, problem.y2)
-    p1 = solve_spd(system, assemble_point_load(system.mesh, problem.obs1, r1), tol=tol)
-    p2 = solve_spd(system, assemble_point_load(system.mesh, problem.obs2, r2), tol=tol)
-    return StateAdjointBundle(state=state, adjoint1=p1, adjoint2=p2, residuals1=r1, residuals2=r2)
+    residuals, adjoints = [], []
+    for obs, desired in ((problem.obs1, problem.y1), (problem.obs2, problem.y2)):
+        E = point_evaluation_matrix(system.mesh, obs)
+        r = E @ state.nodal_values - desired
+        residuals.append(r)
+        adjoints.append(solve_spd(system, (E.T @ r)[system.mesh.interior_mask]))
+    return StateAdjointBundle(state, *adjoints, *residuals)
 
 
-def eval_objectives(problem: ProblemData, u: PwcControl, state: P1Function) -> ObjectivePair:
-    """Objective pair for a control and its matching state.
+def eval_objectives(problem: ProblemData, u: PwcControl, bundle: StateAdjointBundle) -> ObjectivePair:
+    """Objective pair of ``u`` from the residuals cached in its bundle.
 
-    The caller is responsible for ``state`` solving the state equation at
-    ``u``; no re-solve happens here, keeping solve counts auditable.
+    The caller is responsible for ``bundle`` belonging to ``u``; no solve
+    happens here, keeping solve counts auditable.
     """
-    r1 = _point_residuals(state, problem.obs1, problem.y1)
-    r2 = _point_residuals(state, problem.obs2, problem.y2)
-    return _objectives_from_residuals(problem, u, r1, r2)
-
-
-def _objectives_from_residuals(
-    problem: ProblemData, u: PwcControl, r1: np.ndarray, r2: np.ndarray
-) -> ObjectivePair:
+    r1, r2 = bundle.residuals1, bundle.residuals2
     un2 = l2_norm(u) ** 2
     return ObjectivePair(
         j1=0.5 * float(r1 @ r1) + 0.5 * problem.lambda1 * un2,
@@ -137,18 +127,11 @@ def _objectives_from_residuals(
     )
 
 
-def objective_values(
-    problem: ProblemData, system: StiffnessSystem, u: PwcControl, tol: float = 1e-12
-) -> ObjectivePair:
-    """Convenience wrapper that solves the state and then evaluates."""
-    return eval_objectives(problem, u, solve_state(problem, system, u, tol=tol))
-
-
 def _check_weights(alpha) -> tuple[float, float]:
     a1, a2 = float(alpha[0]), float(alpha[1])
-    if a1 <= 0.0 or a2 <= 0.0:
+    if not (a1 > 0.0 and a2 > 0.0):
         raise ValueError("weights must be strictly positive")
-    if abs(a1 + a2 - 1.0) > 1e-9:
+    if not abs(a1 + a2 - 1.0) <= 1e-9:
         raise ValueError("weights must sum to one")
     return a1, a2
 

@@ -14,13 +14,13 @@ from typing import Callable
 import numpy as np
 
 from .control import BoxBounds, PwcControl, clip_to_box
-from .fem import StiffnessSystem
+from .fem import LINEAR_TOL, StiffnessSystem
 from .objective import (
     ObjectivePair,
     ProblemData,
     StateAdjointBundle,
     _check_weights,
-    _objectives_from_residuals,
+    eval_objectives,
     grad_rpm,
     grad_wsm,
     solve_adjoints,
@@ -42,8 +42,9 @@ __all__ = [
 ]
 
 # Relative threshold below which the BB curvature denominator counts as
-# degenerate and the fallback step is used instead.
+# degenerate and the fallback step length ``1/t`` is used instead.
 _CURVATURE_TOL = 1e-14
+_FALLBACK_STEP = 1.0
 
 # One state plus two adjoint solves per gradient evaluation.
 _SOLVES_PER_EVAL = 3
@@ -53,17 +54,15 @@ GradEval = Callable[[PwcControl], tuple[PwcControl, ObjectivePair, int]]
 
 @dataclass
 class BBConfig:
-    """Stopping threshold and safeguards for the BB iteration."""
+    """Stopping threshold and iteration cap of the BB iteration."""
 
     tol: float = 1e-8
     max_iter: int = 5000
-    fallback_step: float = 1.0
-    linear_tol: float = 1e-12
 
     def __post_init__(self):
-        if min(self.tol, self.fallback_step, self.linear_tol) <= 0.0 or self.max_iter <= 0:
+        if self.tol <= 0.0 or self.max_iter <= 0:
             raise ValueError("all BB configuration values must be positive")
-        if not self.tol > self.linear_tol:
+        if not self.tol > LINEAR_TOL:
             raise ValueError("outer tolerance must exceed the linear-solver tolerance")
 
 
@@ -125,8 +124,8 @@ def bb_projected_gradient(
     gap ``|u_next - clip(u - g)|`` and the fixed-point residual of the
     accepted iterate both fall below ``config.tol``.  Exhausting
     ``max_iter`` returns a non-converged report instead of raising.
-    Degenerate or nonpositive curvature denominators fall back to
-    ``config.fallback_step`` and are counted in the report.
+    Degenerate or nonpositive curvature denominators fall back to a unit
+    step and are counted in the report.
     """
     bounds = problem.bounds
     _require_feasible(u0, bounds, "u0")
@@ -159,7 +158,7 @@ def bb_projected_gradient(
         curvature = area * float(dg @ du)
         du_sq = area * float(du @ du)
         if dg_sq == 0.0 or curvature <= _CURVATURE_TOL * np.sqrt(dg_sq * du_sq):
-            step = config.fallback_step
+            step = _FALLBACK_STEP
             fallbacks += 1
         else:
             step = curvature / dg_sq  # 1 / t_l
@@ -200,9 +199,8 @@ def _solve(
     config = config or BBConfig()
 
     def evaluate_control(u: PwcControl):
-        state = solve_state(problem, system, u, tol=config.linear_tol)
-        bundle = solve_adjoints(problem, system, state, tol=config.linear_tol)
-        j = _objectives_from_residuals(problem, u, bundle.residuals1, bundle.residuals2)
+        bundle = solve_adjoints(problem, system, solve_state(problem, system, u))
+        j = eval_objectives(problem, u, bundle)
         return gradient(bundle, u, j), j, _SOLVES_PER_EVAL
 
     bounds = problem.bounds
@@ -226,9 +224,7 @@ def solve_wsm(
 ) -> SolveReport:
     """Minimize the weighted sum of the two criteria over the box."""
     alpha = _check_weights(alpha)
-    report = _solve(problem, system, lambda b, u, j: grad_wsm(problem, b, u, alpha), config, u_start)
-    report.meta["alpha"] = alpha
-    return report
+    return _solve(problem, system, lambda b, u, j: grad_wsm(problem, b, u, alpha), config, u_start)
 
 
 def solve_rpm(
@@ -245,8 +241,9 @@ def solve_rpm(
     objective is convex.
     """
     zeta = (float(zeta[0]), float(zeta[1]))
+    if not np.all(np.isfinite(zeta)):
+        raise ValueError("reference point must be finite")
     report = _solve(problem, system, lambda b, u, j: grad_rpm(problem, b, u, zeta, j), config, u_start)
-    report.meta["zeta"] = zeta
     report.meta["zeta_dominated"] = bool(
         report.objectives.j1 > zeta[0] and report.objectives.j2 > zeta[1]
     )

@@ -17,6 +17,7 @@ from mopoisson import (
     assemble_load_pwc,
     assemble_point_load,
     clip_to_box,
+    eval_objectives,
     evaluate,
     grad_rpm,
     grad_wsm,
@@ -27,7 +28,7 @@ from mopoisson import (
     solve_spd,
     solve_state,
 )
-from mopoisson.objective import _objectives_from_residuals, rpm_value, wsm_value
+from mopoisson.objective import rpm_value, wsm_value
 
 # 3-point interior Gauss rule on the triangle, exact for quadratics.
 _GAUSS_BARY = np.array([
@@ -117,14 +118,14 @@ def scalarized_value(problem, system, u: PwcControl, kind: str, parameter) -> fl
     """Objective value of a scalarization, evaluated through public ops."""
     state = solve_state(problem, system, u)
     bundle = solve_adjoints(problem, system, state)
-    j = _objectives_from_residuals(problem, u, bundle.residuals1, bundle.residuals2)
+    j = eval_objectives(problem, u, bundle)
     return wsm_value(parameter, j) if kind == "wsm" else rpm_value(parameter, j)
 
 
 def scalarized_gradient(problem, system, u: PwcControl, kind: str, parameter) -> PwcControl:
     state = solve_state(problem, system, u)
     bundle = solve_adjoints(problem, system, state)
-    j = _objectives_from_residuals(problem, u, bundle.residuals1, bundle.residuals2)
+    j = eval_objectives(problem, u, bundle)
     if kind == "wsm":
         return grad_wsm(problem, bundle, u, parameter)
     return grad_rpm(problem, bundle, u, parameter, j)

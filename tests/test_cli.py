@@ -31,6 +31,17 @@ def test_invalid_arguments_exit_two(tmp_path):
     assert main(["solve-wsm", "--alpha", "0.5,0.5", "--bounds", "5,1", "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["solve-wsm", "--alpha", "nan,nan"],
+    ["solve-rpm", "--zeta", "nan,1"],
+    ["solve-wsm", "--alpha", "0.5,0.5", "--lambda", "nan,0.1"],
+    ["solve-wsm", "--alpha", "0.5,0.5", "--obs1", "0.75,0.25=inf"],
+])
+def test_non_finite_input_exits_two_without_output(tmp_path, args):
+    assert main(args + ["--level", "2", "--max-iter", "50", "--out", str(tmp_path)]) == 2
+    assert not list(tmp_path.iterdir())
+
+
 def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])

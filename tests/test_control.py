@@ -189,3 +189,30 @@ def test_read_control_rejects_malformed(tmp_path):
     path.write_text("level=1\n0.5\n")
     with pytest.raises(ValueError):
         read_control(path)
+
+
+def test_control_file_bytes(tmp_path):
+    mesh = build_uniform_mesh(1)
+    values = [-0.0, 5e-324, 1.0 / 3.0, 0.1, -2.5, 1e300, 1.0, 0.0]
+    path = tmp_path / "u.ctrl"
+    write_control(control(mesh, values), path)
+    assert path.read_bytes() == (
+        b"level=1\n-0\n4.9406564584124654e-324\n0.33333333333333331\n0.10000000000000001\n"
+        b"-2.5\n1.0000000000000001e+300\n1\n0\n"
+    )
+    back = read_control(path).values
+    assert back.tobytes() == np.array(values).tobytes()  # also keeps the sign of -0.0
+
+
+@pytest.mark.parametrize("header", ["level=14", "level=99", "level=-1"])
+def test_read_control_checks_count_before_building_mesh(tmp_path, monkeypatch, header):
+    import mopoisson.control
+
+    def refuse(level):
+        raise AssertionError(f"mesh of level {level} built")
+
+    monkeypatch.setattr(mopoisson.control, "build_uniform_mesh", refuse)
+    path = tmp_path / "corrupt.ctrl"
+    path.write_text(f"{header}\n0.5\n")
+    with pytest.raises(ValueError):
+        read_control(path)

@@ -14,7 +14,7 @@ from mopoisson import (
     run_convergence_wsm,
     run_front,
 )
-from mopoisson.experiments import ConvergenceTable, _cache_key
+from mopoisson.experiments import ConvergenceTable
 
 PUBLISHED_H = [2.0 ** -k for k in (2, 3, 4, 5)]
 PUBLISHED_WSM_ERRORS = [0.727125, 0.399550, 0.209558, 0.107604]
@@ -82,13 +82,6 @@ def test_reference_cache_round_trip(tmp_path):
 
     assert l2_error(cached, recomputed) <= 1e-10
     assert np.allclose(table_first.errors, table_second.errors, atol=1e-10)
-
-
-def test_cache_key_depends_on_linear_tolerance(tmp_path):
-    problem = benchmark_problem()
-    loose = small_config(problem, tmp_path, bb=BBConfig(linear_tol=1e-10))
-    tight = small_config(problem, tmp_path, bb=BBConfig(linear_tol=1e-12))
-    assert _cache_key(loose, "wsm", (0.5, 0.5), 4) != _cache_key(tight, "wsm", (0.5, 0.5), 4)
 
 
 def test_truncated_cache_file_is_recomputed(tmp_path):

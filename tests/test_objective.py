@@ -14,7 +14,6 @@ from mopoisson import (
     grad_wsm,
     l2_inner,
     l2_norm,
-    objective_values,
     solve_adjoints,
     solve_spd,
     solve_state,
@@ -33,6 +32,10 @@ def feasible(problem, mesh, rng):
     return PwcControl(mesh, rng.uniform(problem.bounds.ua, problem.bounds.ub, mesh.num_triangles))
 
 
+def objectives(problem, system, u):
+    return eval_objectives(problem, u, solve_adjoints(problem, system, solve_state(problem, system, u)))
+
+
 def test_problem_data_validation():
     box = BoxBounds(-1.0, 1.0)
     with pytest.raises(ValueError):
@@ -43,6 +46,10 @@ def test_problem_data_validation():
     with pytest.raises(ValueError):
         ProblemData(obs1=[(0.5, 0.5)], y1=[1.0], obs2=[(0.25, 0.25)], y2=[1.0],
                     lambda1=0.0, lambda2=1, bounds=box)
+    for y, lam in [(np.nan, 1.0), (np.inf, 1.0), (1.0, np.nan), (1.0, np.inf)]:
+        with pytest.raises(ValueError):
+            ProblemData(obs1=[(0.5, 0.5)], y1=[y], obs2=[(0.25, 0.25)], y2=[1.0],
+                        lambda1=lam, lambda2=1, bounds=box)
 
 
 def test_zero_control_gives_zero_state(setup):
@@ -106,7 +113,7 @@ def test_objectives_at_zero_control(bench):
     mesh = build_uniform_mesh(2)
     system = assemble_stiffness(mesh)
     u = PwcControl(mesh, np.zeros(mesh.num_triangles))
-    j = eval_objectives(bench, u, solve_state(bench, system, u))
+    j = objectives(bench, system, u)
     assert j.j1 == pytest.approx(18.0, abs=1e-12)
     assert j.j2 == pytest.approx(2.0, abs=1e-12)
 
@@ -121,7 +128,7 @@ def test_objectives_regularization_only(setup):
         obs2=problem.obs2, y2=[evaluate(state, p) for p in problem.obs2],
         lambda1=problem.lambda1, lambda2=problem.lambda2, bounds=problem.bounds,
     )
-    j = eval_objectives(matched, u, state)
+    j = objectives(matched, system, u)
     assert j.j1 == pytest.approx(matched.lambda1 * c * c / 2.0, abs=1e-12)
     assert j.j2 == pytest.approx(matched.lambda2 * c * c / 2.0, abs=1e-12)
 
@@ -130,13 +137,14 @@ def test_objectives_match_hand_composition(setup, rng):
     problem, mesh, system = setup
     u = feasible(problem, mesh, rng)
     state = solve_state(problem, system, u)
-    j = eval_objectives(problem, u, state)
+    bundle = solve_adjoints(problem, system, state)
+    j = eval_objectives(problem, u, bundle)
     r1 = np.array([evaluate(state, p) for p in problem.obs1]) - problem.y1
     r2 = np.array([evaluate(state, p) for p in problem.obs2]) - problem.y2
+    assert np.allclose(bundle.residuals1, r1, rtol=0, atol=1e-13)
+    assert np.allclose(bundle.residuals2, r2, rtol=0, atol=1e-13)
     assert j.j1 == pytest.approx(0.5 * (r1 @ r1) + 0.5 * problem.lambda1 * l2_norm(u) ** 2)
     assert j.j2 == pytest.approx(0.5 * (r2 @ r2) + 0.5 * problem.lambda2 * l2_norm(u) ** 2)
-    wrapped = objective_values(problem, system, u)
-    assert wrapped.j1 == pytest.approx(j.j1) and wrapped.j2 == pytest.approx(j.j2)
 
 
 def _zero_adjoint_bundle(mesh, state):
@@ -161,7 +169,7 @@ def test_grad_wsm_rejects_degenerate_weights(setup):
     problem, mesh, system = setup
     u = PwcControl(mesh, np.zeros(mesh.num_triangles))
     bundle = _zero_adjoint_bundle(mesh, solve_state(problem, system, u))
-    for alpha in [(1.0, 0.0), (0.0, 1.0), (-0.2, 1.2), (0.5, 0.6)]:
+    for alpha in [(1.0, 0.0), (0.0, 1.0), (-0.2, 1.2), (0.5, 0.6), (np.nan, np.nan), (0.5, np.nan)]:
         with pytest.raises(ValueError):
             grad_wsm(problem, bundle, u, alpha)
 
@@ -171,7 +179,7 @@ def test_grad_rpm_trivial_cases(setup, rng):
     u = feasible(problem, mesh, rng)
     state = solve_state(problem, system, u)
     bundle = solve_adjoints(problem, system, state)
-    j = eval_objectives(problem, u, state)
+    j = eval_objectives(problem, u, bundle)
     zero_gap = grad_rpm(problem, bundle, u, (j.j1, j.j2), j)
     assert np.abs(zero_gap.values).max() <= 1e-14
     zb = _zero_adjoint_bundle(mesh, state)
@@ -210,11 +218,11 @@ def test_objective_convexity_surrogate(setup, rng):
     for _ in range(5):
         u = feasible(problem, mesh, rng)
         v = feasible(problem, mesh, rng)
-        ju = objective_values(problem, system, u)
-        jv = objective_values(problem, system, v)
+        ju = objectives(problem, system, u)
+        jv = objectives(problem, system, v)
         for t in (0.25, 0.5, 0.75):
             mix = PwcControl(mesh, t * u.values + (1 - t) * v.values)
-            jm = objective_values(problem, system, mix)
+            jm = objectives(problem, system, mix)
             assert jm.j1 <= t * ju.j1 + (1 - t) * jv.j1 + 1e-12
             assert jm.j2 <= t * ju.j2 + (1 - t) * jv.j2 + 1e-12
 

@@ -55,6 +55,8 @@ def test_bbconfig_validation():
         BBConfig(tol=1e-13)  # must stay above the linear tolerance
     with pytest.raises(ValueError):
         BBConfig(max_iter=0)
+    with pytest.raises(ValueError):
+        BBConfig(tol=np.nan)
 
 
 def test_immediate_convergence_at_stationary_start(level3):
@@ -284,6 +286,9 @@ def test_rpm_front_validation(level3):
         rpm_front(problem, system, 1, 0.2, 0.2)
     with pytest.raises(ValueError):
         rpm_front(problem, system, 5, -0.1, 0.2)
+    for zeta in [(np.nan, 1.0), (16.0, np.inf)]:
+        with pytest.raises(ValueError):
+            solve_rpm(problem, system, zeta)
 
 
 def test_ideal_vector_properties(bench):
