@@ -37,12 +37,10 @@ from .fem import (
     assemble_point_load,
     assemble_stiffness,
     evaluate,
-    point_evaluation_matrix,
     solve_spd,
 )
 from .mesh import (
     MAX_LEVEL,
-    PointLocation,
     TriMesh,
     build_uniform_mesh,
     locate_point,

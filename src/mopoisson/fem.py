@@ -26,7 +26,6 @@ __all__ = [
     "assemble_stiffness",
     "assemble_load_pwc",
     "assemble_point_load",
-    "point_evaluation_matrix",
     "solve_spd",
     "evaluate",
 ]
@@ -141,24 +140,6 @@ def assemble_load_pwc(mesh: TriMesh, u: "PwcControl") -> np.ndarray:
     return full[mesh.interior_mask]
 
 
-def point_evaluation_matrix(mesh: TriMesh, points) -> sparse.csr_matrix:
-    """Sparse (num_points, num_nodes) interpolation operator.
-
-    Row ``i`` holds the barycentric weights of ``points[i]`` in its
-    containing triangle, so the matrix evaluates nodal vectors at the
-    points and its transpose scatters point loads.
-    """
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    rows = np.repeat(np.arange(points.shape[0]), 3)
-    cols = np.empty(3 * points.shape[0], dtype=np.int64)
-    vals = np.empty(3 * points.shape[0])
-    for i, p in enumerate(points):
-        loc = locate_point(mesh, p)
-        cols[3 * i : 3 * i + 3] = mesh.triangles[loc.element]
-        vals[3 * i : 3 * i + 3] = loc.bary
-    return sparse.csr_matrix((vals, (rows, cols)), shape=(points.shape[0], mesh.num_nodes))
-
-
 def assemble_point_load(mesh: TriMesh, points, coeffs) -> np.ndarray:
     """Interior load vector ``l_i = sum_j coeffs_j phi_i(points_j)``.
 
@@ -168,10 +149,11 @@ def assemble_point_load(mesh: TriMesh, points, coeffs) -> np.ndarray:
     coeffs = np.atleast_1d(np.asarray(coeffs, dtype=np.float64))
     if points.shape[0] != coeffs.shape[0]:
         raise ValueError("points and coefficients differ in length")
-    for p in points:
-        if not (0.0 < p[0] < 1.0 and 0.0 < p[1] < 1.0):
-            raise ValueError(f"observation point ({p[0]}, {p[1]}) must be interior")
-    full = point_evaluation_matrix(mesh, points).T @ coeffs
+    if not ((points > 0.0) & (points < 1.0)).all():
+        raise ValueError("observation points must be interior")
+    elements, bary = locate_point(mesh, points)
+    full = np.zeros(mesh.num_nodes)
+    np.add.at(full, mesh.triangles[elements], bary * coeffs[:, None])
     return full[mesh.interior_mask]
 
 
@@ -206,7 +188,7 @@ def solve_spd(system: StiffnessSystem, rhs: np.ndarray, tol: float = LINEAR_TOL)
     return P1Function(system.mesh, full)
 
 
-def evaluate(f: P1Function, p) -> float:
-    """Evaluate by barycentric interpolation; exact for linear nodal data."""
-    loc = locate_point(f.mesh, p)
-    return float(loc.bary @ f.nodal_values[f.mesh.triangles[loc.element]])
+def evaluate(f: P1Function, points) -> np.ndarray:
+    """Values at ``points`` by barycentric interpolation; exact for linear nodal data."""
+    elements, bary = locate_point(f.mesh, points)
+    return (bary * f.nodal_values[f.mesh.triangles[elements]]).sum(axis=1)

@@ -16,7 +16,6 @@ import numpy as np
 __all__ = [
     "MAX_LEVEL",
     "TriMesh",
-    "PointLocation",
     "build_uniform_mesh",
     "locate_point",
     "parent_elements",
@@ -79,14 +78,6 @@ class TriMesh:
         return self.triangles.shape[0]
 
 
-@dataclass(frozen=True)
-class PointLocation:
-    """A containing triangle together with exact barycentric coordinates."""
-
-    element: int
-    bary: np.ndarray
-
-
 def build_uniform_mesh(level: int) -> TriMesh:
     """Build the level-``level`` mesh of the family.
 
@@ -129,44 +120,33 @@ def build_uniform_mesh(level: int) -> TriMesh:
     )
 
 
-def _bary_in_triangle(mesh: TriMesh, t: int, x: float, y: float) -> np.ndarray:
-    pa, pb, pc = mesh.nodes[mesh.triangles[t]]
-    area2 = (pb[0] - pa[0]) * (pc[1] - pa[1]) - (pb[1] - pa[1]) * (pc[0] - pa[0])
-    w0 = ((pb[0] - x) * (pc[1] - y) - (pb[1] - y) * (pc[0] - x)) / area2
-    w1 = ((pc[0] - x) * (pa[1] - y) - (pc[1] - y) * (pa[0] - x)) / area2
-    w2 = ((pa[0] - x) * (pb[1] - y) - (pa[1] - y) * (pb[0] - x)) / area2
-    return np.array([w0, w1, w2])
+def locate_point(mesh: TriMesh, points) -> tuple[np.ndarray, np.ndarray]:
+    """Containing triangles ``(m,)`` and barycentric weights ``(m, 3)`` of ``m`` points.
 
-
-def locate_point(mesh: TriMesh, p) -> PointLocation:
-    """Find the triangle containing ``p`` and its barycentric coordinates.
-
-    Points on shared edges or vertices resolve to the lowest-index
-    containing triangle, so the result is deterministic.
+    Pure index arithmetic on the uniform grid.  Points on shared edges or
+    vertices resolve to the lowest-index containing triangle.
     """
-    x, y = float(p[0]), float(p[1])
-    if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
-        raise ValueError(f"point ({x}, {y}) lies outside the unit square")
+    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    if not ((points >= 0.0) & (points <= 1.0)).all():
+        raise ValueError("points must lie in the closed unit square")
 
     n = mesh.cells_per_side
-    sx, sy = x * n, y * n
-    ix0 = min(int(sx), n - 1)
-    iy0 = min(int(sy), n - 1)
+    scaled = points * n
+    cell = np.minimum(scaled.astype(np.int64), n - 1)
     # A point (numerically) on a grid line is also contained in the
     # neighbouring cell, whose triangles carry lower indices.
-    cand_ix = [ix0 - 1, ix0] if (ix0 >= 1 and sx - ix0 <= _BARY_TOL * n) else [ix0]
-    cand_iy = [iy0 - 1, iy0] if (iy0 >= 1 and sy - iy0 <= _BARY_TOL * n) else [iy0]
-
-    for iy in cand_iy:
-        for ix in cand_ix:
-            base = 2 * (iy * n + ix)
-            for t in (base, base + 1):
-                bary = _bary_in_triangle(mesh, t, x, y)
-                if bary.min() >= -_BARY_TOL:
-                    bary = np.clip(bary, 0.0, 1.0)
-                    bary /= bary.sum()
-                    return PointLocation(element=t, bary=bary)
-    raise RuntimeError(f"point location failed for ({x}, {y})")  # pragma: no cover
+    cell -= (cell >= 1) & (scaled - cell <= _BARY_TOL)
+    fx, fy = (scaled - cell).T
+    # On the diagonal both triangles contain the point; the lower one wins.
+    upper = fx - fy < -_BARY_TOL
+    bary = np.where(
+        upper[:, None],
+        np.array([1.0 - fy, fx, fy - fx]).T,
+        np.array([1.0 - fx, fx - fy, fy]).T,
+    )
+    bary = bary.clip(0.0, 1.0)
+    bary /= bary.sum(axis=1, keepdims=True)
+    return 2 * (cell[:, 1] * n + cell[:, 0]) + upper, bary
 
 
 def parent_elements(fine: TriMesh, coarse: TriMesh) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .control import BoxBounds, PwcControl, l2_norm, pi0_project
-from .fem import P1Function, StiffnessSystem, assemble_load_pwc, point_evaluation_matrix, solve_spd
+from .fem import P1Function, StiffnessSystem, assemble_load_pwc, assemble_point_load, evaluate, solve_spd
 
 __all__ = [
     "ProblemData",
@@ -97,19 +97,18 @@ def solve_state(problem: ProblemData, system: StiffnessSystem, u: PwcControl) ->
 def solve_adjoints(problem: ProblemData, system: StiffnessSystem, state: P1Function) -> StateAdjointBundle:
     """Solve both adjoint systems, loaded by the observation residuals.
 
-    Each observation set is located once: its point-evaluation matrix
-    ``E`` gives the residuals ``E state - y`` and, transposed, the adjoint
-    load ``E^T r``.  The residuals are cached in the returned bundle so
+    The residuals ``r = state(obs) - y`` are gathered by :func:`evaluate`
+    and scattered back as the Dirac load ``sum_j r_j phi(obs_j)`` by
+    :func:`assemble_point_load`.  They are cached in the returned bundle so
     objective values and gradients reuse this one state.
     """
     if state.mesh.level != system.mesh.level:
         raise ValueError("state lives on a different mesh than the system")
     residuals, adjoints = [], []
     for obs, desired in ((problem.obs1, problem.y1), (problem.obs2, problem.y2)):
-        E = point_evaluation_matrix(system.mesh, obs)
-        r = E @ state.nodal_values - desired
+        r = evaluate(state, obs) - desired
         residuals.append(r)
-        adjoints.append(solve_spd(system, (E.T @ r)[system.mesh.interior_mask]))
+        adjoints.append(solve_spd(system, assemble_point_load(system.mesh, obs, r)))
     return StateAdjointBundle(state, *adjoints, *residuals)
 
 

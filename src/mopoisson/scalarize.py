@@ -60,8 +60,8 @@ class BBConfig:
     max_iter: int = 5000
 
     def __post_init__(self):
-        if self.tol <= 0.0 or self.max_iter <= 0:
-            raise ValueError("all BB configuration values must be positive")
+        if not 0.0 < self.tol < np.inf or self.max_iter <= 0:
+            raise ValueError("tol must be positive and finite, max_iter positive")
         if not self.tol > LINEAR_TOL:
             raise ValueError("outer tolerance must exceed the linear-solver tolerance")
 
@@ -318,8 +318,8 @@ def rpm_front(
     """
     if l_max < 2:
         raise ValueError("a sweep needs at least two points")
-    if h_perp <= 0.0 or h_par <= 0.0:
-        raise ValueError("scaling parameters must be positive")
+    if not (0.0 < h_perp < np.inf and 0.0 < h_par < np.inf):
+        raise ValueError("scaling parameters must be positive and finite")
     report_init = solve_wsm(problem, system, (1.0 - eps, eps), config)
     report_end = solve_wsm(problem, system, (eps, 1.0 - eps), config)
     j_end_1 = report_end.objectives.j1

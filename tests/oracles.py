@@ -91,13 +91,8 @@ def quadrature_load_pwc(mesh, u: PwcControl) -> np.ndarray:
 def quadrature_element_integral(f, t: int) -> float:
     """Integral of a P1 function over one triangle via physical-point quadrature."""
     mesh = f.mesh
-    tri = mesh.triangles[t]
-    coords = mesh.nodes[tri]
-    total = 0.0
-    for bary in _GAUSS_BARY:
-        point = bary @ coords
-        total += evaluate(f, point) * mesh.element_area / 3.0
-    return total
+    points = _GAUSS_BARY @ mesh.nodes[mesh.triangles[t]]
+    return float(evaluate(f, points).sum()) * mesh.element_area / 3.0
 
 
 def brute_force_locate(mesh, p):
@@ -144,8 +139,8 @@ def central_difference(problem, system, u: PwcControl, w: PwcControl, kind: str,
 def wsm_hessian_apply(problem, system, alpha, w: PwcControl) -> PwcControl:
     """Reduced Hessian of the weighted sum applied to a control direction."""
     state_w = solve_state(problem, system, w)
-    c1 = np.array([evaluate(state_w, p) for p in problem.obs1])
-    c2 = np.array([evaluate(state_w, p) for p in problem.obs2])
+    c1 = evaluate(state_w, problem.obs1)
+    c2 = evaluate(state_w, problem.obs2)
     q1 = solve_spd(system, assemble_point_load(system.mesh, problem.obs1, c1))
     q2 = solve_spd(system, assemble_point_load(system.mesh, problem.obs2, c2))
     values = alpha[0] * (pi0_project(q1).values + problem.lambda1 * w.values)

@@ -36,6 +36,8 @@ def test_invalid_arguments_exit_two(tmp_path):
     ["solve-rpm", "--zeta", "nan,1"],
     ["solve-wsm", "--alpha", "0.5,0.5", "--lambda", "nan,0.1"],
     ["solve-wsm", "--alpha", "0.5,0.5", "--obs1", "0.75,0.25=inf"],
+    ["solve-wsm", "--alpha", "0.5,0.5", "--tol", "inf"],
+    ["front", "--method", "rpm", "--ref-level", "2", "--h-perp", "nan"],
 ])
 def test_non_finite_input_exits_two_without_output(tmp_path, args):
     assert main(args + ["--level", "2", "--max-iter", "50", "--out", str(tmp_path)]) == 2

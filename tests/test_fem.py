@@ -127,6 +127,8 @@ def test_point_load_rejects_boundary_points():
         assemble_point_load(mesh, [(0.0, 0.5)], [1.0])
     with pytest.raises(ValueError):
         assemble_point_load(mesh, [(0.5, 1.0)], [1.0])
+    with pytest.raises(ValueError):
+        assemble_point_load(mesh, [(0.5, 0.5), (np.nan, 0.5)], [1.0, 1.0])
 
 
 def test_solve_zero_rhs_returns_zero_function(level3):
@@ -217,20 +219,21 @@ def test_manufactured_solution_second_order():
 def test_evaluate_reproduces_linear_functions():
     mesh = build_uniform_mesh(3)
     f = P1Function(mesh, mesh.nodes[:, 0].copy())
-    assert evaluate(f, (0.3, 0.7)) == pytest.approx(0.3, abs=1e-14)
+    values = evaluate(f, (0.3, 0.7))
+    assert values.shape == (1,)
+    assert values[0] == pytest.approx(0.3, abs=1e-14)
 
 
 def test_evaluate_zero_function():
     mesh = build_uniform_mesh(2)
     f = P1Function(mesh, np.zeros(mesh.num_nodes))
-    assert evaluate(f, (0.123, 0.456)) == 0.0
+    assert np.all(evaluate(f, [(0.123, 0.456), (0.5, 0.5)]) == 0.0)
 
 
 def test_evaluate_lagrange_property(rng):
     mesh = build_uniform_mesh(2)
     f = P1Function(mesh, rng.normal(size=mesh.num_nodes))
-    node = 12
-    assert evaluate(f, mesh.nodes[node]) == f.nodal_values[node]
+    assert np.array_equal(evaluate(f, mesh.nodes), f.nodal_values)
 
 
 def test_element_mean_constant_and_simple():
@@ -251,16 +254,19 @@ def test_element_mean_matches_quadrature(rng):
         assert integral == pytest.approx(quadrature_element_integral(f, int(t)), abs=1e-14)
 
 
-def test_point_evaluation_matrix_interpolates(rng):
-    from mopoisson import point_evaluation_matrix
-
+def test_point_load_is_dual_to_evaluation(rng):
+    # <c, E f> == <E^T c, f> for zero-boundary f, with E the evaluation operator
     mesh = build_uniform_mesh(3)
     points = rng.uniform(0.05, 0.95, (7, 2))
-    E = point_evaluation_matrix(mesh, points)
-    f = P1Function(mesh, rng.normal(size=mesh.num_nodes))
-    direct = np.array([evaluate(f, p) for p in points])
-    assert np.allclose(E @ f.nodal_values, direct, atol=1e-14)
-    assert np.allclose(np.asarray(E.sum(axis=1)).ravel(), 1.0, atol=1e-14)
+    points[:2] = [(0.5, 0.25), (0.375, 0.375)]  # a grid node and a cell diagonal
+    c = rng.normal(size=7)
+    values = np.where(mesh.interior_mask, rng.normal(size=mesh.num_nodes), 0.0)
+    f = P1Function(mesh, values)
+    load = assemble_point_load(mesh, points, c)
+    assert c @ evaluate(f, points) == pytest.approx(load @ values[mesh.interior_mask], abs=1e-13)
+    linear = P1Function(mesh, 2.0 * mesh.nodes[:, 0] - 3.0 * mesh.nodes[:, 1] + 0.5)
+    exact = 2.0 * points[:, 0] - 3.0 * points[:, 1] + 0.5
+    assert np.abs(evaluate(linear, points) - exact).max() <= 1e-14
 
 
 def test_value_shape_validation():

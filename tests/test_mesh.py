@@ -62,61 +62,64 @@ def test_level_bounds_rejected():
 
 def test_locate_grid_node_has_unit_bary():
     mesh = build_uniform_mesh(2)
-    loc = locate_point(mesh, (0.75, 0.25))
-    assert loc.bary.max() == pytest.approx(1.0, abs=1e-15)
-    assert loc.bary.sum() == pytest.approx(1.0, abs=1e-15)
+    elements, bary = locate_point(mesh, (0.75, 0.25))
+    assert elements.shape == (1,) and bary.shape == (1, 3)
+    assert bary.max() == pytest.approx(1.0, abs=1e-15)
+    assert bary.sum() == pytest.approx(1.0, abs=1e-15)
 
 
 def test_locate_diagonal_tie_breaks_low():
     mesh = build_uniform_mesh(0)
-    loc = locate_point(mesh, (0.5, 0.5))
-    assert loc.element == 0
-    assert loc.bary.sum() == pytest.approx(1.0, abs=1e-15)
+    elements, bary = locate_point(mesh, (0.5, 0.5))
+    assert elements[0] == 0
+    assert bary.sum() == pytest.approx(1.0, abs=1e-15)
 
 
 def test_locate_reconstructs_query_point():
     mesh = build_uniform_mesh(1)
-    loc = locate_point(mesh, (0.3, 0.1))
-    rebuilt = loc.bary @ mesh.nodes[mesh.triangles[loc.element]]
+    elements, bary = locate_point(mesh, (0.3, 0.1))
+    rebuilt = bary[0] @ mesh.nodes[mesh.triangles[elements[0]]]
     assert np.allclose(rebuilt, [0.3, 0.1], atol=1e-12)
 
 
 def test_locate_rejects_outside_points():
     mesh = build_uniform_mesh(2)
-    for p in [(-0.1, 0.5), (0.5, 1.2), (1.0000001, 0.0)]:
+    for p in [(-0.1, 0.5), (0.5, 1.2), (1.0000001, 0.0), (np.nan, 0.5), (0.5, np.inf)]:
         with pytest.raises(ValueError):
             locate_point(mesh, p)
+    with pytest.raises(ValueError):
+        locate_point(mesh, [(0.5, 0.5), (0.5, -1e-9)])
 
 
 @pytest.mark.parametrize("level", range(9))
 def test_locate_identity_on_random_points(level, rng):
     mesh = build_uniform_mesh(level)
-    count = 1000 if level <= 6 else 200
-    points = rng.uniform(0.0, 1.0, (count, 2))
-    for p in points:
-        loc = locate_point(mesh, p)
-        rebuilt = loc.bary @ mesh.nodes[mesh.triangles[loc.element]]
-        assert np.abs(rebuilt - p).max() <= 1e-12
-        assert loc.bary.min() >= 0.0 and loc.bary.sum() == pytest.approx(1.0, abs=1e-14)
+    points = rng.uniform(0.0, 1.0, (1000, 2))
+    elements, bary = locate_point(mesh, points)
+    rebuilt = np.einsum("pk,pkd->pd", bary, mesh.nodes[mesh.triangles[elements]])
+    assert np.abs(rebuilt - points).max() <= 1e-12
+    assert bary.min() >= 0.0
+    assert np.abs(bary.sum(axis=1) - 1.0).max() <= 1e-14
 
 
 def test_locate_matches_brute_force_on_edges_and_vertices(rng):
-    mesh = build_uniform_mesh(2)
-    h = mesh.h
-    crafted = [
-        (0.5, 0.3),        # vertical grid line
-        (0.3, 0.25),       # horizontal grid line
-        (0.5, 0.5),        # grid node
-        (0.375, 0.125),    # diagonal of a cell
-        (0.0, 0.0),
-        (1.0, 1.0),
-        (1.0, 0.3),
-    ]
-    random_pts = [tuple(p) for p in rng.uniform(0, 1, (50, 2))]
-    snapped = [(float(round(x / h) * h), float(y)) for x, y in rng.uniform(0, 1, (20, 2))]
-    for p in crafted + random_pts + snapped:
-        expected_t, _ = brute_force_locate(mesh, p)
-        assert locate_point(mesh, p).element == expected_t
+    shifts = 1e-13 * np.array([(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1)])
+    for level in range(5):
+        mesh = build_uniform_mesh(level)
+        n = mesh.cells_per_side
+        line = rng.integers(0, n + 1, 12) / n
+        free = rng.uniform(0.0, 1.0, 12)
+        crafted = np.concatenate([
+            rng.integers(0, n + 1, (12, 2)) / n,                  # grid nodes
+            np.column_stack([line, free]),                        # vertical grid lines
+            np.column_stack([free, line]),                        # horizontal grid lines
+            (rng.integers(0, n, (12, 2)) + free[:, None]) / n,    # cell diagonals
+            [(0.0, 0.0), (1.0, 1.0), (1.0, 0.3), (0.5, 0.5)],
+        ])
+        points = np.clip((crafted[:, None, :] + shifts).reshape(-1, 2), 0.0, 1.0)
+        points = np.concatenate([points, rng.uniform(0.0, 1.0, (50, 2))])
+        elements, _ = locate_point(mesh, points)
+        assert elements.tolist() == [brute_force_locate(mesh, p)[0] for p in points]
 
 
 def test_nested_map_identity():
@@ -136,10 +139,9 @@ def test_nested_map_children_tile_parent():
 def test_nested_map_centroids_land_in_parent():
     coarse = build_uniform_mesh(2)
     fine = build_uniform_mesh(4)
-    parents = parent_elements(fine, coarse)
-    for child, parent in enumerate(parents):
-        centroid = fine.nodes[fine.triangles[child]].mean(axis=0)
-        assert locate_point(coarse, centroid).element == parent
+    centroids = fine.nodes[fine.triangles].mean(axis=1)
+    elements, _ = locate_point(coarse, centroids)
+    assert np.array_equal(elements, parent_elements(fine, coarse))
 
 
 def test_nested_map_partitions_fine_mesh():

@@ -57,6 +57,8 @@ def test_bbconfig_validation():
         BBConfig(max_iter=0)
     with pytest.raises(ValueError):
         BBConfig(tol=np.nan)
+    with pytest.raises(ValueError):
+        BBConfig(tol=np.inf)
 
 
 def test_immediate_convergence_at_stationary_start(level3):
@@ -284,8 +286,9 @@ def test_rpm_front_validation(level3):
     problem, mesh, system = level3
     with pytest.raises(ValueError):
         rpm_front(problem, system, 1, 0.2, 0.2)
-    with pytest.raises(ValueError):
-        rpm_front(problem, system, 5, -0.1, 0.2)
+    for h_perp, h_par in [(-0.1, 0.2), (np.nan, 0.2), (0.2, np.nan), (np.inf, 0.2)]:
+        with pytest.raises(ValueError):
+            rpm_front(problem, system, 5, h_perp, h_par)
     for zeta in [(np.nan, 1.0), (16.0, np.inf)]:
         with pytest.raises(ValueError):
             solve_rpm(problem, system, zeta)
