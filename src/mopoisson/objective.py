@@ -22,6 +22,8 @@ __all__ = [
     "StateAdjointBundle",
     "solve_state",
     "solve_adjoints",
+    "greens_function_means",
+    "reduced_bundle",
     "eval_objectives",
     "grad_wsm",
     "grad_rpm",
@@ -80,13 +82,12 @@ class ObjectivePair:
 
 @dataclass
 class StateAdjointBundle:
-    """State, both adjoints, and the pointwise residuals that load them."""
+    """Residuals ``y_h(obs_k) - y_k`` of one state and element means of the adjoints they load."""
 
-    state: P1Function
-    adjoint1: P1Function
-    adjoint2: P1Function
     residuals1: np.ndarray
     residuals2: np.ndarray
+    adjoint_means1: np.ndarray
+    adjoint_means2: np.ndarray
 
 
 def solve_state(problem: ProblemData, system: StiffnessSystem, u: PwcControl) -> P1Function:
@@ -99,17 +100,41 @@ def solve_adjoints(problem: ProblemData, system: StiffnessSystem, state: P1Funct
 
     The residuals ``r = state(obs) - y`` are gathered by :func:`evaluate`
     and scattered back as the Dirac load ``sum_j r_j phi(obs_j)`` by
-    :func:`assemble_point_load`.  They are cached in the returned bundle so
-    objective values and gradients reuse this one state.
+    :func:`assemble_point_load`.  This is the full PDE route to the bundle
+    that :func:`reduced_bundle` gives without a solve.
     """
     if state.mesh.level != system.mesh.level:
         raise ValueError("state lives on a different mesh than the system")
-    residuals, adjoints = [], []
+    residuals, means = [], []
     for obs, desired in ((problem.obs1, problem.y1), (problem.obs2, problem.y2)):
         r = evaluate(state, obs) - desired
         residuals.append(r)
-        adjoints.append(solve_spd(system, assemble_point_load(system.mesh, obs, r)))
-    return StateAdjointBundle(state, *adjoints, *residuals)
+        means.append(pi0_project(solve_spd(system, assemble_point_load(system.mesh, obs, r))).values)
+    return StateAdjointBundle(*residuals, *means)
+
+
+def greens_function_means(problem: ProblemData, system: StiffnessSystem) -> tuple[np.ndarray, np.ndarray]:
+    """Element means of the discrete Green's function of every observation point.
+
+    Row ``j`` of the ``k``-th matrix ``G_k`` is ``pi0(w)`` with ``A w =
+    phi(obs_k[j])``: one solve per point.  Since ``A`` is symmetric and the
+    P1 load of a constant is ``|T|/3`` per vertex, ``|T| G_k u`` is the
+    state of ``u`` at the points and ``G_k^T r`` the element means of the
+    adjoint loaded by ``r``; :func:`reduced_bundle` uses both.
+    """
+    mesh = system.mesh
+    return tuple(
+        np.array([pi0_project(solve_spd(system, assemble_point_load(mesh, x, 1.0))).values for x in obs])
+        for obs in (problem.obs1, problem.obs2)
+    )
+
+
+def reduced_bundle(problem: ProblemData, means: tuple, u: PwcControl) -> StateAdjointBundle:
+    """The bundle of ``u`` from :func:`greens_function_means`, with no PDE solve."""
+    g1, g2 = means
+    r1 = u.mesh.element_area * (g1 @ u.values) - problem.y1
+    r2 = u.mesh.element_area * (g2 @ u.values) - problem.y2
+    return StateAdjointBundle(r1, r2, g1.T @ r1, g2.T @ r2)
 
 
 def eval_objectives(problem: ProblemData, u: PwcControl, bundle: StateAdjointBundle) -> ObjectivePair:
@@ -144,8 +169,7 @@ def _weighted_gradient(
     piecewise-constant function realizing the derivative against
     piecewise-constant variations.
     """
-    m1 = pi0_project(bundle.adjoint1).values
-    m2 = pi0_project(bundle.adjoint2).values
+    m1, m2 = bundle.adjoint_means1, bundle.adjoint_means2
     g = c1 * (m1 + problem.lambda1 * u.values) + c2 * (m2 + problem.lambda2 * u.values)
     return PwcControl(u.mesh, g)
 

@@ -23,8 +23,8 @@ from .objective import (
     eval_objectives,
     grad_rpm,
     grad_wsm,
-    solve_adjoints,
-    solve_state,
+    greens_function_means,
+    reduced_bundle,
 )
 
 __all__ = [
@@ -46,10 +46,7 @@ __all__ = [
 _CURVATURE_TOL = 1e-14
 _FALLBACK_STEP = 1.0
 
-# One state plus two adjoint solves per gradient evaluation.
-_SOLVES_PER_EVAL = 3
-
-GradEval = Callable[[PwcControl], tuple[PwcControl, ObjectivePair, int]]
+GradEval = Callable[[PwcControl], tuple[PwcControl, ObjectivePair]]
 
 
 @dataclass
@@ -75,7 +72,7 @@ class SolveReport:
     iterations: int
     final_residual: float
     converged: bool
-    solve_count: int
+    solve_count: int = 0  # linear solves of the run; the BB loop itself does none
     fallback_steps: int = 0
     meta: dict = field(default_factory=dict)
 
@@ -103,6 +100,12 @@ class ParetoFront:
         return [e.parameter for e in self.entries]
 
 
+def _check_eps(eps: float) -> None:
+    """The endpoint weights ``(1-eps, eps)`` and ``(eps, 1-eps)`` keep their order."""
+    if not 0.0 < eps < 0.5:
+        raise ValueError("eps must lie in (0, 0.5)")
+
+
 def _require_feasible(u: PwcControl, bounds: BoxBounds, name: str) -> None:
     if not np.array_equal(np.clip(u.values, bounds.ua, bounds.ub), u.values):
         raise ValueError(f"{name} must lie within the box bounds")
@@ -117,9 +120,8 @@ def bb_projected_gradient(
 ) -> SolveReport:
     """Box-projected Barzilai-Borwein iteration for a scalarized objective.
 
-    ``grad_eval`` maps a control to its gradient representer, objective
-    pair, and linear-solve count.  Iterates follow
-    ``u <- clip(u - (1/t) g)`` with the BB quotient
+    ``grad_eval`` maps a control to its gradient representer and objective
+    pair.  Iterates follow ``u <- clip(u - (1/t) g)`` with the BB quotient
     ``t = |dg|^2 / (dg, du)``; the loop stops once the step-to-unit-step
     gap ``|u_next - clip(u - g)|`` and the fixed-point residual of the
     accepted iterate both fall below ``config.tol``.  Exhausting
@@ -134,9 +136,8 @@ def bb_projected_gradient(
         raise ValueError("the two starting iterates must differ")
 
     area = u0.mesh.element_area
-    g_prev, _, n_prev = grad_eval(u_minus1)
-    g, objectives, n_cur = grad_eval(u0)
-    solves = n_prev + n_cur
+    g_prev, _ = grad_eval(u_minus1)
+    g, objectives = grad_eval(u0)
     u_prev, u = u_minus1, u0
 
     fallbacks = 0
@@ -169,8 +170,7 @@ def bb_projected_gradient(
 
         u_prev, g_prev = u, g
         u = u_next
-        g, objectives, n_cur = grad_eval(u)
-        solves += n_cur
+        g, objectives = grad_eval(u)
         iterations += 1
 
     return SolveReport(
@@ -179,7 +179,6 @@ def bb_projected_gradient(
         iterations=iterations,
         final_residual=float(fp_residual),
         converged=converged,
-        solve_count=solves,
         fallback_steps=fallbacks,
     )
 
@@ -193,26 +192,31 @@ def _solve(
 ) -> SolveReport:
     """BB iteration from ``u_start`` (zero if absent) and a uniform in-box offset of it.
 
-    Each evaluation solves the state and both adjoints, forms the objective
-    pair from the cached residuals, and hands them to ``gradient(bundle, u, j)``.
+    The Green's function means are computed once, one solve per observation
+    point, and are the report's ``solve_count``.  Each evaluation then forms
+    the bundle and the objective pair from them with a few dense mat-vecs
+    and hands both to ``gradient(bundle, u, j)``.
     """
     config = config or BBConfig()
-
-    def evaluate_control(u: PwcControl):
-        bundle = solve_adjoints(problem, system, solve_state(problem, system, u))
-        j = eval_objectives(problem, u, bundle)
-        return gradient(bundle, u, j), j, _SOLVES_PER_EVAL
-
     bounds = problem.bounds
     if not bounds.ub > bounds.ua:
         raise ValueError("box bounds must have a nonempty interior")
+    means = greens_function_means(problem, system)
+
+    def evaluate_control(u: PwcControl):
+        bundle = reduced_bundle(problem, means, u)
+        j = eval_objectives(problem, u, bundle)
+        return gradient(bundle, u, j), j
+
     mesh = system.mesh
     if u_start is None:
         u_start = PwcControl(mesh, np.zeros(mesh.num_triangles))
     u0 = clip_to_box(u_start, bounds)
     delta = 1e-2 * min(1.0, bounds.ub - bounds.ua)
     u_minus1 = np.where(u0.values + delta <= bounds.ub, u0.values + delta, u0.values - delta)
-    return bb_projected_gradient(problem, evaluate_control, u0, PwcControl(mesh, u_minus1), config)
+    report = bb_projected_gradient(problem, evaluate_control, u0, PwcControl(mesh, u_minus1), config)
+    report.solve_count = len(means[0]) + len(means[1])
+    return report
 
 
 def solve_wsm(
@@ -267,8 +271,7 @@ def wsm_front(
     """
     if l_max < 2:
         raise ValueError("a sweep needs at least two points")
-    if not 0.0 < eps < 0.5:
-        raise ValueError("eps must lie in (0, 0.5)")
+    _check_eps(eps)
     entries = []
     warm = None
     for ell in range(1, l_max + 1):
@@ -320,6 +323,7 @@ def rpm_front(
         raise ValueError("a sweep needs at least two points")
     if not (0.0 < h_perp < np.inf and 0.0 < h_par < np.inf):
         raise ValueError("scaling parameters must be positive and finite")
+    _check_eps(eps)
     report_init = solve_wsm(problem, system, (1.0 - eps, eps), config)
     report_end = solve_wsm(problem, system, (eps, 1.0 - eps), config)
     j_end_1 = report_end.objectives.j1
@@ -362,8 +366,7 @@ def ideal_vector(
     """Componentwise-minimal objective values, approximated at weights
     ``(1-eps, eps)`` and ``(eps, 1-eps)`` since strictly single-objective
     weights are excluded."""
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
+    _check_eps(eps)
     r1 = solve_wsm(problem, system, (1.0 - eps, eps), config)
     r2 = solve_wsm(problem, system, (eps, 1.0 - eps), config)
     return np.array([r1.objectives.j1, r2.objectives.j2])

@@ -117,13 +117,25 @@ def scalarized_value(problem, system, u: PwcControl, kind: str, parameter) -> fl
     return wsm_value(parameter, j) if kind == "wsm" else rpm_value(parameter, j)
 
 
+def pde_grad_eval(problem, system, kind: str, parameter):
+    """BB grad-eval of a scalarization through a state solve and two adjoint solves.
+
+    Maps a control to its gradient representer and objective pair, like the
+    solver's own evaluator, which takes both from the Green's function means.
+    """
+
+    def grad_eval(u: PwcControl):
+        bundle = solve_adjoints(problem, system, solve_state(problem, system, u))
+        j = eval_objectives(problem, u, bundle)
+        if kind == "wsm":
+            return grad_wsm(problem, bundle, u, parameter), j
+        return grad_rpm(problem, bundle, u, parameter, j), j
+
+    return grad_eval
+
+
 def scalarized_gradient(problem, system, u: PwcControl, kind: str, parameter) -> PwcControl:
-    state = solve_state(problem, system, u)
-    bundle = solve_adjoints(problem, system, state)
-    j = eval_objectives(problem, u, bundle)
-    if kind == "wsm":
-        return grad_wsm(problem, bundle, u, parameter)
-    return grad_rpm(problem, bundle, u, parameter, j)
+    return pde_grad_eval(problem, system, kind, parameter)(u)[0]
 
 
 def central_difference(problem, system, u: PwcControl, w: PwcControl, kind: str, parameter,

@@ -29,6 +29,10 @@ def test_invalid_arguments_exit_two(tmp_path):
     assert main(["solve-wsm", "--alpha", "nonsense", "--level", "2", "--out", str(tmp_path)]) == 2
     assert main(["solve-wsm", "--alpha", "1.0,0.0", "--level", "2", "--out", str(tmp_path)]) == 2
     assert main(["solve-wsm", "--alpha", "0.5,0.5", "--bounds", "5,1", "--out", str(tmp_path)]) == 2
+    # eps >= 0.5 would swap the sweep endpoints
+    for command in (["front", "--method", "rpm", "--ref-level", "2"], ["ideal-vector"]):
+        assert main(command + ["--eps", "0.7", "--level", "2", "--out", str(tmp_path)]) == 2
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("args", [

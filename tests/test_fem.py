@@ -171,6 +171,14 @@ def test_solver_is_deterministic(level3, rng):
     assert np.array_equal(a, b)
 
 
+def test_factorization_uses_symmetric_ordering():
+    from scipy.sparse.linalg import splu
+
+    system = assemble_stiffness(build_uniform_mesh(6)).factorize()
+    colamd = splu(system.matrix.tocsc(), permc_spec="COLAMD")
+    assert system._lu.L.nnz + system._lu.U.nnz < colamd.L.nnz + colamd.U.nnz
+
+
 def test_solver_failure_carries_residual(level3, rng):
     mesh, system = level3
     rhs = rng.normal(size=system.num_unknowns)

@@ -18,11 +18,23 @@ from mopoisson import (
     solve_wsm,
     wsm_front,
 )
-from mopoisson.objective import ObjectivePair, rpm_value, wsm_value
+from mopoisson import objective
+from mopoisson.fem import solve_spd
+from mopoisson.objective import (
+    ObjectivePair,
+    eval_objectives,
+    grad_rpm,
+    grad_wsm,
+    greens_function_means,
+    reduced_bundle,
+    rpm_value,
+    wsm_value,
+)
 from oracles import (
     fixed_step_projected_gradient,
     mutually_nondominated,
     pareto_ordered,
+    pde_grad_eval,
     power_iteration_bound,
     reflect_problem,
     reflect_triangle_permutation,
@@ -76,7 +88,7 @@ def test_quadratic_surrogate_converges_in_three_iterations(level3):
     lam = 0.1
 
     def grad(u):
-        return PwcControl(mesh, lam * u.values), ObjectivePair(0.0, 0.0), 0
+        return PwcControl(mesh, lam * u.values), ObjectivePair(0.0, 0.0)
 
     u0 = PwcControl(mesh, np.full(mesh.num_triangles, 5.0))
     u_minus1 = PwcControl(mesh, np.full(mesh.num_triangles, 5.01))
@@ -146,7 +158,7 @@ def test_reports_are_bit_identical_across_runs(bench):
 def test_solver_requires_distinct_feasible_starts(level3):
     problem, mesh, system = level3
     u = clip_to_box(PwcControl(mesh, np.zeros(mesh.num_triangles)), problem.bounds)
-    grad = lambda v: (v, ObjectivePair(0.0, 0.0), 0)
+    grad = lambda v: (v, ObjectivePair(0.0, 0.0))
     with pytest.raises(ValueError):
         bb_projected_gradient(problem, grad, u, u, BBConfig())
     outside = PwcControl(mesh, np.full(mesh.num_triangles, 100.0))
@@ -167,7 +179,7 @@ def test_constant_gradient_triggers_fallback(level3):
     ones = PwcControl(mesh, np.ones(mesh.num_triangles))
 
     def grad(u):
-        return ones, ObjectivePair(0.0, 0.0), 0
+        return ones, ObjectivePair(0.0, 0.0)
 
     u0 = clip_to_box(PwcControl(mesh, np.zeros(mesh.num_triangles)), problem.bounds)
     u_minus1 = PwcControl(mesh, np.full(mesh.num_triangles, 0.01))
@@ -177,11 +189,58 @@ def test_constant_gradient_triggers_fallback(level3):
     assert np.all(report.control.values == problem.bounds.ua)
 
 
-def test_solve_counts_are_audited(level3):
+def test_solve_counts_are_audited(level3, monkeypatch):
     problem, mesh, system = level3
-    report = solve_wsm(problem, system, (0.5, 0.5))
-    # one evaluation for each starting iterate plus one per BB pass
-    assert report.solve_count == 3 * (report.iterations + 2)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve_spd(*args, **kwargs)
+
+    monkeypatch.setattr(objective, "solve_spd", counted)
+    for max_iter in (2, 5000):
+        calls.clear()
+        report = solve_wsm(problem, system, (0.5, 0.5), BBConfig(max_iter=max_iter))
+        # one Green's function per observation point, no solve per BB pass
+        assert report.solve_count == len(problem.obs1) + len(problem.obs2) == len(calls)
+    assert report.iterations > 2
+
+
+def _off_node_problem(bounds):
+    # a grid node (0.5, 0.5), a point on the cell diagonal y = x, and off-grid points
+    return ProblemData(
+        obs1=[(0.5, 0.5), (0.3, 0.3), (0.61, 0.27)], y1=[3.0, -1.0, 2.0],
+        obs2=[(0.25, 0.75), (0.7, 0.45)], y2=[1.0, -0.5],
+        lambda1=0.1, lambda2=0.05, bounds=bounds,
+    )
+
+
+@pytest.mark.parametrize("level", [0, 1, 3, 5])
+def test_reduced_route_matches_pde_route(bench, system_for, rng, level):
+    problem = _off_node_problem(bench.bounds)
+    mesh, system = system_for(level)
+    means = greens_function_means(problem, system)
+    for kind, parameter in [("wsm", (0.3, 0.7)), ("rpm", (0.0, 0.0))]:
+        pde = pde_grad_eval(problem, system, kind, parameter)
+        for _ in range(3):
+            u = PwcControl(mesh, rng.uniform(problem.bounds.ua, problem.bounds.ub, mesh.num_triangles))
+            g_pde, j_pde = pde(u)
+            bundle = reduced_bundle(problem, means, u)
+            j = eval_objectives(problem, u, bundle)
+            if kind == "wsm":
+                g = grad_wsm(problem, bundle, u, parameter)
+            else:
+                g = grad_rpm(problem, bundle, u, parameter, j)
+            assert j.as_array() == pytest.approx(j_pde.as_array(), rel=1e-12, abs=0)
+            assert np.abs(g.values - g_pde.values).max() <= 1e-12 * np.abs(g_pde.values).max()
+        # the solver's BB run against BB on the PDE route from the solver's starts
+        solve = solve_wsm if kind == "wsm" else solve_rpm
+        report = solve(problem, system, parameter)
+        u0 = PwcControl(mesh, np.zeros(mesh.num_triangles))
+        oracle = bb_projected_gradient(problem, pde, u0, PwcControl(mesh, u0.values + 1e-2), BBConfig())
+        assert report.converged and oracle.converged
+        assert (report.iterations, report.fallback_steps) == (oracle.iterations, oracle.fallback_steps)
+        assert report.objectives.as_array() == pytest.approx(oracle.objectives.as_array(), rel=1e-12, abs=0)
 
 
 def test_wsm_converges_on_mesh_without_unknowns(bench):
@@ -292,6 +351,9 @@ def test_rpm_front_validation(level3):
     for zeta in [(np.nan, 1.0), (16.0, np.inf)]:
         with pytest.raises(ValueError):
             solve_rpm(problem, system, zeta)
+    for eps in [0.0, 0.5, 0.7, np.nan]:
+        with pytest.raises(ValueError):
+            rpm_front(problem, system, 5, 0.2, 0.2, eps=eps)
 
 
 def test_ideal_vector_properties(bench):
@@ -301,6 +363,9 @@ def test_ideal_vector_properties(bench):
     assert np.all(ideal >= 0.0)
     coarse_eps = ideal_vector(bench, system, eps=1e-4)
     assert np.all(np.abs(coarse_eps - ideal) <= 1e-2 * np.abs(ideal))
+    for eps in [0.0, 0.5, 0.7, np.nan]:
+        with pytest.raises(ValueError):
+            ideal_vector(bench, system, eps=eps)
     front = wsm_front(bench, system, 7)
     objectives = front.objective_array()
     assert np.all(ideal[0] <= objectives[:, 0] + 1e-6)
