@@ -96,6 +96,8 @@ class ExperimentConfig:
         self.output_dir = Path(self.output_dir)
         if not self.levels:
             raise ValueError("at least one study level is required")
+        if len(set(self.levels)) != len(self.levels):
+            raise ValueError("study levels must not repeat")
         if self.reference_level <= max(self.levels):
             raise ValueError("reference level must exceed every study level")
         if min(self.wsm_front_size, self.rpm_front_size) < 2:
@@ -117,14 +119,15 @@ class ConvergenceTable:
 def estimate_rate(hs, errors) -> float:
     """Least-squares slope of log(error) against log(h).
 
-    Returns NaN when fewer than two valid (finite, positive) points remain.
+    Returns NaN when fewer than two valid (finite, positive) points with
+    distinct ``h`` remain.
     """
     hs = np.asarray(hs, dtype=np.float64)
     errors = np.asarray(errors, dtype=np.float64)
     if hs.shape != errors.shape:
         raise ValueError("mesh sizes and errors differ in length")
     valid = np.isfinite(errors) & (errors > 0.0) & (hs > 0.0)
-    if valid.sum() < 2:
+    if np.unique(hs[valid]).size < 2:
         return float("nan")
     return float(np.polyfit(np.log(hs[valid]), np.log(errors[valid]), 1)[0])
 
@@ -189,6 +192,8 @@ def _reference_control(
 
 
 def _run_convergence(config: ExperimentConfig, method: str, parameters, labels) -> ConvergenceTable:
+    if not parameters:
+        raise ValueError("a convergence study needs at least one parameter")
     refs = [_reference_control(config, method, p) for p in parameters]
 
     def cell(args):

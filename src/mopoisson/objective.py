@@ -134,7 +134,8 @@ def reduced_bundle(problem: ProblemData, means: tuple, u: PwcControl) -> StateAd
     g1, g2 = means
     r1 = u.mesh.element_area * (g1 @ u.values) - problem.y1
     r2 = u.mesh.element_area * (g2 @ u.values) - problem.y2
-    return StateAdjointBundle(r1, r2, g1.T @ r1, g2.T @ r2)
+    # G_k^T r_k as np.dot(r_k, G_k): stays on BLAS when G_k has one row, unlike G_k.T @ r_k
+    return StateAdjointBundle(r1, r2, np.dot(r1, g1), np.dot(r2, g2))
 
 
 def eval_objectives(problem: ProblemData, u: PwcControl, bundle: StateAdjointBundle) -> ObjectivePair:

@@ -72,7 +72,7 @@ class SolveReport:
     iterations: int
     final_residual: float
     converged: bool
-    solve_count: int = 0  # linear solves of the run; the BB loop itself does none
+    solve_count: int = 0  # linear solves this call made; 0 when handed the Green's function means
     fallback_steps: int = 0
     meta: dict = field(default_factory=dict)
 
@@ -189,33 +189,40 @@ def _solve(
     gradient: Callable[[StateAdjointBundle, PwcControl, ObjectivePair], PwcControl],
     config: BBConfig | None,
     u_start: PwcControl | None,
+    greens: tuple | None,
 ) -> SolveReport:
     """BB iteration from ``u_start`` (zero if absent) and a uniform in-box offset of it.
 
-    The Green's function means are computed once, one solve per observation
-    point, and are the report's ``solve_count``.  Each evaluation then forms
-    the bundle and the objective pair from them with a few dense mat-vecs
-    and hands both to ``gradient(bundle, u, j)``.
+    ``greens`` are the Green's function means of ``problem`` on ``system``'s
+    mesh; when absent they are computed here, one solve per observation
+    point, and those solves are the report's ``solve_count``.  Each
+    evaluation then forms the bundle and the objective pair from them with
+    a few dense mat-vecs and hands both to ``gradient(bundle, u, j)``.
     """
     config = config or BBConfig()
     bounds = problem.bounds
     if not bounds.ub > bounds.ua:
         raise ValueError("box bounds must have a nonempty interior")
-    means = greens_function_means(problem, system)
+    mesh = system.mesh
+    own = greens is None
+    if own:
+        greens = greens_function_means(problem, system)
+    shapes = tuple(np.shape(g) for g in greens)
+    if shapes != ((len(problem.obs1), mesh.num_triangles), (len(problem.obs2), mesh.num_triangles)):
+        raise ValueError("Green's function means do not match the observation points and the mesh")
 
     def evaluate_control(u: PwcControl):
-        bundle = reduced_bundle(problem, means, u)
+        bundle = reduced_bundle(problem, greens, u)
         j = eval_objectives(problem, u, bundle)
         return gradient(bundle, u, j), j
 
-    mesh = system.mesh
     if u_start is None:
         u_start = PwcControl(mesh, np.zeros(mesh.num_triangles))
     u0 = clip_to_box(u_start, bounds)
     delta = 1e-2 * min(1.0, bounds.ub - bounds.ua)
     u_minus1 = np.where(u0.values + delta <= bounds.ub, u0.values + delta, u0.values - delta)
     report = bb_projected_gradient(problem, evaluate_control, u0, PwcControl(mesh, u_minus1), config)
-    report.solve_count = len(means[0]) + len(means[1])
+    report.solve_count = sum(map(len, greens)) if own else 0
     return report
 
 
@@ -225,10 +232,12 @@ def solve_wsm(
     alpha,
     config: BBConfig | None = None,
     u_start: PwcControl | None = None,
+    *,
+    greens: tuple | None = None,
 ) -> SolveReport:
-    """Minimize the weighted sum of the two criteria over the box."""
+    """Minimize the weighted sum of the two criteria over the box, from precomputed ``greens`` if given."""
     alpha = _check_weights(alpha)
-    return _solve(problem, system, lambda b, u, j: grad_wsm(problem, b, u, alpha), config, u_start)
+    return _solve(problem, system, lambda b, u, j: grad_wsm(problem, b, u, alpha), config, u_start, greens)
 
 
 def solve_rpm(
@@ -237,17 +246,19 @@ def solve_rpm(
     zeta,
     config: BBConfig | None = None,
     u_start: PwcControl | None = None,
+    *,
+    greens: tuple | None = None,
 ) -> SolveReport:
     """Minimize the squared distance of the objective pair to ``zeta``.
 
-    The report's metadata flags whether the solution still dominates the
-    reference point componentwise, the regime in which the distance
-    objective is convex.
+    ``greens`` as for :func:`solve_wsm`.  The report's metadata flags
+    whether the solution still dominates the reference point componentwise,
+    the regime in which the distance objective is convex.
     """
     zeta = (float(zeta[0]), float(zeta[1]))
     if not np.all(np.isfinite(zeta)):
         raise ValueError("reference point must be finite")
-    report = _solve(problem, system, lambda b, u, j: grad_rpm(problem, b, u, zeta, j), config, u_start)
+    report = _solve(problem, system, lambda b, u, j: grad_rpm(problem, b, u, zeta, j), config, u_start, greens)
     report.meta["zeta_dominated"] = bool(
         report.objectives.j1 > zeta[0] and report.objectives.j2 > zeta[1]
     )
@@ -267,21 +278,24 @@ def wsm_front(
     The second weight runs through ``eps + (1 - 2 eps)(l-1)/(l_max-1)`` so
     both weights stay strictly inside (0, 1).  Entries warm-start from the
     previous solution unless ``cold_start`` is set; non-converged entries
-    are recorded and the sweep continues.
+    are recorded and the sweep continues.  The Green's function means are
+    computed once and shared by every entry; ``meta["solve_count"]`` counts
+    those solves.
     """
     if l_max < 2:
         raise ValueError("a sweep needs at least two points")
     _check_eps(eps)
+    greens = greens_function_means(problem, system)
     entries = []
     warm = None
     for ell in range(1, l_max + 1):
         a2 = eps + (1.0 - 2.0 * eps) * (ell - 1) / (l_max - 1)
         alpha = (1.0 - a2, a2)
-        report = solve_wsm(problem, system, alpha, config, u_start=None if cold_start else warm)
+        report = solve_wsm(problem, system, alpha, config, u_start=None if cold_start else warm, greens=greens)
         entries.append(FrontEntry("wsm", alpha, report))
         if not cold_start:
             warm = report.control
-    return ParetoFront(entries)
+    return ParetoFront(entries, meta={"solve_count": sum(map(len, greens))})
 
 
 def next_reference_point(zeta_prev, j_current, h_perp: float, h_par: float) -> np.ndarray:
@@ -317,15 +331,17 @@ def rpm_front(
     first reference point below the initial objective pair, then alternates
     reference-point solves and geometric updates until the reference point
     passes the ending objective value or ``l_max - 1`` points were placed.
-    Entries are ordered along the sweep with both endpoints included.
+    Entries are ordered along the sweep with both endpoints included.  All
+    of them share one Green's function precompute, as in :func:`wsm_front`.
     """
     if l_max < 2:
         raise ValueError("a sweep needs at least two points")
     if not (0.0 < h_perp < np.inf and 0.0 < h_par < np.inf):
         raise ValueError("scaling parameters must be positive and finite")
     _check_eps(eps)
-    report_init = solve_wsm(problem, system, (1.0 - eps, eps), config)
-    report_end = solve_wsm(problem, system, (eps, 1.0 - eps), config)
+    greens = greens_function_means(problem, system)
+    report_init = solve_wsm(problem, system, (1.0 - eps, eps), config, greens=greens)
+    report_end = solve_wsm(problem, system, (eps, 1.0 - eps), config, greens=greens)
     j_end_1 = report_end.objectives.j1
 
     zeta = np.array(
@@ -337,7 +353,7 @@ def rpm_front(
     ell = 1
     while zeta[0] < j_end_1 and ell <= l_max - 1:
         report = solve_rpm(
-            problem, system, tuple(zeta), config, u_start=None if cold_start else warm
+            problem, system, tuple(zeta), config, u_start=None if cold_start else warm, greens=greens
         )
         rpm_entries.append(FrontEntry("rpm", (float(zeta[0]), float(zeta[1])), report))
         if not cold_start:
@@ -354,7 +370,7 @@ def rpm_front(
         + rpm_entries
         + [FrontEntry("wsm", (eps, 1.0 - eps), report_end)]
     )
-    return ParetoFront(entries, meta={"aborted": aborted})
+    return ParetoFront(entries, meta={"aborted": aborted, "solve_count": sum(map(len, greens))})
 
 
 def ideal_vector(
@@ -367,6 +383,7 @@ def ideal_vector(
     ``(1-eps, eps)`` and ``(eps, 1-eps)`` since strictly single-objective
     weights are excluded."""
     _check_eps(eps)
-    r1 = solve_wsm(problem, system, (1.0 - eps, eps), config)
-    r2 = solve_wsm(problem, system, (eps, 1.0 - eps), config)
+    greens = greens_function_means(problem, system)
+    r1 = solve_wsm(problem, system, (1.0 - eps, eps), config, greens=greens)
+    r2 = solve_wsm(problem, system, (eps, 1.0 - eps), config, greens=greens)
     return np.array([r1.objectives.j1, r2.objectives.j2])

@@ -32,6 +32,10 @@ def test_invalid_arguments_exit_two(tmp_path):
     # eps >= 0.5 would swap the sweep endpoints
     for command in (["front", "--method", "rpm", "--ref-level", "2"], ["ideal-vector"]):
         assert main(command + ["--eps", "0.7", "--level", "2", "--out", str(tmp_path)]) == 2
+    # repeated study levels and empty parameter lists
+    for extra in (["--levels", "2,2"], ["--levels", "2", "--alphas", ";"]):
+        assert main(["convergence", "--method", "wsm", "--ref-level", "3", *extra, "--out", str(tmp_path)]) == 2
+    assert main(["convergence", "--method", "rpm", "--zetas", ";", "--out", str(tmp_path)]) == 2
     assert not list(tmp_path.iterdir())
 
 

@@ -46,6 +46,9 @@ def test_estimate_rate_reproduces_published_column():
 def test_estimate_rate_undefined_for_single_point():
     assert np.isnan(estimate_rate([0.5], [0.1]))
     assert np.isnan(estimate_rate([0.5, 0.25], [0.1, np.nan]))
+    # repeated h: one distinct abscissa, no fit (and no RankWarning)
+    assert np.isnan(estimate_rate([0.25, 0.25], [0.1, 0.2]))
+    assert np.isnan(estimate_rate([0.5, 0.25, 0.25], [np.nan, 0.1, 0.2]))
     with pytest.raises(ValueError):
         estimate_rate([0.5, 0.25], [0.1])
 
@@ -56,6 +59,8 @@ def test_config_validation(tmp_path):
         ExperimentConfig(problem=problem, levels=(2, 5), reference_level=5, output_dir=tmp_path)
     with pytest.raises(ValueError):
         ExperimentConfig(problem=problem, levels=(), output_dir=tmp_path)
+    with pytest.raises(ValueError):
+        ExperimentConfig(problem=problem, levels=(2, 3, 2), output_dir=tmp_path)
     with pytest.raises(ValueError):
         ExperimentConfig(problem=problem, wsm_front_size=1, output_dir=tmp_path)
 

@@ -18,7 +18,7 @@ from mopoisson import (
     solve_wsm,
     wsm_front,
 )
-from mopoisson import objective
+from mopoisson import objective, scalarize
 from mopoisson.fem import solve_spd
 from mopoisson.objective import (
     ObjectivePair,
@@ -204,6 +204,55 @@ def test_solve_counts_are_audited(level3, monkeypatch):
         # one Green's function per observation point, no solve per BB pass
         assert report.solve_count == len(problem.obs1) + len(problem.obs2) == len(calls)
     assert report.iterations > 2
+
+
+def test_sweeps_share_one_greens_precompute(bench, level3, monkeypatch):
+    _, mesh, system = level3
+    problem = ProblemData(
+        obs1=[(0.75, 0.25), (0.6, 0.4)], y1=[6.0, 3.0],
+        obs2=[(0.25, 0.75)], y2=[-2.0],
+        lambda1=0.1, lambda2=0.1, bounds=bench.bounds,
+    )
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve_spd(*args, **kwargs)
+
+    monkeypatch.setattr(objective, "solve_spd", counted)
+    # one solve per observation point for the whole sweep
+    wsm = wsm_front(problem, system, 4)
+    assert len(calls) == 3 == wsm.meta["solve_count"]
+    calls.clear()
+    rpm = rpm_front(problem, system, 6, 0.2, 0.2)
+    assert len(calls) == 3 == rpm.meta["solve_count"]
+    assert len(rpm.entries) > 3
+    calls.clear()
+    ideal_vector(problem, system)
+    assert len(calls) == 3
+    # every entry is the standalone solve from the same warm start
+    warm_starts = [None] + [e.report.control for e in wsm.entries[:-1]]
+    warm_starts += [None] + [e.report.control for e in rpm.entries[:-2]] + [None]
+    for entry, warm in zip(wsm.entries + rpm.entries, warm_starts):
+        solve = solve_wsm if entry.method == "wsm" else solve_rpm
+        standalone = solve(problem, system, entry.parameter, u_start=warm)
+        assert entry.report.solve_count == 0 and standalone.solve_count == 3
+        assert entry.report.objectives == standalone.objectives
+        assert (entry.report.iterations, entry.report.fallback_steps) == (
+            standalone.iterations, standalone.fallback_steps
+        )
+
+
+def test_greens_must_match_problem_and_mesh(bench, level3, system_for, monkeypatch):
+    problem, mesh, system = level3
+    monkeypatch.setattr(scalarize, "bb_projected_gradient", lambda *args: pytest.fail("BB step taken"))
+    coarse = greens_function_means(problem, system_for(2)[1])
+    more_points = greens_function_means(_off_node_problem(bench.bounds), system)
+    for greens in (coarse, more_points):
+        with pytest.raises(ValueError):
+            solve_wsm(problem, system, (0.5, 0.5), greens=greens)
+        with pytest.raises(ValueError):
+            solve_rpm(problem, system, (16.0, 1.0), greens=greens)
 
 
 def _off_node_problem(bounds):
