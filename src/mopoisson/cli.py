@@ -1,7 +1,8 @@
 """Command-line interface for single solves, front sweeps, and studies.
 
-Exit codes: 0 on success, 2 for invalid arguments, 3 when a linear solve
-fails its residual check or a single-solve subcommand fails to converge.
+Exit codes: 0 on success, 2 for invalid arguments or an ``--out``/``--config``
+path that cannot be used, 3 when a linear solve fails its residual check or
+a single-solve subcommand fails to converge.
 """
 
 from __future__ import annotations
@@ -281,7 +282,7 @@ def main(argv=None) -> int:
         if args.command == "ideal-vector":
             return _run_ideal(args)
         raise ValueError(f"unknown command {args.command!r}")  # pragma: no cover
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SolverError as exc:

@@ -128,4 +128,6 @@ def read_control(path) -> PwcControl:
     if len(lines) - 1 != expected:
         raise ValueError(f"{path}: expected {expected} values, found {len(lines) - 1}")
     values = np.fromiter(map(float, lines[1:]), np.float64, expected)
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{path}: non-finite value")
     return PwcControl(build_uniform_mesh(level), values)

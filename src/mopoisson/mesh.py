@@ -62,10 +62,6 @@ class TriMesh:
     element_area: float
 
     @property
-    def h(self) -> float:
-        return 2.0 ** -self.level
-
-    @property
     def cells_per_side(self) -> int:
         return 2 ** self.level
 

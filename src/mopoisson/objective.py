@@ -9,7 +9,8 @@ control-cost term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,13 +33,16 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProblemData:
     """Observation points, desired values, weights, and box bounds.
 
     ``obs1``/``obs2`` are (n_k, 2) arrays of strictly interior points with
     finite desired values ``y1``/``y2``; ``lambda1``/``lambda2`` are the
-    positive, finite control-cost weights of the two criteria.
+    positive, finite control-cost weights of the two criteria.  Instances
+    are immutable (the arrays are read-only copies), so the Green's function
+    means of a mesh level, kept in ``_greens`` by the solver's first solve at
+    that level, stay valid for every later solve.
     """
 
     obs1: np.ndarray
@@ -48,12 +52,14 @@ class ProblemData:
     lambda1: float
     lambda2: float
     bounds: BoxBounds
+    _greens: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _greens_lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.obs1 = np.atleast_2d(np.asarray(self.obs1, dtype=np.float64))
-        self.obs2 = np.atleast_2d(np.asarray(self.obs2, dtype=np.float64))
-        self.y1 = np.atleast_1d(np.asarray(self.y1, dtype=np.float64))
-        self.y2 = np.atleast_1d(np.asarray(self.y2, dtype=np.float64))
+        for name, ndmin in (("obs1", 2), ("y1", 1), ("obs2", 2), ("y2", 1)):
+            values = np.array(getattr(self, name), dtype=np.float64, ndmin=ndmin)
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
         for k, (obs, des) in enumerate([(self.obs1, self.y1), (self.obs2, self.y2)], start=1):
             if obs.shape[0] == 0:
                 raise ValueError(f"observation set {k} is empty")
@@ -63,8 +69,8 @@ class ProblemData:
                 raise ValueError(f"observation set {k} must lie strictly inside the domain")
             if not np.all(np.isfinite(des)):
                 raise ValueError(f"desired values of observation set {k} must be finite")
-        self.lambda1 = float(self.lambda1)
-        self.lambda2 = float(self.lambda2)
+        object.__setattr__(self, "lambda1", float(self.lambda1))
+        object.__setattr__(self, "lambda2", float(self.lambda2))
         if not (0.0 < self.lambda1 < np.inf and 0.0 < self.lambda2 < np.inf):
             raise ValueError("regularization weights must be positive and finite")
 

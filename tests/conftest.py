@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from mopoisson import benchmark_problem, shared_system
+from mopoisson import benchmark_problem, objective, shared_system
+from mopoisson.fem import solve_spd
 
 
 @pytest.fixture
@@ -19,3 +20,16 @@ def bench():
 def system_for():
     """Level -> (mesh, stiffness system), shared across the session."""
     return shared_system
+
+
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """Records every ``solve_spd`` call the objective layer makes."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve_spd(*args, **kwargs)
+
+    monkeypatch.setattr(objective, "solve_spd", counted)
+    return calls

@@ -39,6 +39,19 @@ def test_invalid_arguments_exit_two(tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+def test_unusable_paths_exit_two(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    # --out below a regular file cannot be created; --config names a directory
+    assert main([
+        "front", "--method", "wsm", "--level", "2", "--ref-level", "2", "--points", "3",
+        "--out", str(blocker / "x"),
+    ]) == 2
+    assert main(["ideal-vector", "--level", "2", "--config", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.count("error: ") == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
+
 @pytest.mark.parametrize("args", [
     ["solve-wsm", "--alpha", "nan,nan"],
     ["solve-rpm", "--zeta", "nan,1"],

@@ -189,6 +189,11 @@ def test_read_control_rejects_malformed(tmp_path):
     path.write_text("level=1\n0.5\n")
     with pytest.raises(ValueError):
         read_control(path)
+    # the right count, but one value is not finite
+    for bad in ("nan", "inf", "1e999"):
+        path.write_text("level=0\n0.5\n" + bad + "\n")
+        with pytest.raises(ValueError, match="bad.ctrl"):
+            read_control(path)
 
 
 def test_control_file_bytes(tmp_path):

@@ -89,17 +89,34 @@ def test_reference_cache_round_trip(tmp_path):
     assert np.allclose(table_first.errors, table_second.errors, atol=1e-10)
 
 
-def test_truncated_cache_file_is_recomputed(tmp_path):
+@pytest.mark.parametrize("damage", ["truncated", "nan"])
+def test_truncated_cache_file_is_recomputed(tmp_path, damage):
     config = small_config(benchmark_problem(), tmp_path)
     table_first = run_convergence_wsm(config, [(0.5, 0.5)])
     (cache_file,) = (tmp_path / "cache").glob("wsm_*.ctrl")
     complete = cache_file.read_text()
-    cache_file.write_text(complete[: len(complete) // 2])
+    if damage == "truncated":
+        cache_file.write_text(complete[: len(complete) // 2])
+    else:  # one value replaced, the count unchanged
+        lines = complete.splitlines(keepends=True)
+        cache_file.write_text("".join(lines[:5] + ["nan\n"] + lines[6:]))
     with pytest.warns(RuntimeWarning, match="unreadable reference cache"):
         table_second = run_convergence_wsm(config, [(0.5, 0.5)])
     assert cache_file.read_text() == complete
     assert np.array_equal(table_first.errors, table_second.errors)
     assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == [cache_file.name]
+
+
+@pytest.mark.parametrize("jobs", [1, 4])
+def test_study_computes_greens_means_once_per_level(tmp_path, solve_calls, jobs):
+    alphas = [(0.3, 0.7), (0.7, 0.3)]
+    # cold cache: one solve per observation point on each of the levels 2, 3 and 4
+    run_convergence_wsm(small_config(benchmark_problem(), tmp_path, jobs=jobs), alphas)
+    assert len(solve_calls) == 6
+    # warm cache, fresh problem: the study levels only
+    solve_calls.clear()
+    run_convergence_wsm(small_config(benchmark_problem(), tmp_path, jobs=jobs), alphas)
+    assert len(solve_calls) == 4
 
 
 def test_parallel_cells_match_sequential(tmp_path):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,19 @@ def test_problem_data_validation():
         with pytest.raises(ValueError):
             ProblemData(obs1=[(0.5, 0.5)], y1=[y], obs2=[(0.25, 0.25)], y2=[1.0],
                         lambda1=lam, lambda2=1, bounds=box)
+    # immutable, and independent of the caller's arrays
+    obs1, y2 = np.array([[0.75, 0.25]]), np.array([-2.0])
+    problem = ProblemData(obs1=obs1, y1=[6.0], obs2=[(0.25, 0.75)], y2=y2, lambda1=1, lambda2=1, bounds=box)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        problem.lambda1 = 2.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        problem.obs1 = np.array([[0.5, 0.5]])
+    with pytest.raises(ValueError):
+        problem.obs1[0, 0] = 0.5
+    with pytest.raises(ValueError):
+        problem.y2[0] = 0.0
+    obs1[0, 0], y2[0] = 0.5, 0.0
+    assert problem.obs1.tolist() == [[0.75, 0.25]] and problem.y2.tolist() == [-2.0]
 
 
 def test_zero_control_gives_zero_state(setup):
