@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
-from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -110,24 +110,30 @@ def pi0_project(f: "P1Function") -> PwcControl:
 
 
 def write_control(u: PwcControl, path) -> None:
-    """Serialize as ``level=<L>`` followed by one value per line."""
-    lines = [f"level={u.mesh.level}"]
-    lines.extend(format(v, ".17g") for v in u.values.tolist())
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Serialize the values as a 1-D float64 ``.npy`` array; the count gives the level."""
+    # A file handle, because np.save appends ".npy" to a path without it.
+    with open(path, "wb") as fh:
+        np.save(fh, u.values.astype("<f8", copy=False), allow_pickle=False)
 
 
 def read_control(path) -> PwcControl:
-    """Read the text format of :func:`write_control`, rebuilding the mesh."""
-    lines = Path(path).read_text().split()
-    if not lines or not lines[0].startswith("level="):
-        raise ValueError(f"{path}: missing level header")
-    level = int(lines[0][len("level="):])
-    if not 0 <= level <= MAX_LEVEL:
-        raise ValueError(f"{path}: level {level} outside [0, {MAX_LEVEL}]")
-    expected = 2 * 4 ** level  # checked before the mesh is built
-    if len(lines) - 1 != expected:
-        raise ValueError(f"{path}: expected {expected} values, found {len(lines) - 1}")
-    values = np.fromiter(map(float, lines[1:]), np.float64, expected)
+    """Read a file of :func:`write_control`, rebuilding the mesh.
+
+    The header is checked before any value is read or a mesh is built;
+    nothing is ever unpickled.
+    """
+    try:
+        mapped = np.load(path, mmap_mode="r", allow_pickle=False)
+    except (ValueError, EOFError, OverflowError) as exc:
+        raise ValueError(f"{path}: not a control file: {exc}") from exc
+    if mapped.ndim != 1 or mapped.dtype.str != "<f8":
+        raise ValueError(f"{path}: expected a 1-D <f8 array, found {mapped.dtype.str} {mapped.shape}")
+    level = (mapped.size // 2).bit_length() // 2  # size == 2 * 4**level
+    if level > MAX_LEVEL or mapped.size != 2 * 4 ** level:
+        raise ValueError(f"{path}: {mapped.size} values is not 2*4**L with L in [0, {MAX_LEVEL}]")
+    if os.path.getsize(path) != mapped.offset + mapped.nbytes:
+        raise ValueError(f"{path}: bytes after the last value")
+    values = np.array(mapped)
     if not np.all(np.isfinite(values)):
         raise ValueError(f"{path}: non-finite value")
     return PwcControl(build_uniform_mesh(level), values)

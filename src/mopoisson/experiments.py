@@ -39,6 +39,8 @@ __all__ = [
 ]
 
 _FLOAT_FMT = ".9g"
+# Part of every cache key, so files of an older control format are misses.
+_CACHE_FORMAT = "npy1"
 
 _system_cache: dict[int, tuple] = {}
 _system_lock = threading.Lock()
@@ -146,6 +148,7 @@ def _problem_fingerprint(problem: ProblemData) -> str:
 def _cache_key(config: ExperimentConfig, method: str, parameter, level: int) -> str:
     payload = "|".join(
         [
+            _CACHE_FORMAT,
             method,
             ",".join(format(float(v), ".17g") for v in parameter),
             str(level),
@@ -186,8 +189,12 @@ def _reference_control(
     if not report.converged:
         return None
     tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
-    write_control(report.control, tmp)
-    os.replace(tmp, path)
+    try:
+        write_control(report.control, tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return report.control
 
 

@@ -9,6 +9,7 @@ computed without any cross-mesh quadrature.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,17 +147,24 @@ def locate_point(mesh: TriMesh, points) -> tuple[np.ndarray, np.ndarray]:
 
 
 def parent_elements(fine: TriMesh, coarse: TriMesh) -> np.ndarray:
-    """Index of the coarse ancestor of every fine triangle.
+    """Index of the coarse ancestor of every fine triangle (read-only).
 
     Pure index arithmetic on the nested family; no geometry is evaluated.
+    The map depends on the two levels only and is computed once per pair.
     """
     if coarse.level > fine.level:
         raise ValueError("coarse mesh must not be finer than the fine mesh")
-    delta = fine.level - coarse.level
-    nf = fine.cells_per_side
-    nc = coarse.cells_per_side
+    return _parent_map(fine.level, coarse.level)
 
-    t = np.arange(fine.num_triangles, dtype=np.int64)
+
+# One convergence study needs at most MAX_LEVEL maps, one per study level.
+@functools.lru_cache(maxsize=MAX_LEVEL)
+def _parent_map(fine_level: int, coarse_level: int) -> np.ndarray:
+    delta = fine_level - coarse_level
+    nf = 2 ** fine_level
+    nc = 2 ** coarse_level
+
+    t = np.arange(2 * nf * nf, dtype=np.int64)
     cell = t >> 1
     kind = t & 1
     ixf = cell % nf
@@ -168,5 +176,6 @@ def parent_elements(fine: TriMesh, coarse: TriMesh) -> np.ndarray:
     a = ixf - (ixc << delta)
     b = iyf - (iyc << delta)
     coarse_kind = np.where(b < a, 0, np.where(b > a, 1, kind))
-    return 2 * (iyc * nc + ixc) + coarse_kind
-
+    parents = 2 * (iyc * nc + ixc) + coarse_kind
+    parents.setflags(write=False)
+    return parents

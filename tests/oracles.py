@@ -2,8 +2,8 @@
 
 Everything here recomputes quantities through a different route than the
 implementation: dense assembly from basis-coefficient solves, numerical
-quadrature, finite differences, brute-force searches, and a fixed-step
-projected-gradient optimizer.
+quadrature, finite differences, brute-force searches, centroid tests, and a
+fixed-step projected-gradient optimizer.
 """
 
 from __future__ import annotations
@@ -107,6 +107,21 @@ def brute_force_locate(mesh, p):
         if bary.min() >= -1e-12:
             return t, bary
     raise AssertionError(f"no triangle contains {p}")
+
+
+def parent_elements_closed_form(fine_level: int, coarse_level: int) -> np.ndarray:
+    """Coarse ancestor of every fine triangle, located by its centroid.
+
+    Coordinates are kept as integers in units of a third of a fine cell, so
+    the centroid test is exact; no centroid lies on a coarse diagonal.
+    """
+    nf, nc = 2 ** fine_level, 2 ** coarse_level
+    t = np.arange(2 * nf * nf)
+    ix, iy, upper = (t // 2) % nf, (t // 2) // nf, t % 2
+    cx, cy = 3 * ix + 2 - upper, 3 * iy + 1 + upper
+    span = 3 * 2 ** (fine_level - coarse_level)
+    jx, jy = cx // span, cy // span
+    return 2 * (jy * nc + jx) + (cy - jy * span > cx - jx * span)
 
 
 def scalarized_value(problem, system, u: PwcControl, kind: str, parameter) -> float:

@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -181,18 +183,40 @@ def test_serialization_round_trip(tmp_path, rng):
     assert np.array_equal(back.values, u.values)
 
 
+def npy_bytes(array, **save_kwargs) -> bytes:
+    buffer = io.BytesIO()
+    np.save(buffer, array, **save_kwargs)
+    return buffer.getvalue()
+
+
+def npy_header(count: int) -> bytes:
+    """A 1-D ``<f8`` header claiming ``count`` values, without the values."""
+    buffer = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        buffer, {"descr": "<f8", "fortran_order": False, "shape": (count,)}
+    )
+    return buffer.getvalue()
+
+
 def test_read_control_rejects_malformed(tmp_path):
-    path = tmp_path / "bad.ctrl"
-    path.write_text("0.5\n0.5\n")
-    with pytest.raises(ValueError):
-        read_control(path)
-    path.write_text("level=1\n0.5\n")
-    with pytest.raises(ValueError):
-        read_control(path)
-    # the right count, but one value is not finite
-    for bad in ("nan", "inf", "1e999"):
-        path.write_text("level=0\n0.5\n" + bad + "\n")
-        with pytest.raises(ValueError, match="bad.ctrl"):
+    complete = npy_bytes(np.arange(8.0))
+    cases = {
+        "empty": b"",
+        "truncated": complete[: len(complete) - 8],
+        "trailing": complete + b"\0" * 8,
+        "text": b"level=1\n" + b"0.5\n" * 8,
+        "pickled": npy_bytes(np.array([0.5, None], dtype=object), allow_pickle=True),
+        "float32": npy_bytes(np.zeros(8, dtype=np.float32)),
+        "2d": npy_bytes(np.zeros((2, 4))),
+        "count": npy_bytes(np.zeros(6)),
+        "nan": npy_bytes(np.array([0.5, np.nan])),
+        "inf": npy_bytes(np.array([np.inf, 0.5])),
+        "-inf": npy_bytes(np.array([0.5, -np.inf])),
+    }
+    for name, data in cases.items():
+        path = tmp_path / f"bad-{name}.ctrl"
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=f"bad-{name}.ctrl"):
             read_control(path)
 
 
@@ -201,16 +225,19 @@ def test_control_file_bytes(tmp_path):
     values = [-0.0, 5e-324, 1.0 / 3.0, 0.1, -2.5, 1e300, 1.0, 0.0]
     path = tmp_path / "u.ctrl"
     write_control(control(mesh, values), path)
-    assert path.read_bytes() == (
-        b"level=1\n-0\n4.9406564584124654e-324\n0.33333333333333331\n0.10000000000000001\n"
-        b"-2.5\n1.0000000000000001e+300\n1\n0\n"
-    )
+    assert path.read_bytes() == npy_header(8) + np.array(values, "<f8").tobytes()
+    assert path.stat().st_size == 128 + 8 * len(values)
     back = read_control(path).values
     assert back.tobytes() == np.array(values).tobytes()  # also keeps the sign of -0.0
 
 
-@pytest.mark.parametrize("header", ["level=14", "level=99", "level=-1"])
-def test_read_control_checks_count_before_building_mesh(tmp_path, monkeypatch, header):
+@pytest.mark.parametrize(
+    "count",
+    [2 * 4 ** 14, 2 * 4 ** 15, 2 * 4 ** 99, 2 * 4 ** 3 + 2],
+    ids=["level=14", "level=15", "level=99", "non-power"],
+)
+def test_read_control_checks_count_before_building_mesh(tmp_path, monkeypatch, count):
+    """A header over a 16-byte body; no array of the claimed size is allocated."""
     import mopoisson.control
 
     def refuse(level):
@@ -218,6 +245,6 @@ def test_read_control_checks_count_before_building_mesh(tmp_path, monkeypatch, h
 
     monkeypatch.setattr(mopoisson.control, "build_uniform_mesh", refuse)
     path = tmp_path / "corrupt.ctrl"
-    path.write_text(f"{header}\n0.5\n")
-    with pytest.raises(ValueError):
+    path.write_bytes(npy_header(count) + b"\0" * 16)
+    with pytest.raises(ValueError, match="corrupt.ctrl"):
         read_control(path)

@@ -94,17 +94,30 @@ def test_truncated_cache_file_is_recomputed(tmp_path, damage):
     config = small_config(benchmark_problem(), tmp_path)
     table_first = run_convergence_wsm(config, [(0.5, 0.5)])
     (cache_file,) = (tmp_path / "cache").glob("wsm_*.ctrl")
-    complete = cache_file.read_text()
+    complete = cache_file.read_bytes()
     if damage == "truncated":
-        cache_file.write_text(complete[: len(complete) // 2])
-    else:  # one value replaced, the count unchanged
-        lines = complete.splitlines(keepends=True)
-        cache_file.write_text("".join(lines[:5] + ["nan\n"] + lines[6:]))
+        cache_file.write_bytes(complete[: len(complete) // 2])
+    else:  # the last value replaced, the count unchanged
+        cache_file.write_bytes(complete[:-8] + np.array(np.nan, "<f8").tobytes())
     with pytest.warns(RuntimeWarning, match="unreadable reference cache"):
         table_second = run_convergence_wsm(config, [(0.5, 0.5)])
-    assert cache_file.read_text() == complete
+    assert cache_file.read_bytes() == complete
     assert np.array_equal(table_first.errors, table_second.errors)
     assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == [cache_file.name]
+
+
+def test_failed_cache_write_leaves_no_temp_file(tmp_path, monkeypatch):
+    import mopoisson.experiments
+
+    def full_disk(u, path):
+        with open(path, "wb") as fh:
+            fh.write(b"\x93NUMPY")
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(mopoisson.experiments, "write_control", full_disk)
+    with pytest.raises(OSError, match="No space left"):
+        run_convergence_wsm(small_config(benchmark_problem(), tmp_path), [(0.5, 0.5)])
+    assert list((tmp_path / "cache").iterdir()) == []
 
 
 @pytest.mark.parametrize("jobs", [1, 4])

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -7,7 +10,7 @@ from mopoisson import (
     locate_point,
     parent_elements,
 )
-from oracles import brute_force_locate
+from oracles import brute_force_locate, parent_elements_closed_form
 
 
 @pytest.mark.parametrize("level", range(9))
@@ -151,6 +154,44 @@ def test_nested_map_partitions_fine_mesh():
     assert parents.shape == (fine.num_triangles,)
     assert 0 <= parents.min() and parents.max() < coarse.num_triangles
     assert np.array_equal(np.bincount(parents), np.full(coarse.num_triangles, 4 ** 2))
+
+
+@pytest.mark.parametrize("fine_level", range(6))
+def test_parent_map_is_memoized_and_read_only(fine_level):
+    fine = build_uniform_mesh(fine_level)
+    for coarse_level in range(fine_level + 1):
+        coarse = build_uniform_mesh(coarse_level)
+        parents = parent_elements(fine, coarse)
+        assert parent_elements(build_uniform_mesh(fine_level), coarse) is parents
+        assert not parents.flags.writeable
+        assert np.array_equal(parents, parent_elements_closed_form(fine_level, coarse_level))
+
+
+def test_parent_map_under_concurrent_first_calls():
+    import mopoisson.mesh
+
+    mopoisson.mesh._parent_map.cache_clear()
+    fine, coarse = build_uniform_mesh(7), build_uniform_mesh(3)
+    results = [None] * 8
+
+    def work(i):
+        results[i] = parent_elements(fine, coarse)
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    expected = parent_elements_closed_form(7, 3)
+    for parents in results:
+        assert np.array_equal(parents, expected)
+        assert not parents.flags.writeable
 
 
 def test_parent_elements_rejects_wrong_direction():

@@ -10,3 +10,21 @@ def test_library_sketch_runs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     exec(compile(code, f"{README.name} (Library sketch)", "exec"), {})
     assert (tmp_path / "front_wsm.csv").exists()
+
+
+def test_control_file_loads_with_plain_numpy(tmp_path, monkeypatch, capsys):
+    import numpy as np
+
+    from mopoisson import read_control
+    from mopoisson.cli import main
+
+    section = README.read_text().split("## Command line", 1)[1]
+    (code,) = re.findall(r"```python\n(.*?)```", section.split("\n## ", 1)[0], re.S)
+    monkeypatch.chdir(tmp_path)
+    assert main(["solve-wsm", "--alpha", "0.2,0.8", "--level", "6"]) == 0
+    scope = {}
+    exec(compile(code, f"{README.name} (Command line)", "exec"), scope)
+    control = read_control(tmp_path / "out" / "solution_wsm_0.2_0.8_L6.ctrl")
+    assert scope["level"] == control.mesh.level == 6
+    assert scope["values"].dtype == np.dtype("<f8")
+    assert scope["values"].tobytes() == control.values.tobytes()
