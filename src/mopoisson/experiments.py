@@ -8,6 +8,7 @@ swept controls measured against a fine reference level.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import threading
@@ -42,9 +43,6 @@ _FLOAT_FMT = ".9g"
 # Part of every cache key, so files of an older control format are misses.
 _CACHE_FORMAT = "npy1"
 
-_system_cache: dict[int, tuple] = {}
-_system_lock = threading.Lock()
-
 
 def benchmark_problem(
     lambda1: float = 0.1,
@@ -63,17 +61,16 @@ def benchmark_problem(
     )
 
 
+@functools.lru_cache(maxsize=None)
 def shared_system(level: int) -> tuple:
-    """Process-wide (mesh, stiffness system) cache keyed by level.
+    """Process-wide (mesh, stiffness system) pair of a level, built once.
 
-    Systems are immutable after assembly, so sharing them across studies
-    amortizes the one-off factorization of the fine reference level.
+    Sharing one system per level lets every study and front reuse its
+    cached DST eigenvalues.  There is no lock: racing first calls build
+    equal systems, which costs microseconds and changes no result.
     """
-    with _system_lock:
-        if level not in _system_cache:
-            mesh = build_uniform_mesh(level)
-            _system_cache[level] = (mesh, assemble_stiffness(mesh))
-        return _system_cache[level]
+    mesh = build_uniform_mesh(level)
+    return mesh, assemble_stiffness(mesh)
 
 
 @dataclass

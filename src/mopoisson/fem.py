@@ -1,4 +1,4 @@
-"""P1 finite elements: stiffness assembly, load vectors, SPD solves.
+"""P1 finite elements: the stiffness operator, load vectors, SPD solves.
 
 All integrals are evaluated with exact closed-form formulas; every
 integrand that occurs is piecewise polynomial of degree at most one.
@@ -6,13 +6,11 @@ integrand that occurs is piecewise polynomial of degree at most one.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import linalg as spla
+from scipy.fft import dstn, idstn
 
 from .mesh import TriMesh, locate_point
 
@@ -63,65 +61,46 @@ class P1Function:
 class StiffnessSystem:
     """Symmetric positive-definite stiffness operator over interior nodes.
 
-    ``matrix[i, j] = sum_T grad(phi_i) . grad(phi_j) |T|`` for interior
-    basis functions, with unknown ``k`` attached to node
-    ``interior_nodes[k]``.  Immutable after assembly; concurrent solves
-    against one system are permitted (solves serialize on an internal
-    lock because SuperLU re-entrancy is not guaranteed).
+    On this mesh family the P1 stiffness matrix is exactly the 5-point
+    Laplacian, which the orthonormal type-1 discrete sine transform (DST-I)
+    diagonalizes: the classical fast Poisson solver (Hockney, J. ACM 12,
+    1965; Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7, 1970).  Unknown
+    ``k`` sits at node ``interior_nodes[k]``, row-major on the ``(n-1)^2``
+    grid.  No lock is needed: racing first calls of :meth:`factorize`
+    compute the same array twice, which is harmless.
     """
 
     mesh: TriMesh
-    matrix: sparse.csr_matrix
     interior_nodes: np.ndarray
-    _lu: object = field(default=None, repr=False, compare=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
+    _eig: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def num_unknowns(self) -> int:
         return self.interior_nodes.shape[0]
 
     def factorize(self) -> "StiffnessSystem":
-        """Cache a sparse LU factorization; subsequent solves reuse it."""
-        with self._lock:
-            if self._lu is None and self.num_unknowns > 0:
-                # A is symmetric: minimum degree on A^T + A fills in far less than COLAMD.
-                self._lu = spla.splu(self.matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        """Cache the eigenvalues ``4 sin^2(i pi/2n) + 4 sin^2(j pi/2n)`` on the unknown grid."""
+        if self._eig is None:
+            n = self.mesh.cells_per_side
+            s = 4.0 * np.sin(np.arange(1, n) * (np.pi / (2 * n))) ** 2
+            self._eig = s[:, None] + s[None, :]
         return self
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """``A x`` by the matrix-free 5-point stencil."""
+        m = self.mesh.cells_per_side - 1
+        g = x.reshape(m, m)
+        y = 4.0 * g
+        y[1:] -= g[:-1]
+        y[:-1] -= g[1:]
+        y[:, 1:] -= g[:, :-1]
+        y[:, :-1] -= g[:, 1:]
+        return y.ravel()
 
 
 def assemble_stiffness(mesh: TriMesh) -> StiffnessSystem:
-    """Assemble the interior-node stiffness matrix from exact P1 gradients.
-
-    Only the upper triangle is accumulated and then mirrored, so the
-    result satisfies ``A == A.T`` exactly.
-    """
-    tri = mesh.triangles
-    pts = mesh.nodes[tri]
-    # Edge vectors opposite each vertex of the CCW triangle; the local
-    # stiffness is (e_i . e_j) / (4 |T|).
-    edges = np.empty_like(pts)
-    edges[:, 0] = pts[:, 2] - pts[:, 1]
-    edges[:, 1] = pts[:, 0] - pts[:, 2]
-    edges[:, 2] = pts[:, 1] - pts[:, 0]
-    local = np.einsum("tik,tjk->tij", edges, edges) / (4.0 * mesh.element_area)
-
-    unknown = np.where(mesh.interior_mask, np.cumsum(mesh.interior_mask) - 1, -1)
-    rows = unknown[tri][:, :, None]
-    cols = unknown[tri][:, None, :]
-    rows = np.broadcast_to(rows, local.shape)
-    cols = np.broadcast_to(cols, local.shape)
-    keep = (rows >= 0) & (cols >= 0) & (rows <= cols)
-
-    n = int(mesh.interior_mask.sum())
-    upper = sparse.coo_matrix(
-        (local[keep], (rows[keep], cols[keep])), shape=(n, n)
-    ).tocsr()
-    matrix = (upper + sparse.triu(upper, k=1).T).tocsr()
-    return StiffnessSystem(
-        mesh=mesh,
-        matrix=matrix,
-        interior_nodes=np.flatnonzero(mesh.interior_mask),
-    )
+    """The interior-node stiffness system of ``mesh``; nothing is assembled."""
+    return StiffnessSystem(mesh=mesh, interior_nodes=np.flatnonzero(mesh.interior_mask))
 
 
 def _check_mesh(mesh: TriMesh, other: TriMesh, what: str) -> None:
@@ -161,7 +140,7 @@ def assemble_point_load(mesh: TriMesh, points, coeffs) -> np.ndarray:
 def solve_spd(system: StiffnessSystem, rhs: np.ndarray, tol: float = LINEAR_TOL) -> P1Function:
     """Solve the interior system and return the zero-boundary P1 solution.
 
-    Uses the cached sparse LU factorization (computed on first use) plus at
+    Computes ``idstn(dstn(rhs) / eig)`` with the orthonormal DST-I plus at
     most one refinement step, and guarantees ``|A x - rhs| <= tol *
     max(1, |rhs|)``; :class:`SolverError` carries the residual otherwise.
     """
@@ -174,17 +153,20 @@ def solve_spd(system: StiffnessSystem, rhs: np.ndarray, tol: float = LINEAR_TOL)
     full = np.zeros(system.mesh.num_nodes)
     if system.num_unknowns == 0:
         return P1Function(system.mesh, full)
-    system.factorize()
+    eig = system.factorize()._eig
+
+    def inverse(b):
+        return idstn(dstn(b.reshape(eig.shape), type=1, norm="ortho") / eig, type=1, norm="ortho").ravel()
+
     target = tol * max(1.0, np.linalg.norm(rhs))
-    with system._lock:
-        x = system._lu.solve(rhs)
-        r = rhs - system.matrix @ x
-        if np.linalg.norm(r) > target:
-            x = x + system._lu.solve(r)
-            r = rhs - system.matrix @ x
+    x = inverse(rhs)
+    r = rhs - system.apply(x)
+    if np.linalg.norm(r) > target:
+        x = x + inverse(r)
+        r = rhs - system.apply(x)
     residual = float(np.linalg.norm(r))
     if residual > target:
-        raise SolverError(f"LU residual {residual:.3e} exceeds tolerance {target:.3e}", residual=residual)
+        raise SolverError(f"DST residual {residual:.3e} exceeds tolerance {target:.3e}", residual=residual)
     full[system.interior_nodes] = x
     return P1Function(system.mesh, full)
 

@@ -22,8 +22,8 @@ __all__ = [
     "parent_elements",
 ]
 
-# 2 * 4**14 triangles is ~5.4e8; one level further the index arithmetic no
-# longer fits the 32-bit address space used by common sparse backends.
+# At level 14 one float64 value per triangle (2 * 4**14, about 5.4e8) already
+# takes 4.3 GB; no study on one machine needs a finer mesh.
 MAX_LEVEL = 14
 
 # Absolute slack on barycentric coordinates when deciding containment.
@@ -75,11 +75,13 @@ class TriMesh:
         return self.triangles.shape[0]
 
 
+@functools.lru_cache(maxsize=MAX_LEVEL + 1)
 def build_uniform_mesh(level: int) -> TriMesh:
-    """Build the level-``level`` mesh of the family.
+    """Build the level-``level`` mesh of the family, once per level.
 
     Each grid square ``[ih,(i+1)h] x [jh,(j+1)h]`` is split by the diagonal
-    from ``(ih, jh)`` to ``((i+1)h, (j+1)h)``.
+    from ``(ih, jh)`` to ``((i+1)h, (j+1)h)``.  Meshes are read-only, so
+    every caller of a level shares one.
     """
     level = int(level)
     if level < 0:

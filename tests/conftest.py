@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -33,3 +36,29 @@ def solve_calls(monkeypatch):
 
     monkeypatch.setattr(objective, "solve_spd", counted)
     return calls
+
+
+@pytest.fixture
+def race():
+    """Runs ``work(i)`` on threads ``i = 0..n-1`` that start together and switch every microsecond."""
+
+    def run(work, n=8):
+        barrier = threading.Barrier(n)
+
+        def start(i):
+            barrier.wait(timeout=30)
+            work(i)
+
+        threads = [threading.Thread(target=start, args=(i,)) for i in range(n)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+
+    return run

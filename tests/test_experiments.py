@@ -120,6 +120,45 @@ def test_failed_cache_write_leaves_no_temp_file(tmp_path, monkeypatch):
     assert list((tmp_path / "cache").iterdir()) == []
 
 
+def test_text_era_cache_file_is_never_read_or_removed(tmp_path):
+    import hashlib
+
+    from mopoisson.experiments import _problem_fingerprint
+
+    config = small_config(benchmark_problem(), tmp_path)
+    fresh = run_convergence_wsm(small_config(benchmark_problem(), tmp_path / "fresh"), [(0.5, 0.5)])
+    # the reference's file before the npy1 format: keyed without a format
+    # tag, a level header and one value per line
+    fingerprint = _problem_fingerprint(config.problem)
+    payload = f"wsm|0.5,0.5|4|{fingerprint}|{config.bb.tol:.17g}|{config.bb.max_iter}"
+    text_era = tmp_path / "cache" / f"wsm_{hashlib.sha256(payload.encode()).hexdigest()[:16]}.ctrl"
+    text_era.parent.mkdir()
+    text_era.write_text("level=4\n" + "0\n" * 512)
+    before = text_era.read_bytes()
+    table = run_convergence_wsm(config, [(0.5, 0.5)])  # any read would warn, and warnings fail
+    assert text_era.read_bytes() == before
+    assert np.array_equal(table.errors, fresh.errors)
+    assert len(list(text_era.parent.glob("wsm_*.ctrl"))) == 2
+
+
+def test_shared_system_under_concurrent_first_calls(race, rng):
+    from mopoisson import assemble_stiffness, build_uniform_mesh, shared_system, solve_spd
+
+    shared_system.cache_clear()
+    rhss = rng.normal(size=(8, (2 ** 6 - 1) ** 2))
+    results = [None] * 8
+
+    def work(i):
+        mesh, system = shared_system(6)
+        results[i] = (mesh.level, solve_spd(system, rhss[i]).nodal_values)
+
+    race(work)
+    reference = assemble_stiffness(build_uniform_mesh(6))
+    for (level, values), rhs in zip(results, rhss):
+        assert level == 6
+        assert np.array_equal(values, solve_spd(reference, rhs).nodal_values)
+
+
 @pytest.mark.parametrize("jobs", [1, 4])
 def test_study_computes_greens_means_once_per_level(tmp_path, solve_calls, jobs):
     alphas = [(0.3, 0.7), (0.7, 0.3)]

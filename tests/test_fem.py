@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -29,31 +34,34 @@ def level3():
     return mesh, assemble_stiffness(mesh)
 
 
+def operator_matrix(system) -> np.ndarray:
+    """The matrix the solver inverts: its stencil applied to every unit vector."""
+    return np.column_stack([system.apply(e) for e in np.eye(system.num_unknowns)])
+
+
 def test_level_one_matrix_is_scalar_four():
-    system = assemble_stiffness(build_uniform_mesh(1))
-    assert system.matrix.shape == (1, 1)
-    assert system.matrix.toarray()[0, 0] == pytest.approx(4.0)
+    matrix = operator_matrix(assemble_stiffness(build_uniform_mesh(1)))
+    assert matrix.shape == (1, 1)
+    assert matrix[0, 0] == pytest.approx(4.0)
 
 
-@pytest.mark.parametrize("level", [1, 2, 3])
+@pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
 def test_sparse_equals_dense_oracle(level):
+    # P1 on this mesh family is the 5-point stencil at every level
     mesh = build_uniform_mesh(level)
-    system = assemble_stiffness(mesh)
     dense = dense_stiffness_interior(mesh)
-    assert np.abs(system.matrix.toarray() - dense).max() <= 1e-14
+    assert np.abs(operator_matrix(assemble_stiffness(mesh)) - dense).max() <= 1e-14
 
 
 def test_level_two_matrix_is_five_point_stencil():
-    mesh = build_uniform_mesh(2)
-    system = assemble_stiffness(mesh)
-    assert np.abs(system.matrix.toarray() - five_point_laplacian(2)).max() <= 1e-14
+    matrix = operator_matrix(assemble_stiffness(build_uniform_mesh(2)))
+    assert np.abs(matrix - five_point_laplacian(2)).max() <= 1e-14
 
 
 @pytest.mark.parametrize("level", [1, 2, 3])
 def test_matrix_signs_and_exact_symmetry(level):
-    matrix = assemble_stiffness(build_uniform_mesh(level)).matrix
-    assert (matrix - matrix.T).nnz == 0
-    dense = matrix.toarray()
+    dense = operator_matrix(assemble_stiffness(build_uniform_mesh(level)))
+    assert np.array_equal(dense, dense.T)
     assert np.all(np.diag(dense) > 0)
     off = dense - np.diag(np.diag(dense))
     assert np.all(off <= 0)
@@ -66,7 +74,7 @@ def test_full_rows_sum_to_zero_over_all_columns():
     interior = np.flatnonzero(mesh.interior_mask)
     assert np.abs(full[interior, :].sum(axis=1)).max() <= 1e-13
     block = full[np.ix_(interior, interior)]
-    assert np.abs(assemble_stiffness(mesh).matrix.toarray() - block).max() <= 1e-14
+    assert np.abs(operator_matrix(assemble_stiffness(mesh)) - block).max() <= 1e-14
 
 
 def test_zero_control_gives_zero_load():
@@ -151,12 +159,14 @@ def test_solver_residual_contract(level3, rng):
     rhs = rng.normal(size=system.num_unknowns)
     y = solve_spd(system, rhs, tol=1e-12)
     x = y.nodal_values[system.interior_nodes]
-    residual = np.linalg.norm(system.matrix @ x - rhs)
+    residual = np.linalg.norm(dense_stiffness_interior(mesh) @ x - rhs)
     assert residual <= 1e-12 * max(1.0, np.linalg.norm(rhs))
 
 
-def test_lu_agrees_with_dense_solve(level3, rng):
-    mesh, system = level3
+@pytest.mark.parametrize("level", [3, 5])
+def test_dst_agrees_with_dense_solve(level, rng):
+    mesh = build_uniform_mesh(level)
+    system = assemble_stiffness(mesh)
     rhs = rng.normal(size=system.num_unknowns)
     y = solve_spd(system, rhs)
     dense = np.linalg.solve(dense_stiffness_interior(mesh), rhs)
@@ -171,12 +181,31 @@ def test_solver_is_deterministic(level3, rng):
     assert np.array_equal(a, b)
 
 
-def test_factorization_uses_symmetric_ordering():
-    from scipy.sparse.linalg import splu
+def test_concurrent_first_solves_match_serial(race, rng):
+    # no lock: eight threads also race on the first factorize() of one fresh system
+    mesh = build_uniform_mesh(6)
+    rhss = rng.normal(size=(8, (2 ** 6 - 1) ** 2))
+    reference = assemble_stiffness(mesh)
+    serial = [solve_spd(reference, rhs).nodal_values for rhs in rhss]
+    system = assemble_stiffness(mesh)
+    results = [None] * 8
 
-    system = assemble_stiffness(build_uniform_mesh(6)).factorize()
-    colamd = splu(system.matrix.tocsc(), permc_spec="COLAMD")
-    assert system._lu.L.nnz + system._lu.U.nnz < colamd.L.nnz + colamd.U.nnz
+    def work(i):
+        results[i] = solve_spd(system, rhss[i]).nodal_values
+
+    race(work)
+    for got, want in zip(results, serial):
+        assert np.array_equal(got, want)
+
+
+def test_package_import_leaves_out_scipy_sparse():
+    import mopoisson
+
+    src = Path(mopoisson.__file__).resolve().parents[1]
+    code = "import mopoisson, sys; assert 'scipy.sparse' not in sys.modules, 'scipy.sparse imported'"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_solver_failure_carries_residual(level3, rng):

@@ -1,6 +1,3 @@
-import sys
-import threading
-
 import numpy as np
 import pytest
 
@@ -167,7 +164,7 @@ def test_parent_map_is_memoized_and_read_only(fine_level):
         assert np.array_equal(parents, parent_elements_closed_form(fine_level, coarse_level))
 
 
-def test_parent_map_under_concurrent_first_calls():
+def test_parent_map_under_concurrent_first_calls(race):
     import mopoisson.mesh
 
     mopoisson.mesh._parent_map.cache_clear()
@@ -177,17 +174,7 @@ def test_parent_map_under_concurrent_first_calls():
     def work(i):
         results[i] = parent_elements(fine, coarse)
 
-    threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
+    race(work)
     expected = parent_elements_closed_form(7, 3)
     for parents in results:
         assert np.array_equal(parents, expected)
@@ -204,3 +191,9 @@ def test_meshes_are_immutable():
     with pytest.raises(ValueError):
         mesh.nodes[0, 0] = 7.0
 
+
+def test_meshes_are_built_once_per_level():
+    mesh = build_uniform_mesh(4)
+    assert build_uniform_mesh(4) is mesh
+    for arr in (mesh.nodes, mesh.triangles, mesh.interior_mask):
+        assert not arr.flags.writeable
