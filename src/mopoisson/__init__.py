@@ -49,14 +49,11 @@ from .mesh import (
 from .objective import (
     ObjectivePair,
     ProblemData,
-    StateAdjointBundle,
     eval_objectives,
     grad_rpm,
     grad_wsm,
-    rpm_value,
     solve_adjoints,
     solve_state,
-    wsm_value,
 )
 from .scalarize import (
     BBConfig,

@@ -21,7 +21,7 @@ import numpy as np
 
 from .control import BoxBounds, PwcControl, l2_error, read_control, write_control
 from .fem import assemble_stiffness
-from .mesh import build_uniform_mesh
+from .mesh import MAX_LEVEL, build_uniform_mesh
 from .objective import ProblemData
 from .scalarize import BBConfig, ParetoFront, SolveReport, rpm_front, solve_rpm, solve_wsm, wsm_front
 
@@ -97,8 +97,10 @@ class ExperimentConfig:
             raise ValueError("at least one study level is required")
         if len(set(self.levels)) != len(self.levels):
             raise ValueError("study levels must not repeat")
-        if self.reference_level <= max(self.levels):
-            raise ValueError("reference level must exceed every study level")
+        if min(self.levels) < 0:
+            raise ValueError("study levels must be nonnegative")
+        if not max(self.levels) < self.reference_level <= MAX_LEVEL:
+            raise ValueError(f"reference level must exceed every study level and be at most {MAX_LEVEL}")
         if min(self.wsm_front_size, self.rpm_front_size) < 2:
             raise ValueError("front sizes must be at least 2")
         if self.jobs < 1:

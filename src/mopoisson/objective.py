@@ -14,22 +14,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .control import BoxBounds, PwcControl, l2_norm, pi0_project
+from .control import BoxBounds, PwcControl, pi0_project
 from .fem import P1Function, StiffnessSystem, assemble_load_pwc, assemble_point_load, evaluate, solve_spd
 
 __all__ = [
     "ProblemData",
     "ObjectivePair",
-    "StateAdjointBundle",
     "solve_state",
     "solve_adjoints",
     "greens_function_means",
-    "reduced_bundle",
     "eval_objectives",
     "grad_wsm",
     "grad_rpm",
-    "wsm_value",
-    "rpm_value",
 ]
 
 
@@ -86,73 +82,59 @@ class ObjectivePair:
         return np.array([self.j1, self.j2])
 
 
-@dataclass
-class StateAdjointBundle:
-    """Residuals ``y_h(obs_k) - y_k`` of one state and element means of the adjoints they load."""
-
-    residuals1: np.ndarray
-    residuals2: np.ndarray
-    adjoint_means1: np.ndarray
-    adjoint_means2: np.ndarray
-
-
 def solve_state(problem: ProblemData, system: StiffnessSystem, u: PwcControl) -> P1Function:
     """Discrete control-to-state map: Poisson solve with source ``u``."""
     return solve_spd(system, assemble_load_pwc(system.mesh, u))
 
 
-def solve_adjoints(problem: ProblemData, system: StiffnessSystem, state: P1Function) -> StateAdjointBundle:
+def solve_adjoints(problem: ProblemData, system: StiffnessSystem, state: P1Function) -> tuple:
     """Solve both adjoint systems, loaded by the observation residuals.
 
-    The residuals ``r = state(obs) - y`` are gathered by :func:`evaluate`
-    and scattered back as the Dirac load ``sum_j r_j phi(obs_j)`` by
-    :func:`assemble_point_load`.  This is the full PDE route to the bundle
-    that :func:`reduced_bundle` gives without a solve.
+    Returns ``((r1, m1), (r2, m2))``: per observation set, the residuals
+    ``r = state(obs) - y``, gathered by :func:`evaluate`, and the element
+    means ``m`` of the adjoint loaded by the Dirac load ``sum_j r_j
+    phi(obs_j)`` of :func:`assemble_point_load`.  This is the full PDE route
+    to what :func:`eval_objectives` and the gradients take from the Green's
+    function means without a solve.
     """
     if state.mesh.level != system.mesh.level:
         raise ValueError("state lives on a different mesh than the system")
-    residuals, means = [], []
+    pairs = []
     for obs, desired in ((problem.obs1, problem.y1), (problem.obs2, problem.y2)):
         r = evaluate(state, obs) - desired
-        residuals.append(r)
-        means.append(pi0_project(solve_spd(system, assemble_point_load(system.mesh, obs, r))).values)
-    return StateAdjointBundle(*residuals, *means)
+        pairs.append((r, pi0_project(solve_spd(system, assemble_point_load(system.mesh, obs, r))).values))
+    return tuple(pairs)
 
 
-def greens_function_means(problem: ProblemData, system: StiffnessSystem) -> tuple[np.ndarray, np.ndarray]:
+def greens_function_means(problem: ProblemData, system: StiffnessSystem) -> np.ndarray:
     """Element means of the discrete Green's function of every observation point.
 
-    Row ``j`` of the ``k``-th matrix ``G_k`` is ``pi0(w)`` with ``A w =
-    phi(obs_k[j])``: one solve per point.  Since ``A`` is symmetric and the
-    P1 load of a constant is ``|T|/3`` per vertex, ``|T| G_k u`` is the
-    state of ``u`` at the points and ``G_k^T r`` the element means of the
-    adjoint loaded by ``r``; :func:`reduced_bundle` uses both.
+    Row ``j`` of the ``(n1 + n2, N)`` matrix ``G`` is ``pi0(w)`` with ``A w
+    = phi(x_j)``, the points ``x_j`` running through ``obs1``, then
+    ``obs2``: one solve per point.  Since ``A`` is symmetric and the P1 load
+    of a constant is ``|T|/3`` per vertex, ``|T| G u`` is the state of ``u``
+    at the points and ``G^T r`` the element means of the adjoint loaded by
+    ``r``.
     """
     mesh = system.mesh
-    return tuple(
-        np.array([pi0_project(solve_spd(system, assemble_point_load(mesh, x, 1.0))).values for x in obs])
-        for obs in (problem.obs1, problem.obs2)
-    )
+    points = np.concatenate((problem.obs1, problem.obs2))
+    return np.array([pi0_project(solve_spd(system, assemble_point_load(mesh, x, 1.0))).values for x in points])
 
 
-def reduced_bundle(problem: ProblemData, means: tuple, u: PwcControl) -> StateAdjointBundle:
-    """The bundle of ``u`` from :func:`greens_function_means`, with no PDE solve."""
-    g1, g2 = means
-    r1 = u.mesh.element_area * (g1 @ u.values) - problem.y1
-    r2 = u.mesh.element_area * (g2 @ u.values) - problem.y2
-    # G_k^T r_k as np.dot(r_k, G_k): stays on BLAS when G_k has one row, unlike G_k.T @ r_k
-    return StateAdjointBundle(r1, r2, np.dot(r1, g1), np.dot(r2, g2))
+def eval_objectives(
+    problem: ProblemData, greens: np.ndarray, area: float, u: np.ndarray
+) -> tuple[np.ndarray, ObjectivePair]:
+    """Residuals ``r = |T| G u - y`` and the objective pair of the control values ``u``.
 
-
-def eval_objectives(problem: ProblemData, u: PwcControl, bundle: StateAdjointBundle) -> ObjectivePair:
-    """Objective pair of ``u`` from the residuals cached in its bundle.
-
-    The caller is responsible for ``bundle`` belonging to ``u``; no solve
-    happens here, keeping solve counts auditable.
+    ``greens`` is the matrix of :func:`greens_function_means` and ``area``
+    the element area ``|T|``; ``r`` stacks the residuals at ``obs1``, then
+    ``obs2``.  No solve happens here, keeping solve counts auditable.
     """
-    r1, r2 = bundle.residuals1, bundle.residuals2
-    un2 = l2_norm(u) ** 2
-    return ObjectivePair(
+    n1 = problem.y1.shape[0]
+    r = area * (greens @ u) - np.concatenate((problem.y1, problem.y2))
+    r1, r2 = r[:n1], r[n1:]
+    un2 = area * float(u @ u)
+    return r, ObjectivePair(
         j1=0.5 * float(r1 @ r1) + 0.5 * problem.lambda1 * un2,
         j2=0.5 * float(r2 @ r2) + 0.5 * problem.lambda2 * un2,
     )
@@ -168,40 +150,29 @@ def _check_weights(alpha) -> tuple[float, float]:
 
 
 def _weighted_gradient(
-    problem: ProblemData, bundle: StateAdjointBundle, u: PwcControl, c1: float, c2: float
-) -> PwcControl:
+    problem: ProblemData, greens: np.ndarray, r: np.ndarray, u: np.ndarray, c1: float, c2: float
+) -> np.ndarray:
     """Control-space gradient representer of ``c1 j1 + c2 j2``.
 
     Per triangle: ``sum_k c_k (mean_T(p_k) + lambda_k u_T)``, the unique
     piecewise-constant function realizing the derivative against
-    piecewise-constant variations.
+    piecewise-constant variations.  The adjoint means of both criteria come
+    from one mat-vec, ``G^T (c r)`` with ``c`` repeating ``(c1, c2)`` over
+    the two sets.
     """
-    m1, m2 = bundle.adjoint_means1, bundle.adjoint_means2
-    g = c1 * (m1 + problem.lambda1 * u.values) + c2 * (m2 + problem.lambda2 * u.values)
-    return PwcControl(u.mesh, g)
+    n1 = problem.y1.shape[0]
+    cr = np.concatenate((c1 * r[:n1], c2 * r[n1:]))
+    # G^T (c r) as np.dot(c r, G): one gemv on the row-major G
+    return np.dot(cr, greens) + (c1 * problem.lambda1 + c2 * problem.lambda2) * u
 
 
-def grad_wsm(
-    problem: ProblemData, bundle: StateAdjointBundle, u: PwcControl, alpha
-) -> PwcControl:
+def grad_wsm(problem: ProblemData, greens: np.ndarray, r: np.ndarray, u: np.ndarray, alpha) -> np.ndarray:
     """Gradient representer of the weighted-sum objective: coefficients ``alpha``."""
-    return _weighted_gradient(problem, bundle, u, *_check_weights(alpha))
+    return _weighted_gradient(problem, greens, r, u, *_check_weights(alpha))
 
 
 def grad_rpm(
-    problem: ProblemData,
-    bundle: StateAdjointBundle,
-    u: PwcControl,
-    zeta,
-    j: ObjectivePair,
-) -> PwcControl:
+    problem: ProblemData, greens: np.ndarray, r: np.ndarray, u: np.ndarray, zeta, j: ObjectivePair
+) -> np.ndarray:
     """Gradient representer of the reference-point distance: coefficients ``j - zeta``."""
-    return _weighted_gradient(problem, bundle, u, j.j1 - float(zeta[0]), j.j2 - float(zeta[1]))
-
-
-def wsm_value(alpha, j: ObjectivePair) -> float:
-    return float(alpha[0]) * j.j1 + float(alpha[1]) * j.j2
-
-
-def rpm_value(zeta, j: ObjectivePair) -> float:
-    return 0.5 * ((j.j1 - float(zeta[0])) ** 2 + (j.j2 - float(zeta[1])) ** 2)
+    return _weighted_gradient(problem, greens, r, u, j.j1 - float(zeta[0]), j.j2 - float(zeta[1]))

@@ -8,7 +8,7 @@ Pareto front by varying the weight or walking the reference point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -18,13 +18,11 @@ from .fem import LINEAR_TOL, StiffnessSystem
 from .objective import (
     ObjectivePair,
     ProblemData,
-    StateAdjointBundle,
     _check_weights,
     eval_objectives,
     grad_rpm,
     grad_wsm,
     greens_function_means,
-    reduced_bundle,
 )
 
 __all__ = [
@@ -46,7 +44,7 @@ __all__ = [
 _CURVATURE_TOL = 1e-14
 _FALLBACK_STEP = 1.0
 
-GradEval = Callable[[PwcControl], tuple[PwcControl, ObjectivePair]]
+GradEval = Callable[[np.ndarray], tuple[np.ndarray, ObjectivePair]]
 
 
 @dataclass
@@ -74,7 +72,6 @@ class SolveReport:
     converged: bool
     solve_count: int = 0  # linear solves this call made; 0 once the problem holds the level's means
     fallback_steps: int = 0
-    meta: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -91,13 +88,9 @@ class ParetoFront:
     """Sweep-ordered collection of scalarized solutions."""
 
     entries: list
-    meta: dict = field(default_factory=dict)
 
     def objective_array(self) -> np.ndarray:
         return np.array([[e.report.objectives.j1, e.report.objectives.j2] for e in self.entries])
-
-    def parameters(self) -> list:
-        return [e.parameter for e in self.entries]
 
 
 def _check_eps(eps: float) -> None:
@@ -120,9 +113,10 @@ def bb_projected_gradient(
 ) -> SolveReport:
     """Box-projected Barzilai-Borwein iteration for a scalarized objective.
 
-    ``grad_eval`` maps a control to its gradient representer and objective
-    pair.  Iterates follow ``u <- clip(u - (1/t) g)`` with the BB quotient
-    ``t = |dg|^2 / (dg, du)``; the loop stops once the step-to-unit-step
+    ``grad_eval`` maps control values to the values of their gradient
+    representer and their objective pair; the loop runs on value arrays.
+    Iterates follow ``u <- clip(u - (1/t) g)`` with the BB quotient ``t =
+    |dg|^2 / (dg, du)``; the loop stops once the step-to-unit-step
     gap ``|u_next - clip(u - g)|`` and the fixed-point residual of the
     accepted iterate both fall below ``config.tol``.  Exhausting
     ``max_iter`` returns a non-converged report instead of raising.
@@ -136,9 +130,9 @@ def bb_projected_gradient(
         raise ValueError("the two starting iterates must differ")
 
     area = u0.mesh.element_area
-    g_prev, _ = grad_eval(u_minus1)
-    g, objectives = grad_eval(u0)
-    u_prev, u = u_minus1, u0
+    u_prev, u = u_minus1.values, u0.values
+    g_prev, _ = grad_eval(u_prev)
+    g, objectives = grad_eval(u)
 
     fallbacks = 0
     iterations = 0
@@ -147,14 +141,14 @@ def bb_projected_gradient(
     fp_residual = np.inf
 
     while iterations < config.max_iter:
-        fixed_point = np.clip(u.values - g.values, bounds.ua, bounds.ub)
-        fp_residual = np.sqrt(area * float(((u.values - fixed_point) ** 2).sum()))
+        fixed_point = np.clip(u - g, bounds.ua, bounds.ub)
+        fp_residual = np.sqrt(area * float(((u - fixed_point) ** 2).sum()))
         if step_gap <= config.tol and fp_residual <= config.tol:
             converged = True
             break
 
-        dg = g.values - g_prev.values
-        du = u.values - u_prev.values
+        dg = g - g_prev
+        du = u - u_prev
         dg_sq = area * float(dg @ dg)
         curvature = area * float(dg @ du)
         du_sq = area * float(du @ du)
@@ -164,8 +158,8 @@ def bb_projected_gradient(
         else:
             step = curvature / dg_sq  # 1 / t_l
 
-        u_next = PwcControl(u.mesh, np.clip(u.values - step * g.values, bounds.ua, bounds.ub))
-        gap = u_next.values - fixed_point
+        u_next = np.clip(u - step * g, bounds.ua, bounds.ub)
+        gap = u_next - fixed_point
         step_gap = np.sqrt(area * float(gap @ gap))
 
         u_prev, g_prev = u, g
@@ -174,7 +168,7 @@ def bb_projected_gradient(
         iterations += 1
 
     return SolveReport(
-        control=u,
+        control=PwcControl(u0.mesh, u),
         objectives=objectives,
         iterations=iterations,
         final_residual=float(fp_residual),
@@ -186,7 +180,7 @@ def bb_projected_gradient(
 def _solve(
     problem: ProblemData,
     system: StiffnessSystem,
-    gradient: Callable[[StateAdjointBundle, PwcControl, ObjectivePair], PwcControl],
+    gradient: Callable[[np.ndarray, np.ndarray, np.ndarray, ObjectivePair], np.ndarray],
     config: BBConfig | None,
     u_start: PwcControl | None,
 ) -> SolveReport:
@@ -195,9 +189,10 @@ def _solve(
     The problem's first solve at a mesh level computes the Green's function
     means there, one solve per observation point, and keeps them on the
     problem; those solves are the report's ``solve_count``, which is 0 for
-    every later solve at that level.  Each evaluation forms the bundle and
-    the objective pair from the means with a few dense mat-vecs and hands
-    both to ``gradient(bundle, u, j)``.
+    every later solve at that level.  Each evaluation forms the residuals
+    ``r`` and the objective pair ``j`` of the values ``u`` from the means
+    ``G`` with one mat-vec and takes the gradient ``gradient(G, r, u, j)``
+    with another.
     """
     config = config or BBConfig()
     bounds = problem.bounds
@@ -209,11 +204,11 @@ def _solve(
         if own:
             problem._greens[mesh.level] = greens_function_means(problem, system)
     greens = problem._greens[mesh.level]
+    area = mesh.element_area
 
-    def evaluate_control(u: PwcControl):
-        bundle = reduced_bundle(problem, greens, u)
-        j = eval_objectives(problem, u, bundle)
-        return gradient(bundle, u, j), j
+    def evaluate_control(u: np.ndarray):
+        r, j = eval_objectives(problem, greens, area, u)
+        return gradient(greens, r, u, j), j
 
     if u_start is None:
         u_start = PwcControl(mesh, np.zeros(mesh.num_triangles))
@@ -221,7 +216,7 @@ def _solve(
     delta = 1e-2 * min(1.0, bounds.ub - bounds.ua)
     u_minus1 = np.where(u0.values + delta <= bounds.ub, u0.values + delta, u0.values - delta)
     report = bb_projected_gradient(problem, evaluate_control, u0, PwcControl(mesh, u_minus1), config)
-    report.solve_count = sum(map(len, greens)) if own else 0
+    report.solve_count = len(greens) if own else 0
     return report
 
 
@@ -234,7 +229,7 @@ def solve_wsm(
 ) -> SolveReport:
     """Minimize the weighted sum of the two criteria over the box."""
     alpha = _check_weights(alpha)
-    return _solve(problem, system, lambda b, u, j: grad_wsm(problem, b, u, alpha), config, u_start)
+    return _solve(problem, system, lambda g, r, u, j: grad_wsm(problem, g, r, u, alpha), config, u_start)
 
 
 def solve_rpm(
@@ -244,20 +239,11 @@ def solve_rpm(
     config: BBConfig | None = None,
     u_start: PwcControl | None = None,
 ) -> SolveReport:
-    """Minimize the squared distance of the objective pair to ``zeta``.
-
-    The report's metadata flags whether the solution still dominates the
-    reference point componentwise, the regime in which the distance
-    objective is convex.
-    """
+    """Minimize the squared distance of the objective pair to ``zeta``."""
     zeta = (float(zeta[0]), float(zeta[1]))
     if not np.all(np.isfinite(zeta)):
         raise ValueError("reference point must be finite")
-    report = _solve(problem, system, lambda b, u, j: grad_rpm(problem, b, u, zeta, j), config, u_start)
-    report.meta["zeta_dominated"] = bool(
-        report.objectives.j1 > zeta[0] and report.objectives.j2 > zeta[1]
-    )
-    return report
+    return _solve(problem, system, lambda g, r, u, j: grad_rpm(problem, g, r, u, zeta, j), config, u_start)
 
 
 def wsm_front(
@@ -339,7 +325,6 @@ def rpm_front(
     )
     rpm_entries = []
     warm = report_init.control
-    aborted = False
     ell = 1
     while zeta[0] < j_end_1 and ell <= l_max - 1:
         report = solve_rpm(problem, system, tuple(zeta), config, u_start=None if cold_start else warm)
@@ -349,7 +334,6 @@ def rpm_front(
         try:
             zeta = next_reference_point(zeta, report.objectives.as_array(), h_perp, h_par)
         except ValueError:
-            aborted = True
             break
         ell += 1
 
@@ -358,7 +342,7 @@ def rpm_front(
         + rpm_entries
         + [FrontEntry("wsm", (eps, 1.0 - eps), report_end)]
     )
-    return ParetoFront(entries, meta={"aborted": aborted})
+    return ParetoFront(entries)
 
 
 def ideal_vector(

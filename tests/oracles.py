@@ -13,14 +13,12 @@ import math
 import numpy as np
 
 from mopoisson import (
+    ObjectivePair,
     PwcControl,
     assemble_load_pwc,
     assemble_point_load,
     clip_to_box,
-    eval_objectives,
     evaluate,
-    grad_rpm,
-    grad_wsm,
     l2_inner,
     l2_norm,
     pi0_project,
@@ -28,7 +26,6 @@ from mopoisson import (
     solve_spd,
     solve_state,
 )
-from mopoisson.objective import rpm_value, wsm_value
 
 # 3-point interior Gauss rule on the triangle, exact for quadratics.
 _GAUSS_BARY = np.array([
@@ -124,33 +121,50 @@ def parent_elements_closed_form(fine_level: int, coarse_level: int) -> np.ndarra
     return 2 * (jy * nc + jx) + (cy - jy * span > cx - jx * span)
 
 
+def pde_objectives(problem, system, u: PwcControl):
+    """Objective pair and per-set adjoint means of ``u`` by a state solve and two adjoint solves."""
+    (r1, m1), (r2, m2) = solve_adjoints(problem, system, solve_state(problem, system, u))
+    control_cost = l2_norm(u) ** 2
+    j = ObjectivePair(
+        0.5 * float(r1 @ r1) + 0.5 * problem.lambda1 * control_cost,
+        0.5 * float(r2 @ r2) + 0.5 * problem.lambda2 * control_cost,
+    )
+    return j, (m1, m2)
+
+
+def scalarization(kind: str, parameter, j) -> float:
+    """Weighted sum (``wsm``) or half the squared distance to the reference point (``rpm``)."""
+    if kind == "wsm":
+        return parameter[0] * j.j1 + parameter[1] * j.j2
+    return 0.5 * ((j.j1 - parameter[0]) ** 2 + (j.j2 - parameter[1]) ** 2)
+
+
 def scalarized_value(problem, system, u: PwcControl, kind: str, parameter) -> float:
-    """Objective value of a scalarization, evaluated through public ops."""
-    state = solve_state(problem, system, u)
-    bundle = solve_adjoints(problem, system, state)
-    j = eval_objectives(problem, u, bundle)
-    return wsm_value(parameter, j) if kind == "wsm" else rpm_value(parameter, j)
+    """Objective value of a scalarization, evaluated by the PDE route."""
+    return scalarization(kind, parameter, pde_objectives(problem, system, u)[0])
 
 
 def pde_grad_eval(problem, system, kind: str, parameter):
     """BB grad-eval of a scalarization through a state solve and two adjoint solves.
 
-    Maps a control to its gradient representer and objective pair, like the
+    Maps control values to the values of the gradient representer
+    ``sum_k c_k (m_k + lambda_k u)`` and the objective pair, like the
     solver's own evaluator, which takes both from the Green's function means.
+    The coefficients ``c`` are the weights (``wsm``) or ``j - zeta`` (``rpm``).
     """
+    mesh = system.mesh
 
-    def grad_eval(u: PwcControl):
-        bundle = solve_adjoints(problem, system, solve_state(problem, system, u))
-        j = eval_objectives(problem, u, bundle)
-        if kind == "wsm":
-            return grad_wsm(problem, bundle, u, parameter), j
-        return grad_rpm(problem, bundle, u, parameter, j), j
+    def grad_eval(values: np.ndarray):
+        u = PwcControl(mesh, values)
+        j, (m1, m2) = pde_objectives(problem, system, u)
+        c1, c2 = parameter if kind == "wsm" else (j.j1 - parameter[0], j.j2 - parameter[1])
+        return c1 * (m1 + problem.lambda1 * u.values) + c2 * (m2 + problem.lambda2 * u.values), j
 
     return grad_eval
 
 
 def scalarized_gradient(problem, system, u: PwcControl, kind: str, parameter) -> PwcControl:
-    return pde_grad_eval(problem, system, kind, parameter)(u)[0]
+    return PwcControl(u.mesh, pde_grad_eval(problem, system, kind, parameter)(u.values)[0])
 
 
 def central_difference(problem, system, u: PwcControl, w: PwcControl, kind: str, parameter,

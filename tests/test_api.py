@@ -1,0 +1,30 @@
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import mopoisson
+
+ORACLES = Path(__file__).resolve().parent / "oracles.py"
+# The solver's evaluation formulas; the oracles recompute all of them by the PDE route.
+SOLVER_FORMULAS = {"eval_objectives", "grad_wsm", "grad_rpm", "greens_function_means", "_weighted_gradient"}
+
+
+def test_oracles_share_no_formula_with_the_solver():
+    tree = ast.parse(ORACLES.read_text(), filename=str(ORACLES))
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+    assert not used & SOLVER_FORMULAS
+
+
+@pytest.mark.parametrize("name", [m.name for m in pkgutil.iter_modules(mopoisson.__path__)])
+def test_every_exported_name_is_defined(name):
+    module = importlib.import_module(f"mopoisson.{name}")
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert not missing

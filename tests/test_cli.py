@@ -39,6 +39,13 @@ def test_invalid_arguments_exit_two(tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("levels", [["--levels=-1,2", "--ref-level", "5"], ["--levels", "2", "--ref-level", "15"]])
+def test_bad_study_levels_exit_two_before_any_reference_solve(tmp_path, solve_calls, levels):
+    assert main(["convergence", "--method", "wsm", *levels, "--out", str(tmp_path)]) == 2
+    assert not solve_calls
+    assert not (tmp_path / "cache").exists()
+
+
 def test_unusable_paths_exit_two(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("")

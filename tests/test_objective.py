@@ -21,7 +21,7 @@ from mopoisson import (
     solve_spd,
     solve_state,
 )
-from mopoisson.objective import StateAdjointBundle, rpm_value, wsm_value
+from mopoisson.objective import greens_function_means
 from oracles import central_difference, scalarized_gradient
 
 
@@ -36,7 +36,8 @@ def feasible(problem, mesh, rng):
 
 
 def objectives(problem, system, u):
-    return eval_objectives(problem, u, solve_adjoints(problem, system, solve_state(problem, system, u)))
+    """The solver's objective pair of ``u``, from the Green's function means."""
+    return eval_objectives(problem, greens_function_means(problem, system), u.mesh.element_area, u.values)[1]
 
 
 def test_problem_data_validation():
@@ -100,20 +101,20 @@ def test_adjoints_vanish_when_state_matches_desired(setup, rng):
         obs2=problem.obs2, y2=evaluate(state, problem.obs2),
         lambda1=problem.lambda1, lambda2=problem.lambda2, bounds=problem.bounds,
     )
-    bundle = solve_adjoints(matched, system, state)
-    assert np.abs(bundle.adjoint_means1).max() <= 1e-12
-    assert np.abs(bundle.adjoint_means2).max() <= 1e-12
-    assert np.abs(bundle.residuals1).max() <= 1e-15
+    (r1, m1), (r2, m2) = solve_adjoints(matched, system, state)
+    assert np.abs(m1).max() <= 1e-12
+    assert np.abs(m2).max() <= 1e-12
+    assert np.abs(r1).max() <= 1e-15
 
 
 def test_adjoint_matches_unit_load_oracle(setup, rng):
     problem, mesh, system = setup
     u = feasible(problem, mesh, rng)
     state = solve_state(problem, system, u)
-    bundle = solve_adjoints(problem, system, state)
-    r = bundle.residuals1[0]
+    (residuals1, adjoint_means1), _ = solve_adjoints(problem, system, state)
+    r = residuals1[0]
     unit = pi0_project(solve_spd(system, assemble_point_load(mesh, problem.obs1, [1.0])))
-    assert np.abs(bundle.adjoint_means1 - r * unit.values).max() <= 1e-10 * max(1, abs(r))
+    assert np.abs(adjoint_means1 - r * unit.values).max() <= 1e-10 * max(1, abs(r))
 
 
 def test_discrete_greens_function_symmetry(setup):
@@ -153,53 +154,52 @@ def test_objectives_match_hand_composition(setup, rng):
     problem, mesh, system = setup
     u = feasible(problem, mesh, rng)
     state = solve_state(problem, system, u)
-    bundle = solve_adjoints(problem, system, state)
-    j = eval_objectives(problem, u, bundle)
+    (residuals1, _), (residuals2, _) = solve_adjoints(problem, system, state)
+    r, j = eval_objectives(problem, greens_function_means(problem, system), mesh.element_area, u.values)
     r1 = evaluate(state, problem.obs1) - problem.y1
     r2 = evaluate(state, problem.obs2) - problem.y2
-    assert np.allclose(bundle.residuals1, r1, rtol=0, atol=1e-13)
-    assert np.allclose(bundle.residuals2, r2, rtol=0, atol=1e-13)
+    assert np.allclose(residuals1, r1, rtol=0, atol=1e-13)
+    assert np.allclose(residuals2, r2, rtol=0, atol=1e-13)
+    assert np.allclose(r, np.concatenate((r1, r2)), rtol=0, atol=1e-13)
     assert j.j1 == pytest.approx(0.5 * (r1 @ r1) + 0.5 * problem.lambda1 * l2_norm(u) ** 2)
     assert j.j2 == pytest.approx(0.5 * (r2 @ r2) + 0.5 * problem.lambda2 * l2_norm(u) ** 2)
 
 
-def _zero_adjoint_bundle(mesh):
-    zero = np.zeros(mesh.num_triangles)
-    return StateAdjointBundle(np.zeros(1), np.zeros(1), zero, zero)
+def _zero_greens(problem, mesh):
+    """A zero Green's matrix: every adjoint mean vanishes."""
+    return np.zeros((len(problem.obs1) + len(problem.obs2), mesh.num_triangles))
 
 
 def test_grad_wsm_regularization_term_only(setup):
     problem, mesh, system = setup
     c = 1.7
-    u = PwcControl(mesh, np.full(mesh.num_triangles, c))
-    bundle = _zero_adjoint_bundle(mesh)
+    u = np.full(mesh.num_triangles, c)
+    greens = _zero_greens(problem, mesh)
     alpha = (0.3, 0.7)
-    g = grad_wsm(problem, bundle, u, alpha)
+    g = grad_wsm(problem, greens, np.ones(len(greens)), u, alpha)
     expected = (alpha[0] * problem.lambda1 + alpha[1] * problem.lambda2) * c
-    assert np.allclose(g.values, expected, atol=1e-14)
+    assert np.allclose(g, expected, atol=1e-14)
 
 
 def test_grad_wsm_rejects_degenerate_weights(setup):
     problem, mesh, system = setup
-    u = PwcControl(mesh, np.zeros(mesh.num_triangles))
-    bundle = _zero_adjoint_bundle(mesh)
+    u = np.zeros(mesh.num_triangles)
+    greens = _zero_greens(problem, mesh)
     for alpha in [(1.0, 0.0), (0.0, 1.0), (-0.2, 1.2), (0.5, 0.6), (np.nan, np.nan), (0.5, np.nan)]:
         with pytest.raises(ValueError):
-            grad_wsm(problem, bundle, u, alpha)
+            grad_wsm(problem, greens, np.zeros(len(greens)), u, alpha)
 
 
 def test_grad_rpm_trivial_cases(setup, rng):
     problem, mesh, system = setup
-    u = feasible(problem, mesh, rng)
-    state = solve_state(problem, system, u)
-    bundle = solve_adjoints(problem, system, state)
-    j = eval_objectives(problem, u, bundle)
-    zero_gap = grad_rpm(problem, bundle, u, (j.j1, j.j2), j)
-    assert np.abs(zero_gap.values).max() <= 1e-14
-    zb = _zero_adjoint_bundle(mesh)
-    g = grad_rpm(problem, zb, u, (0.0, 0.0), j)
-    expected = (j.j1 * problem.lambda1 + j.j2 * problem.lambda2) * u.values
-    assert np.allclose(g.values, expected, atol=1e-12)
+    u = feasible(problem, mesh, rng).values
+    greens = greens_function_means(problem, system)
+    r, j = eval_objectives(problem, greens, mesh.element_area, u)
+    zero_gap = grad_rpm(problem, greens, r, u, (j.j1, j.j2), j)
+    assert np.abs(zero_gap).max() <= 1e-14
+    g = grad_rpm(problem, _zero_greens(problem, mesh), r, u, (0.0, 0.0), j)
+    expected = (j.j1 * problem.lambda1 + j.j2 * problem.lambda2) * u
+    assert np.allclose(g, expected, atol=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["wsm", "rpm"])
@@ -239,11 +239,3 @@ def test_objective_convexity_surrogate(setup, rng):
             jm = objectives(problem, system, mix)
             assert jm.j1 <= t * ju.j1 + (1 - t) * jv.j1 + 1e-12
             assert jm.j2 <= t * ju.j2 + (1 - t) * jv.j2 + 1e-12
-
-
-def test_scalar_value_helpers():
-    from mopoisson.objective import ObjectivePair
-
-    j = ObjectivePair(3.0, 5.0)
-    assert wsm_value((0.25, 0.75), j) == pytest.approx(0.25 * 3 + 0.75 * 5)
-    assert rpm_value((1.0, 1.0), j) == pytest.approx(0.5 * (4.0 + 16.0))
