@@ -23,14 +23,12 @@ from .experiments import (
     benchmark_problem,
     estimate_rate,
     export_csv,
-    load_csv,
     run_convergence_rpm,
     run_convergence_wsm,
     run_front,
     shared_system,
 )
 from .fem import (
-    P1Function,
     SolverError,
     StiffnessSystem,
     assemble_load_pwc,
@@ -43,8 +41,6 @@ from .mesh import (
     MAX_LEVEL,
     TriMesh,
     build_uniform_mesh,
-    locate_point,
-    parent_elements,
 )
 from .objective import (
     ObjectivePair,

@@ -16,7 +16,6 @@ import numpy as np
 from .control import BoxBounds, write_control
 from .experiments import (
     ExperimentConfig,
-    compute_front,
     export_csv,
     run_convergence_rpm,
     run_convergence_wsm,
@@ -151,13 +150,11 @@ def _problem_from_args(args) -> ProblemData:
     )
 
 
-def _experiment_config(args, problem: ProblemData, levels=None, reference_level=None) -> ExperimentConfig:
-    if levels is None:
-        levels = tuple(int(v) for v in args.levels.split(","))
+def _experiment_config(args, problem: ProblemData, levels, reference_level) -> ExperimentConfig:
     config = ExperimentConfig(
         problem=problem,
         levels=levels,
-        reference_level=args.ref_level if reference_level is None else reference_level,
+        reference_level=reference_level,
         eps=args.eps,
         h_perp=args.h_perp,
         h_par=args.h_par,
@@ -204,19 +201,10 @@ def _run_single(args, method: str) -> int:
 
 def _run_front(args) -> int:
     problem = _problem_from_args(args)
-    with_reference = args.ref_level > args.level
-    config = _experiment_config(
-        args,
-        problem,
-        levels=(args.level,),
-        reference_level=args.ref_level if with_reference else args.level + 1,
-    )
-    if with_reference:
-        fronts, errors = run_front(config, args.method)
-    else:
-        # no finer reference requested: sweep the one level, skip the error series
-        fronts = {args.level: compute_front(config, args.method, args.level)}
-        errors = None
+    # a --ref-level at or below --level asks for no reference and no error series
+    reference_level = args.ref_level if args.ref_level > args.level else None
+    config = _experiment_config(args, problem, (args.level,), reference_level)
+    fronts, errors = run_front(config, args.method)
     args.out.mkdir(parents=True, exist_ok=True)
     tag = _lambda_tag(problem)
     front_path = args.out / f"front_{args.method}_{tag}.csv"
@@ -241,7 +229,8 @@ def _write_error_series(path: Path, level: int, errors: np.ndarray) -> None:
 
 def _run_convergence(args) -> int:
     problem = _problem_from_args(args)
-    config = _experiment_config(args, problem)
+    levels = tuple(int(v) for v in args.levels.split(","))
+    config = _experiment_config(args, problem, levels, args.ref_level)
     if args.method == "wsm":
         table = run_convergence_wsm(config, _parse_pairs(args.alphas, "--alphas"))
     else:

@@ -36,7 +36,6 @@ __all__ = [
     "compute_front",
     "run_front",
     "export_csv",
-    "load_csv",
 ]
 
 _FLOAT_FMT = ".9g"
@@ -75,11 +74,15 @@ def shared_system(level: int) -> tuple:
 
 @dataclass
 class ExperimentConfig:
-    """Study layout: levels, reference level, sweep sizes, solver knobs."""
+    """Study layout: levels, reference level, sweep sizes, solver knobs.
+
+    A ``reference_level`` of None sweeps fronts without an error series;
+    convergence studies reject it.
+    """
 
     problem: ProblemData
     levels: tuple = (2, 3, 4, 5)
-    reference_level: int = 8
+    reference_level: int | None = 8
     wsm_front_size: int = 50
     rpm_front_size: int = 12
     eps: float = 1e-3
@@ -99,7 +102,7 @@ class ExperimentConfig:
             raise ValueError("study levels must not repeat")
         if min(self.levels) < 0:
             raise ValueError("study levels must be nonnegative")
-        if not max(self.levels) < self.reference_level <= MAX_LEVEL:
+        if self.reference_level is not None and not max(self.levels) < self.reference_level <= MAX_LEVEL:
             raise ValueError(f"reference level must exceed every study level and be at most {MAX_LEVEL}")
         if min(self.wsm_front_size, self.rpm_front_size) < 2:
             raise ValueError("front sizes must be at least 2")
@@ -128,7 +131,7 @@ def estimate_rate(hs, errors) -> float:
     if hs.shape != errors.shape:
         raise ValueError("mesh sizes and errors differ in length")
     valid = np.isfinite(errors) & (errors > 0.0) & (hs > 0.0)
-    if np.unique(hs[valid]).size < 2:
+    if len(set(hs[valid].tolist())) < 2:
         return float("nan")
     return float(np.polyfit(np.log(hs[valid]), np.log(errors[valid]), 1)[0])
 
@@ -159,6 +162,12 @@ def _cache_key(config: ExperimentConfig, method: str, parameter, level: int) -> 
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
+def _reference_level(config: ExperimentConfig) -> int:
+    if config.reference_level is None:
+        raise ValueError("a convergence study needs a reference level")
+    return config.reference_level
+
+
 def _solve_at_level(
     config: ExperimentConfig, method: str, parameter, level: int
 ) -> SolveReport:
@@ -176,15 +185,16 @@ def _reference_control(
     Cache files are replaced atomically; an unreadable one is a miss that
     is recomputed and overwritten.
     """
+    level = _reference_level(config)
     cache_dir = config.output_dir / "cache"
     cache_dir.mkdir(parents=True, exist_ok=True)
-    path = cache_dir / f"{method}_{_cache_key(config, method, parameter, config.reference_level)}.ctrl"
+    path = cache_dir / f"{method}_{_cache_key(config, method, parameter, level)}.ctrl"
     if path.exists():
         try:
             return read_control(path)
         except ValueError as exc:
             warnings.warn(f"ignoring unreadable reference cache file: {exc}", RuntimeWarning)
-    report = _solve_at_level(config, method, parameter, config.reference_level)
+    report = _solve_at_level(config, method, parameter, level)
     if not report.converged:
         return None
     tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
@@ -249,7 +259,7 @@ def run_convergence_rpm(config: ExperimentConfig, zetas=None) -> ConvergenceTabl
 
 def reference_sweep_zetas(config: ExperimentConfig, steps=(2, 4, 7, 9)) -> list:
     """Reference points visited by the reference-level sweep at given steps."""
-    front = compute_front(config, "rpm", config.reference_level)
+    front = compute_front(config, "rpm", _reference_level(config))
     rpm_params = [e.parameter for e in front.entries if e.method == "rpm"]
     if max(steps) > len(rpm_params):
         raise ValueError(
@@ -279,16 +289,18 @@ def compute_front(config: ExperimentConfig, method: str, level: int) -> ParetoFr
     raise ValueError(f"unknown method {method!r}")
 
 
-def run_front(config: ExperimentConfig, method: str) -> tuple[dict, np.ndarray]:
-    """Fronts on every study level plus the reference level.
+def run_front(config: ExperimentConfig, method: str) -> tuple[dict, np.ndarray | None]:
+    """Fronts on every study level plus the reference level, if there is one.
 
     Returns the fronts keyed by level and the per-parameter front errors:
     Euclidean distances between the objective pairs of each study level and
-    the reference level, matched by sweep position.
+    the reference level, matched by sweep position.  Without a reference
+    level the errors are None.
     """
-    fronts = {}
-    for level in list(config.levels) + [config.reference_level]:
-        fronts[level] = compute_front(config, method, level)
+    fronts = {level: compute_front(config, method, level) for level in config.levels}
+    if config.reference_level is None:
+        return fronts, None
+    fronts[config.reference_level] = compute_front(config, method, config.reference_level)
 
     ref_objectives = fronts[config.reference_level].objective_array()
     errors = np.full((len(config.levels), ref_objectives.shape[0]), np.nan)
@@ -355,18 +367,3 @@ def export_csv(data, path) -> None:
     except OSError as exc:
         raise OSError(f"cannot write CSV to {path}: {exc}") from exc
 
-
-def load_csv(path) -> tuple[list, list]:
-    """Read back an exported CSV: (header, rows of strings)."""
-    import csv
-
-    path = Path(path)
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            rows = list(reader)
-    except OSError as exc:
-        raise OSError(f"cannot read CSV from {path}: {exc}") from exc
-    if not rows:
-        raise ValueError(f"{path}: empty CSV")
-    return rows[0], rows[1:]

@@ -1,6 +1,8 @@
 import ast
 import importlib
 import pkgutil
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -28,3 +30,21 @@ def test_every_exported_name_is_defined(name):
     module = importlib.import_module(f"mopoisson.{name}")
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert not missing
+
+
+def test_src_imports_only_stdlib_and_numpy():
+    package = Path(mopoisson.__file__).resolve().parent
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    imported = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert imported and imported <= allowed, imported - allowed
+
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = package.parents[1] / "pyproject.toml"
+    dependencies = tomllib.loads(pyproject.read_text())["project"]["dependencies"]
+    assert [re.match(r"[A-Za-z0-9_.-]+", d).group() for d in dependencies] == ["numpy"]

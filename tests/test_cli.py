@@ -1,7 +1,9 @@
+import csv
+
 import pytest
 
+from mopoisson import ParetoFront, experiments, read_control
 from mopoisson.cli import main
-from mopoisson import load_csv, read_control
 
 
 def test_solve_wsm_writes_control_and_reports(tmp_path, capsys):
@@ -92,11 +94,13 @@ def test_front_subcommand_writes_csv(tmp_path):
         "--points", "3", "--out", str(tmp_path),
     ])
     assert code == 0
-    header, rows = load_csv(tmp_path / "front_wsm_0.1_0.1.csv")
+    with open(tmp_path / "front_wsm_0.1_0.1.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
     assert header == ["param1", "param2", "j1", "j2", "iterations", "converged"]
     assert len(rows) == 3
     assert all(r[5] == "1" for r in rows)
-    err_header, err_rows = load_csv(tmp_path / "front_error_wsm_0.1_0.1.csv")
+    with open(tmp_path / "front_error_wsm_0.1_0.1.csv", newline="") as fh:
+        err_header, *err_rows = csv.reader(fh)
     assert len(err_rows) == 3
 
 
@@ -110,13 +114,29 @@ def test_front_without_reference_skips_error_series(tmp_path):
     assert not (tmp_path / "front_error_rpm_0.1_0.1.csv").exists()
 
 
+def test_front_at_the_top_level_needs_no_reference(tmp_path, monkeypatch):
+    # the sweep is stubbed, so no level-14 mesh is built
+    swept = []
+
+    def fake_front(config, method, level):
+        swept.append(level)
+        return ParetoFront(entries=[])
+
+    monkeypatch.setattr(experiments, "compute_front", fake_front)
+    assert main(["front", "--method", "wsm", "--level", "14", "--out", str(tmp_path)]) == 0
+    assert swept == [14]
+    assert (tmp_path / "front_wsm_0.1_0.1.csv").exists()
+    assert not list(tmp_path.glob("front_error_*.csv"))
+
+
 def test_convergence_subcommand(tmp_path, capsys):
     code = main([
         "convergence", "--method", "wsm", "--alphas", "0.5,0.5",
         "--levels", "2,3", "--ref-level", "4", "--out", str(tmp_path),
     ])
     assert code == 0
-    header, rows = load_csv(tmp_path / "convergence_wsm.csv")
+    with open(tmp_path / "convergence_wsm.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
     assert header == ["h", "alpha=(0.5,0.5)"]
     assert rows[-1][0] == "rate"
     errors = [float(r[1]) for r in rows[:-1]]

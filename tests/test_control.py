@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from mopoisson import (
     BoxBounds,
-    P1Function,
     PwcControl,
     build_uniform_mesh,
     clip_to_box,
@@ -19,6 +18,7 @@ from mopoisson import (
     read_control,
     write_control,
 )
+from mopoisson.fem import P1Function
 
 BENCH_BOX = BoxBounds(-7.0, 15.0)
 

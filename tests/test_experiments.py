@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from mopoisson import (
     benchmark_problem,
     estimate_rate,
     export_csv,
-    load_csv,
     read_control,
     run_convergence_rpm,
     run_convergence_wsm,
@@ -239,7 +240,8 @@ def test_export_csv_round_trip(tmp_path):
     )
     path = tmp_path / "table.csv"
     export_csv(table, path)
-    header, rows = load_csv(path)
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
     assert header == ["h", "alpha=(0.2,0.8)"]
     assert rows[-1][0] == "rate"
     values = [float(r[1]) for r in rows[:-1]]
@@ -252,7 +254,8 @@ def test_export_csv_round_trip(tmp_path):
 def test_export_csv_empty_front(tmp_path):
     path = tmp_path / "front.csv"
     export_csv(ParetoFront(entries=[]), path)
-    header, rows = load_csv(path)
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
     assert header == ["param1", "param2", "j1", "j2", "iterations", "converged"]
     assert rows == []
 

@@ -1,12 +1,8 @@
 import numpy as np
 import pytest
 
-from mopoisson import (
-    MAX_LEVEL,
-    build_uniform_mesh,
-    locate_point,
-    parent_elements,
-)
+from mopoisson import MAX_LEVEL, build_uniform_mesh
+from mopoisson.mesh import locate_point, parent_elements
 from oracles import brute_force_locate, parent_elements_closed_form
 
 
