@@ -73,7 +73,7 @@ def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--h-par", type=float, default=0.2, help="reference-point offset (parallel)")
     parser.add_argument("--points", type=int, default=None, help="sweep size (default 50 WSM, 12 RPM)")
     parser.add_argument("--out", type=Path, default=Path("out"), help="output directory")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel cells in convergence studies")
+    parser.add_argument("--jobs", type=int, default=1, help="threads for the study-level solves of convergence tables")
     parser.add_argument("--cold-start", action="store_true", help="disable warm starts along sweeps")
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from .control import BoxBounds, PwcControl, l2_error, read_control, write_control
 from .fem import assemble_stiffness
 from .mesh import MAX_LEVEL, build_uniform_mesh
-from .objective import ProblemData
+from .objective import ProblemData, _check_weights
 from .scalarize import BBConfig, ParetoFront, SolveReport, rpm_front, solve_rpm, solve_wsm, wsm_front
 
 __all__ = [
@@ -215,15 +215,15 @@ def _run_convergence(config: ExperimentConfig, method: str, parameters, labels) 
     def cell(args):
         index, parameter, level = args
         if refs[index] is None:
-            return np.nan
+            return None
         report = _solve_at_level(config, method, parameter, level)
-        if not report.converged:
-            return np.nan
-        return l2_error(report.control, refs[index])
+        return report.control if report.converged else None
 
     tasks = [(ip, p, level) for level in config.levels for ip, p in enumerate(parameters)]
     with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-        flat = list(pool.map(cell, tasks))
+        controls = list(pool.map(cell, tasks))
+    # Reference-size temporaries stay on this thread, so peak memory does not grow with jobs.
+    flat = [np.nan if u is None else l2_error(u, refs[ip]) for u, (ip, _, _) in zip(controls, tasks)]
 
     errors = np.array(flat).reshape(len(config.levels), len(parameters))
     hs = np.array([2.0 ** -level for level in config.levels])
@@ -236,9 +236,10 @@ def run_convergence_wsm(config: ExperimentConfig, alphas) -> ConvergenceTable:
 
     Each weight pair is solved once on the reference level (cached to disk)
     and then on every study level; non-converged solves mark their cell NaN
-    and the table is still emitted.
+    and the table is still emitted.  Every weight pair is checked before
+    the first solve.
     """
-    alphas = [tuple(float(v) for v in a) for a in alphas]
+    alphas = [_check_weights(a) for a in alphas]
     labels = [f"alpha=({a[0]:g},{a[1]:g})" for a in alphas]
     return _run_convergence(config, "wsm", alphas, labels)
 
@@ -248,11 +249,14 @@ def run_convergence_rpm(config: ExperimentConfig, zetas=None) -> ConvergenceTabl
 
     The reference points stay fixed across levels so coarse and reference
     solves approximate the same problem; by default they are taken from the
-    reference-level sweep at steps 2, 4, 7, and 9.
+    reference-level sweep at steps 2, 4, 7, and 9.  Explicit points are
+    checked before the first solve.
     """
     if zetas is None:
         zetas = reference_sweep_zetas(config)
     zetas = [tuple(float(v) for v in z) for z in zetas]
+    if not np.all(np.isfinite(zetas)):
+        raise ValueError("reference point must be finite")
     labels = [f"zeta=({z[0]:g},{z[1]:g})" for z in zetas]
     return _run_convergence(config, "rpm", zetas, labels)
 

@@ -149,7 +149,7 @@ def locate_point(mesh: TriMesh, points) -> tuple[np.ndarray, np.ndarray]:
 
 
 def parent_elements(fine: TriMesh, coarse: TriMesh) -> np.ndarray:
-    """Index of the coarse ancestor of every fine triangle (read-only).
+    """Index of the coarse ancestor of every fine triangle (read-only int32).
 
     Pure index arithmetic on the nested family; no geometry is evaluated.
     The map depends on the two levels only and is computed once per pair.
@@ -166,7 +166,8 @@ def _parent_map(fine_level: int, coarse_level: int) -> np.ndarray:
     nf = 2 ** fine_level
     nc = 2 ** coarse_level
 
-    t = np.arange(2 * nf * nf, dtype=np.int64)
+    # int32 halves the map: 2 * 4**MAX_LEVEL < 2**31 bounds every index.
+    t = np.arange(2 * nf * nf, dtype=np.int32)
     cell = t >> 1
     kind = t & 1
     ixf = cell % nf

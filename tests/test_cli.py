@@ -48,6 +48,17 @@ def test_bad_study_levels_exit_two_before_any_reference_solve(tmp_path, solve_ca
     assert not (tmp_path / "cache").exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["--method", "wsm", "--alphas", "0.5,0.5;0.2,0.7"],
+    ["--method", "wsm", "--alphas", "1,0"],
+    ["--method", "rpm", "--zetas", "nan,1"],
+])
+def test_bad_study_parameters_exit_two_before_any_reference_solve(tmp_path, solve_calls, args):
+    assert main(["convergence", *args, "--levels", "2,3", "--ref-level", "5", "--out", str(tmp_path)]) == 2
+    assert not solve_calls
+    assert not (tmp_path / "cache").exists()
+
+
 def test_unusable_paths_exit_two(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("")

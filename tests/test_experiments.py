@@ -1,4 +1,5 @@
 import csv
+import threading
 
 import numpy as np
 import pytest
@@ -172,11 +173,41 @@ def test_study_computes_greens_means_once_per_level(tmp_path, solve_calls, jobs)
     assert len(solve_calls) == 4
 
 
-def test_parallel_cells_match_sequential(tmp_path):
+@pytest.mark.parametrize("jobs", [1, 2, 4])
+def test_parallel_cells_match_sequential(tmp_path, jobs):
     problem = benchmark_problem()
-    sequential = run_convergence_wsm(small_config(problem, tmp_path / "a"), [(0.3, 0.7), (0.7, 0.3)])
-    parallel = run_convergence_wsm(small_config(problem, tmp_path / "b", jobs=4), [(0.3, 0.7), (0.7, 0.3)])
-    assert np.array_equal(sequential.errors, parallel.errors)
+    alphas = [(0.3, 0.7), (0.7, 0.3)]
+    sequential = run_convergence_wsm(small_config(problem, tmp_path / "a"), alphas)
+    for _ in ("cold", "cached"):
+        parallel = run_convergence_wsm(small_config(problem, tmp_path / "b", jobs=jobs), alphas)
+        assert np.array_equal(sequential.errors, parallel.errors)
+
+
+def test_errors_and_references_stay_on_the_calling_thread(tmp_path, monkeypatch):
+    from mopoisson import experiments
+
+    calls = []
+
+    def recorded(name, fn, when=lambda *args: True):
+        def wrapper(*args):
+            if when(*args):
+                calls.append((name, threading.get_ident()))
+            return fn(*args)
+
+        return wrapper
+
+    config = small_config(benchmark_problem(), tmp_path, jobs=4)
+    monkeypatch.setattr(experiments, "l2_error", recorded("error", experiments.l2_error))
+    monkeypatch.setattr(experiments, "read_control", recorded("read", experiments.read_control))
+    monkeypatch.setattr(experiments, "_solve_at_level", recorded(
+        "reference", experiments._solve_at_level, lambda c, m, p, level: level == config.reference_level
+    ))
+    alphas = [(0.3, 0.7), (0.7, 0.3)]
+    for expected in (["error"] * 4 + ["reference"] * 2, ["error"] * 4 + ["read"] * 2):
+        calls.clear()
+        run_convergence_wsm(config, alphas)
+        assert sorted(name for name, _ in calls) == expected
+        assert {ident for _, ident in calls} == {threading.get_ident()}
 
 
 def test_rpm_convergence_with_explicit_zetas(tmp_path):

@@ -157,7 +157,13 @@ def test_parent_map_is_memoized_and_read_only(fine_level):
         parents = parent_elements(fine, coarse)
         assert parent_elements(build_uniform_mesh(fine_level), coarse) is parents
         assert not parents.flags.writeable
+        assert parents.dtype == np.int32
         assert np.array_equal(parents, parent_elements_closed_form(fine_level, coarse_level))
+
+
+def test_int32_holds_every_triangle_index_up_to_max_level():
+    # arithmetic only: the level-14 map itself would take 2 GiB
+    assert 2 * 4 ** MAX_LEVEL < 2 ** 31
 
 
 def test_parent_map_under_concurrent_first_calls(race):
