@@ -88,16 +88,13 @@ def prolong(u: PwcControl, fine: TriMesh) -> PwcControl:
     Each fine triangle inherits the value of its coarse ancestor, so the
     function is preserved pointwise and the L2 norm exactly.
     """
-    if fine.level < u.mesh.level:
-        raise ValueError("target mesh must not be coarser than the control's mesh")
-    if fine.level == u.mesh.level:
-        return PwcControl(fine, u.values.copy())
-    return PwcControl(fine, u.values[parent_elements(fine, u.mesh)])
+    return PwcControl(fine, u.values.take(parent_elements(fine, u.mesh)))
 
 
 def l2_error(u_coarse: PwcControl, u_ref: PwcControl) -> float:
     """L2 distance after prolonging the coarse control to the reference mesh."""
-    diff = prolong(u_coarse, u_ref.mesh).values - u_ref.values
+    diff = prolong(u_coarse, u_ref.mesh).values  # a fresh gather, so subtract in place
+    diff -= u_ref.values
     return math.sqrt(u_ref.mesh.element_area * float(diff @ diff))
 
 
@@ -105,8 +102,17 @@ def pi0_project(f: "P1Function") -> PwcControl:
     """L2-orthogonal projection onto piecewise constants: per-element means.
 
     Satisfies ``(f - pi0 f, w) = 0`` for every piecewise-constant ``w``.
+    Each mean sums the vertex values as ``(a + b) + c`` on node-grid slices, then divides by 3.
     """
-    return PwcControl(f.mesh, f.nodal_values[f.mesh.triangles].mean(axis=1))
+    n = f.mesh.cells_per_side
+    g = f.nodal_values.reshape(n + 1, n + 1)
+    means = np.empty((n, n, 2))
+    np.add(g[:-1, :-1], g[:-1, 1:], out=means[..., 0])
+    means[..., 0] += g[1:, 1:]
+    np.add(g[:-1, :-1], g[1:, 1:], out=means[..., 1])
+    means[..., 1] += g[1:, :-1]
+    means /= 3
+    return PwcControl(f.mesh, means.ravel())
 
 
 def write_control(u: PwcControl, path) -> None:

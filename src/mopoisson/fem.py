@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from numpy.fft import rfft
 
-from .mesh import TriMesh, locate_point
+from .mesh import TriMesh, locate_point, triangle_nodes
 
 if TYPE_CHECKING:
     from .control import PwcControl
@@ -44,7 +44,9 @@ class SolverError(RuntimeError):
 class P1Function:
     """Continuous piecewise-linear function given by its nodal values.
 
-    Members of the zero-boundary space carry exact zeros on boundary nodes.
+    The values are the row-major ravel of the mesh's ``(n+1, n+1)`` node
+    grid.  Members of the zero-boundary space carry exact zeros on boundary
+    nodes.
     """
 
     mesh: TriMesh
@@ -64,19 +66,18 @@ class StiffnessSystem:
     On this mesh family the P1 stiffness matrix is exactly the 5-point
     Laplacian, which the orthonormal type-1 discrete sine transform (DST-I)
     diagonalizes: the classical fast Poisson solver (Hockney, J. ACM 12,
-    1965; Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7, 1970).  Unknown
-    ``k`` sits at node ``interior_nodes[k]``, row-major on the ``(n-1)^2``
-    grid.  No lock is needed: racing first calls of :meth:`factorize`
-    compute the same array twice, which is harmless.
+    1965; Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7, 1970).  The
+    unknowns are the interior ``[1:-1, 1:-1]`` of the node grid, row-major.
+    No lock is needed: racing first calls of :meth:`factorize` compute the
+    same array twice, which is harmless.
     """
 
     mesh: TriMesh
-    interior_nodes: np.ndarray
     _eig: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def num_unknowns(self) -> int:
-        return self.interior_nodes.shape[0]
+        return (self.mesh.cells_per_side - 1) ** 2
 
     def factorize(self) -> "StiffnessSystem":
         """Cache the eigenvalues ``4 sin^2(i pi/2n) + 4 sin^2(j pi/2n)`` on the unknown grid."""
@@ -100,7 +101,7 @@ class StiffnessSystem:
 
 def assemble_stiffness(mesh: TriMesh) -> StiffnessSystem:
     """The interior-node stiffness system of ``mesh``; nothing is assembled."""
-    return StiffnessSystem(mesh=mesh, interior_nodes=np.flatnonzero(mesh.interior_mask))
+    return StiffnessSystem(mesh=mesh)
 
 
 def _check_mesh(mesh: TriMesh, other: TriMesh, what: str) -> None:
@@ -112,12 +113,19 @@ def assemble_load_pwc(mesh: TriMesh, u: "PwcControl") -> np.ndarray:
     """Interior load vector of a piecewise-constant source.
 
     The exact integral of a hat function against a constant contributes
-    ``u_T |T| / 3`` to each vertex of ``T``.
+    ``u_T |T| / 3`` to each vertex of ``T``: per cell, the lower triangle
+    to nodes ``v00, v10, v11`` and the upper one to ``v00, v11, v01``.
     """
     _check_mesh(mesh, u.mesh, "control")
-    full = np.zeros(mesh.num_nodes)
-    np.add.at(full, mesh.triangles.ravel(), np.repeat(u.values * (mesh.element_area / 3.0), 3))
-    return full[mesh.interior_mask]
+    n = mesh.cells_per_side
+    w = (u.values * (mesh.element_area / 3.0)).reshape(n, n, 2)
+    both = w[..., 0] + w[..., 1]
+    full = np.zeros((n + 1, n + 1))
+    full[:-1, :-1] += both
+    full[1:, 1:] += both
+    full[:-1, 1:] += w[..., 0]
+    full[1:, :-1] += w[..., 1]
+    return full[1:-1, 1:-1].ravel()
 
 
 def assemble_point_load(mesh: TriMesh, points, coeffs) -> np.ndarray:
@@ -132,9 +140,10 @@ def assemble_point_load(mesh: TriMesh, points, coeffs) -> np.ndarray:
     if not ((points > 0.0) & (points < 1.0)).all():
         raise ValueError("observation points must be interior")
     elements, bary = locate_point(mesh, points)
-    full = np.zeros(mesh.num_nodes)
-    np.add.at(full, mesh.triangles[elements], bary * coeffs[:, None])
-    return full[mesh.interior_mask]
+    n = mesh.cells_per_side
+    full = np.zeros((n + 1, n + 1))
+    np.add.at(full.reshape(-1), triangle_nodes(mesh, elements), bary * coeffs[:, None])
+    return full[1:-1, 1:-1].ravel()
 
 
 def _dst1(a: np.ndarray) -> np.ndarray:
@@ -167,9 +176,6 @@ def solve_spd(system: StiffnessSystem, rhs: np.ndarray, tol: float = LINEAR_TOL)
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
 
-    full = np.zeros(system.mesh.num_nodes)
-    if system.num_unknowns == 0:
-        return P1Function(system.mesh, full)
     eig = system.factorize()._eig
 
     def inverse(b):
@@ -184,11 +190,13 @@ def solve_spd(system: StiffnessSystem, rhs: np.ndarray, tol: float = LINEAR_TOL)
     residual = float(np.linalg.norm(r))
     if residual > target:
         raise SolverError(f"DST residual {residual:.3e} exceeds tolerance {target:.3e}", residual=residual)
-    full[system.interior_nodes] = x
-    return P1Function(system.mesh, full)
+    n = system.mesh.cells_per_side
+    full = np.zeros((n + 1, n + 1))
+    full[1:-1, 1:-1] = x.reshape(eig.shape)
+    return P1Function(system.mesh, full.ravel())
 
 
 def evaluate(f: P1Function, points) -> np.ndarray:
     """Values at ``points`` by barycentric interpolation; exact for linear nodal data."""
     elements, bary = locate_point(f.mesh, points)
-    return (bary * f.nodal_values[f.mesh.triangles[elements]]).sum(axis=1)
+    return (bary * f.nodal_values[triangle_nodes(f.mesh, elements)]).sum(axis=1)

@@ -20,6 +20,7 @@ __all__ = [
     "build_uniform_mesh",
     "locate_point",
     "parent_elements",
+    "triangle_nodes",
 ]
 
 # At level 14 one float64 value per triangle (2 * 4**14, about 5.4e8) already
@@ -34,32 +35,22 @@ _BARY_TOL = 1e-12
 class TriMesh:
     """Uniform triangulation of the closed unit square at a refinement level.
 
+    No coordinate or connectivity array is stored.  With ``n = 2**level``,
+    node ``iy*(n+1) + ix`` sits at ``(ix/n, iy/n)``: nodal values ravel an
+    ``(n+1, n+1)`` grid.  Cell ``c = iy*n + ix`` owns triangles ``2*c``
+    below its diagonal, with vertices ``(v00, v10, v11)``, and ``2*c + 1``
+    above it, with ``(v00, v11, v01)``, where ``vab`` is the node at
+    ``(ix + a, iy + b)``; both are counter-clockwise.
+
     Attributes
     ----------
     level : int
-        Refinement level; the mesh size is ``h = 2**-level`` and the grid
-        has ``2**level`` cells per side.
-    nodes : ndarray, shape (num_nodes, 2)
-        Vertex coordinates; node ``iy*(n+1) + ix`` sits at ``(ix*h, iy*h)``.
-        Coordinates are computed as ``i / 2**level`` so nodes are
-        bit-identical across levels.
-    triangles : ndarray, shape (num_triangles, 3)
-        Counter-clockwise vertex indices.  Cell ``(ix, iy)`` owns triangles
-        ``2*c`` (below its diagonal) and ``2*c + 1`` (above it) where
-        ``c = iy*n + ix``.
-    interior_mask : ndarray of bool, shape (num_nodes,)
-        False exactly for nodes with a coordinate in {0, 1}.
+        Refinement level; the mesh size is ``h = 2**-level``.
     element_area : float
         Common triangle area ``h**2 / 2``.
-
-    Instances are immutable after construction (arrays are read-only) and
-    safe for concurrent read access.
     """
 
     level: int
-    nodes: np.ndarray
-    triangles: np.ndarray
-    interior_mask: np.ndarray
     element_area: float
 
     @property
@@ -68,19 +59,19 @@ class TriMesh:
 
     @property
     def num_nodes(self) -> int:
-        return self.nodes.shape[0]
+        return (2 ** self.level + 1) ** 2
 
     @property
     def num_triangles(self) -> int:
-        return self.triangles.shape[0]
+        return 2 * 4 ** self.level
 
 
 @functools.lru_cache(maxsize=MAX_LEVEL + 1)
 def build_uniform_mesh(level: int) -> TriMesh:
-    """Build the level-``level`` mesh of the family, once per level.
+    """The level-``level`` mesh of the family, once per level.
 
     Each grid square ``[ih,(i+1)h] x [jh,(j+1)h]`` is split by the diagonal
-    from ``(ih, jh)`` to ``((i+1)h, (j+1)h)``.  Meshes are read-only, so
+    from ``(ih, jh)`` to ``((i+1)h, (j+1)h)``.  Meshes are immutable, so
     every caller of a level shares one.
     """
     level = int(level)
@@ -88,35 +79,15 @@ def build_uniform_mesh(level: int) -> TriMesh:
         raise ValueError("level must be nonnegative")
     if level > MAX_LEVEL:
         raise ValueError(f"level {level} exceeds the supported cap {MAX_LEVEL}")
+    return TriMesh(level=level, element_area=2.0 ** (-2 * level - 1))
 
-    n = 2 ** level
-    side = np.arange(n + 1, dtype=np.float64) / n
-    xs, ys = np.meshgrid(side, side)
-    nodes = np.column_stack([xs.ravel(), ys.ravel()])
 
-    ix, iy = np.meshgrid(np.arange(n, dtype=np.int64), np.arange(n, dtype=np.int64))
-    v00 = (iy * (n + 1) + ix).ravel()
-    v10 = v00 + 1
-    v01 = v00 + (n + 1)
-    v11 = v01 + 1
-
-    triangles = np.empty((2 * n * n, 3), dtype=np.int64)
-    triangles[0::2] = np.column_stack([v00, v10, v11])
-    triangles[1::2] = np.column_stack([v00, v11, v01])
-
-    gx, gy = np.meshgrid(np.arange(n + 1), np.arange(n + 1))
-    interior = ((gx > 0) & (gx < n) & (gy > 0) & (gy < n)).ravel()
-
-    for arr in (nodes, triangles, interior):
-        arr.setflags(write=False)
-
-    return TriMesh(
-        level=level,
-        nodes=nodes,
-        triangles=triangles,
-        interior_mask=interior,
-        element_area=2.0 ** (-2 * level - 1),
-    )
+def triangle_nodes(mesh: TriMesh, elements) -> np.ndarray:
+    """Vertex node indices ``(m, 3)`` of triangles ``elements``, from their cell indices."""
+    n = mesh.cells_per_side
+    cell, upper = elements >> 1, elements & 1
+    v00 = cell + cell // n  # iy*(n+1) + ix with cell = iy*n + ix
+    return v00[:, None] + np.stack([np.zeros_like(upper), 1 + upper * (n + 1), n + 2 - upper], axis=1)
 
 
 def locate_point(mesh: TriMesh, points) -> tuple[np.ndarray, np.ndarray]:

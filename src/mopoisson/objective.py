@@ -18,6 +18,7 @@ from .control import BoxBounds, PwcControl, pi0_project
 from .fem import P1Function, StiffnessSystem, assemble_load_pwc, assemble_point_load, evaluate, solve_spd
 
 __all__ = [
+    "MAX_MAGNITUDE",
     "ProblemData",
     "ObjectivePair",
     "solve_state",
@@ -28,14 +29,18 @@ __all__ = [
     "grad_rpm",
 ]
 
+# Largest accepted |desired value|, |weight| and |box bound|: their squares and products stay finite.
+MAX_MAGNITUDE = 1e100
+
 
 @dataclass(frozen=True)
 class ProblemData:
     """Observation points, desired values, weights, and box bounds.
 
     ``obs1``/``obs2`` are (n_k, 2) arrays of strictly interior points with
-    finite desired values ``y1``/``y2``; ``lambda1``/``lambda2`` are the
-    positive, finite control-cost weights of the two criteria.  Instances
+    desired values ``y1``/``y2``; ``lambda1``/``lambda2`` are the positive
+    control-cost weights of the two criteria.  These values and the box
+    bounds are at most :data:`MAX_MAGNITUDE` in magnitude.  Instances
     are immutable (the arrays are read-only copies), so the Green's function
     means of a mesh level, kept in ``_greens`` by the solver's first solve at
     that level, stay valid for every later solve.
@@ -63,12 +68,14 @@ class ProblemData:
                 raise ValueError(f"observation set {k} and desired values do not match")
             if not np.all((obs > 0.0) & (obs < 1.0)):
                 raise ValueError(f"observation set {k} must lie strictly inside the domain")
-            if not np.all(np.isfinite(des)):
-                raise ValueError(f"desired values of observation set {k} must be finite")
+            if not np.all(np.abs(des) <= MAX_MAGNITUDE):
+                raise ValueError(f"desired values of set {k} must be at most {MAX_MAGNITUDE:g} in magnitude")
         object.__setattr__(self, "lambda1", float(self.lambda1))
         object.__setattr__(self, "lambda2", float(self.lambda2))
-        if not (0.0 < self.lambda1 < np.inf and 0.0 < self.lambda2 < np.inf):
-            raise ValueError("regularization weights must be positive and finite")
+        if not (0.0 < self.lambda1 <= MAX_MAGNITUDE and 0.0 < self.lambda2 <= MAX_MAGNITUDE):
+            raise ValueError(f"regularization weights must be positive and at most {MAX_MAGNITUDE:g}")
+        if not max(abs(self.bounds.ua), abs(self.bounds.ub)) <= MAX_MAGNITUDE:
+            raise ValueError(f"box bounds must be at most {MAX_MAGNITUDE:g} in magnitude")
 
 
 @dataclass(frozen=True)
@@ -163,7 +170,8 @@ def _weighted_gradient(
     n1 = problem.y1.shape[0]
     cr = np.concatenate((c1 * r[:n1], c2 * r[n1:]))
     # G^T (c r) as np.dot(c r, G): one gemv on the row-major G
-    return np.dot(cr, greens) + (c1 * problem.lambda1 + c2 * problem.lambda2) * u
+    g = np.dot(cr, greens)
+    return np.add(g, (c1 * problem.lambda1 + c2 * problem.lambda2) * u, out=g)
 
 
 def grad_wsm(problem: ProblemData, greens: np.ndarray, r: np.ndarray, u: np.ndarray, alpha) -> np.ndarray:

@@ -121,7 +121,8 @@ def bb_projected_gradient(
     accepted iterate both fall below ``config.tol``.  Exhausting
     ``max_iter`` returns a non-converged report instead of raising.
     Degenerate or nonpositive curvature denominators fall back to a unit
-    step and are counted in the report.
+    step and are counted in the report.  The starting values and the
+    gradients of ``grad_eval`` are never written.
     """
     bounds = problem.bounds
     _require_feasible(u0, bounds, "u0")
@@ -141,14 +142,17 @@ def bb_projected_gradient(
     fp_residual = np.inf
 
     while iterations < config.max_iter:
-        fixed_point = np.clip(u - g, bounds.ua, bounds.ub)
-        fp_residual = np.sqrt(area * float(((u - fixed_point) ** 2).sum()))
+        # Three fresh arrays, reused in place: fixed_point -> step gap, du -> u - u_prev, dg -> u_next.
+        fixed_point = np.subtract(u, g)
+        np.clip(fixed_point, bounds.ua, bounds.ub, out=fixed_point)
+        du = np.subtract(u, fixed_point)
+        fp_residual = np.sqrt(area * float(np.square(du, out=du).sum()))
         if step_gap <= config.tol and fp_residual <= config.tol:
             converged = True
             break
 
-        dg = g - g_prev
-        du = u - u_prev
+        dg = np.subtract(g, g_prev)
+        du = np.subtract(u, u_prev, out=du)
         dg_sq = area * float(dg @ dg)
         curvature = area * float(dg @ du)
         du_sq = area * float(du @ du)
@@ -158,12 +162,15 @@ def bb_projected_gradient(
         else:
             step = curvature / dg_sq  # 1 / t_l
 
-        u_next = np.clip(u - step * g, bounds.ua, bounds.ub)
-        gap = u_next - fixed_point
-        step_gap = np.sqrt(area * float(gap @ gap))
+        u_next = np.multiply(g, step, out=dg)
+        np.subtract(u, u_next, out=u_next)
+        np.clip(u_next, bounds.ua, bounds.ub, out=u_next)
+        np.subtract(u_next, fixed_point, out=fixed_point)
+        step_gap = np.sqrt(area * float(fixed_point @ fixed_point))
 
         u_prev, g_prev = u, g
         u = u_next
+        del fixed_point, du  # freed before the gradient allocates, whose arrays then reuse them
         g, objectives = grad_eval(u)
         iterations += 1
 

@@ -1,9 +1,10 @@
 """Independent reference computations the tests check the library against.
 
 Everything here recomputes quantities through a different route than the
-implementation: dense assembly from basis-coefficient solves, numerical
-quadrature, finite differences, brute-force searches, centroid tests, and a
-fixed-step projected-gradient optimizer.
+implementation: explicit node and triangle arrays, dense assembly from
+basis-coefficient solves, numerical quadrature, finite differences,
+brute-force searches, centroid tests, a fixed-step projected-gradient
+optimizer, and the BB loop with one fresh array per operation.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import numpy as np
 from mopoisson import (
     ObjectivePair,
     PwcControl,
+    SolveReport,
     assemble_load_pwc,
     assemble_point_load,
     clip_to_box,
@@ -26,6 +28,7 @@ from mopoisson import (
     solve_spd,
     solve_state,
 )
+from mopoisson.mesh import locate_point
 
 # 3-point interior Gauss rule on the triangle, exact for quadratics.
 _GAUSS_BARY = np.array([
@@ -35,12 +38,78 @@ _GAUSS_BARY = np.array([
 ])
 
 
+def mesh_nodes(mesh) -> np.ndarray:
+    """Node coordinates ``(num_nodes, 2)``: node ``iy*(n+1) + ix`` at ``(ix/n, iy/n)``."""
+    n = mesh.cells_per_side
+    side = np.arange(n + 1, dtype=np.float64) / n
+    xs, ys = np.meshgrid(side, side)
+    return np.column_stack([xs.ravel(), ys.ravel()])
+
+
+def mesh_triangles(mesh) -> np.ndarray:
+    """Counter-clockwise vertex indices ``(num_triangles, 3)``, two triangles per cell."""
+    n = mesh.cells_per_side
+    ix, iy = np.meshgrid(np.arange(n, dtype=np.int64), np.arange(n, dtype=np.int64))
+    v00 = (iy * (n + 1) + ix).ravel()
+    v10, v01 = v00 + 1, v00 + (n + 1)
+    v11 = v01 + 1
+    triangles = np.empty((2 * n * n, 3), dtype=np.int64)
+    triangles[0::2] = np.column_stack([v00, v10, v11])
+    triangles[1::2] = np.column_stack([v00, v11, v01])
+    return triangles
+
+
+def interior_mask(mesh) -> np.ndarray:
+    """False exactly for the nodes on the first or last grid row or column."""
+    n = mesh.cells_per_side
+    gx, gy = np.meshgrid(np.arange(n + 1), np.arange(n + 1))
+    return ((gx > 0) & (gx < n) & (gy > 0) & (gy < n)).ravel()
+
+
+def interior_nodes(mesh) -> np.ndarray:
+    """Node index of every unknown of the stiffness system."""
+    return np.flatnonzero(interior_mask(mesh))
+
+
+def gather_pi0(f) -> np.ndarray:
+    """Element means by gathering each triangle's three nodal values."""
+    return f.nodal_values[mesh_triangles(f.mesh)].mean(axis=1)
+
+
+def gather_load_pwc(mesh, u: PwcControl) -> np.ndarray:
+    """Interior load of a piecewise-constant source, scattered vertex by vertex."""
+    full = np.zeros(mesh.num_nodes)
+    np.add.at(full, mesh_triangles(mesh).ravel(), np.repeat(u.values * (mesh.element_area / 3.0), 3))
+    return full[interior_mask(mesh)]
+
+
+def gather_point_load(mesh, points, coeffs) -> np.ndarray:
+    """Interior Dirac load, scattered to the vertices of the located triangles."""
+    elements, bary = locate_point(mesh, points)
+    full = np.zeros(mesh.num_nodes)
+    np.add.at(full, mesh_triangles(mesh)[elements], bary * np.atleast_1d(coeffs)[:, None])
+    return full[interior_mask(mesh)]
+
+
+def gather_evaluate(f, points) -> np.ndarray:
+    """Values at ``points`` from the nodal values of the located triangles' vertices."""
+    elements, bary = locate_point(f.mesh, points)
+    return (bary * f.nodal_values[mesh_triangles(f.mesh)[elements]]).sum(axis=1)
+
+
+def gather_greens_means(problem, system) -> np.ndarray:
+    """Element means of the Green's function of every observation point, by gathers."""
+    points = np.concatenate((problem.obs1, problem.obs2))
+    return np.array([gather_pi0(solve_spd(system, gather_point_load(system.mesh, x, 1.0))) for x in points])
+
+
 def dense_stiffness_full(mesh) -> np.ndarray:
     """O(n^2) assembly over all nodes, gradients from coefficient solves."""
     n = mesh.num_nodes
     A = np.zeros((n, n))
-    for tri in mesh.triangles:
-        coords = mesh.nodes[tri]
+    nodes = mesh_nodes(mesh)
+    for tri in mesh_triangles(mesh):
+        coords = nodes[tri]
         M = np.column_stack([np.ones(3), coords])
         C = np.linalg.inv(M)  # rows: basis coefficients (c0 + cx x + cy y)
         grads = C[1:, :]
@@ -52,7 +121,7 @@ def dense_stiffness_full(mesh) -> np.ndarray:
 
 
 def dense_stiffness_interior(mesh) -> np.ndarray:
-    interior = np.flatnonzero(mesh.interior_mask)
+    interior = interior_nodes(mesh)
     return dense_stiffness_full(mesh)[np.ix_(interior, interior)]
 
 
@@ -79,24 +148,25 @@ def quadrature_load_pwc(mesh, u: PwcControl) -> np.ndarray:
     """Interior load of a piecewise-constant source via the 3-point rule."""
     full = np.zeros(mesh.num_nodes)
     weight = mesh.element_area / 3.0
-    for t, tri in enumerate(mesh.triangles):
+    for t, tri in enumerate(mesh_triangles(mesh)):
         for bary in _GAUSS_BARY:
             full[tri] += u.values[t] * weight * bary
-    return full[mesh.interior_mask]
+    return full[interior_mask(mesh)]
 
 
 def quadrature_element_integral(f, t: int) -> float:
     """Integral of a P1 function over one triangle via physical-point quadrature."""
     mesh = f.mesh
-    points = _GAUSS_BARY @ mesh.nodes[mesh.triangles[t]]
+    points = _GAUSS_BARY @ mesh_nodes(mesh)[mesh_triangles(mesh)[t]]
     return float(evaluate(f, points).sum()) * mesh.element_area / 3.0
 
 
 def brute_force_locate(mesh, p):
     """Lowest-index containing triangle by scanning every element."""
     x, y = float(p[0]), float(p[1])
-    for t, tri in enumerate(mesh.triangles):
-        pa, pb, pc = mesh.nodes[tri]
+    nodes = mesh_nodes(mesh)
+    for t, tri in enumerate(mesh_triangles(mesh)):
+        pa, pb, pc = nodes[tri]
         M = np.array([[pb[0] - pa[0], pc[0] - pa[0]], [pb[1] - pa[1], pc[1] - pa[1]]])
         rhs = np.array([x - pa[0], y - pa[1]])
         w1, w2 = np.linalg.solve(M, rhs)
@@ -245,11 +315,12 @@ def reflect_problem(problem):
 
 def manufactured_linf_error(mesh, system) -> float:
     """Nodal max error for the sin-sin Poisson problem with a pwc source."""
-    centroids = mesh.nodes[mesh.triangles].mean(axis=1)
+    nodes = mesh_nodes(mesh)
+    centroids = nodes[mesh_triangles(mesh)].mean(axis=1)
     source = 2.0 * math.pi ** 2 * np.sin(np.pi * centroids[:, 0]) * np.sin(np.pi * centroids[:, 1])
     u = PwcControl(mesh, source)
     y = solve_spd(system, assemble_load_pwc(mesh, u))
-    exact = np.sin(np.pi * mesh.nodes[:, 0]) * np.sin(np.pi * mesh.nodes[:, 1])
+    exact = np.sin(np.pi * nodes[:, 0]) * np.sin(np.pi * nodes[:, 1])
     return float(np.abs(y.nodal_values - exact).max())
 
 
@@ -285,3 +356,58 @@ def mutually_nondominated(objectives: np.ndarray, slack: float = 1e-8) -> bool:
             if weakly_better and strictly_better:
                 return False
     return True
+
+
+def reference_bb(problem, grad_eval, u0: PwcControl, u_minus1: PwcControl, config) -> SolveReport:
+    """The projected BB loop of ``bb_projected_gradient``, one fresh array per operation.
+
+    Same iterates, step rule, fallback and stopping test, written without
+    any in-place update, so the solver's buffer reuse is checked against it.
+    """
+    bounds = problem.bounds
+    area = u0.mesh.element_area
+    u_prev, u = u_minus1.values, u0.values
+    g_prev, _ = grad_eval(u_prev)
+    g, objectives = grad_eval(u)
+
+    fallbacks = 0
+    iterations = 0
+    step_gap = np.inf
+    converged = False
+    fp_residual = np.inf
+
+    while iterations < config.max_iter:
+        fixed_point = np.clip(u - g, bounds.ua, bounds.ub)
+        fp_residual = np.sqrt(area * float(((u - fixed_point) ** 2).sum()))
+        if step_gap <= config.tol and fp_residual <= config.tol:
+            converged = True
+            break
+
+        dg = g - g_prev
+        du = u - u_prev
+        dg_sq = area * float(dg @ dg)
+        curvature = area * float(dg @ du)
+        du_sq = area * float(du @ du)
+        if dg_sq == 0.0 or curvature <= 1e-14 * np.sqrt(dg_sq * du_sq):
+            step = 1.0
+            fallbacks += 1
+        else:
+            step = curvature / dg_sq
+
+        u_next = np.clip(u - step * g, bounds.ua, bounds.ub)
+        gap = u_next - fixed_point
+        step_gap = np.sqrt(area * float(gap @ gap))
+
+        u_prev, g_prev = u, g
+        u = u_next
+        g, objectives = grad_eval(u)
+        iterations += 1
+
+    return SolveReport(
+        control=PwcControl(u0.mesh, u),
+        objectives=objectives,
+        iterations=iterations,
+        final_residual=float(fp_residual),
+        converged=converged,
+        fallback_steps=fallbacks,
+    )

@@ -1,4 +1,5 @@
 import csv
+import warnings
 
 import pytest
 
@@ -82,6 +83,19 @@ def test_unusable_paths_exit_two(tmp_path, capsys):
 ])
 def test_non_finite_input_exits_two_without_output(tmp_path, args):
     assert main(args + ["--level", "2", "--max-iter", "50", "--out", str(tmp_path)]) == 2
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("args", [
+    ["solve-wsm", "--alpha", "0.5,0.5", "--obs1", "0.5,0.5=1e200"],
+    ["solve-wsm", "--alpha", "0.5,0.5", "--lambda", "1e300,1e300"],
+    ["solve-rpm", "--zeta", "1,1", "--bounds=-1e101,1"],
+])
+def test_overflow_scale_input_exits_two_without_warning(tmp_path, capsys, args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(args + ["--level", "3", "--out", str(tmp_path)]) == 2
+    assert "at most 1e+100" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 

@@ -19,6 +19,7 @@ from mopoisson import (
     write_control,
 )
 from mopoisson.fem import P1Function
+from oracles import mesh_nodes, mesh_triangles
 
 BENCH_BOX = BoxBounds(-7.0, 15.0)
 
@@ -150,8 +151,9 @@ def test_pi0_constant_and_coordinate():
     mesh = build_uniform_mesh(2)
     const = pi0_project(P1Function(mesh, np.full(mesh.num_nodes, 1.5)))
     assert np.all(const.values == 1.5)
-    fx = pi0_project(P1Function(mesh, mesh.nodes[:, 0].copy()))
-    centroids = mesh.nodes[mesh.triangles].mean(axis=1)
+    nodes = mesh_nodes(mesh)
+    fx = pi0_project(P1Function(mesh, nodes[:, 0].copy()))
+    centroids = nodes[mesh_triangles(mesh)].mean(axis=1)
     assert np.allclose(fx.values, centroids[:, 0], atol=1e-15)
 
 
@@ -159,13 +161,14 @@ def test_pi0_orthogonality(rng):
     mesh = build_uniform_mesh(2)
     f = P1Function(mesh, rng.normal(size=mesh.num_nodes))
     means = pi0_project(f)
+    triangles = mesh_triangles(mesh)
     for _ in range(10):
         w = control(mesh, rng.normal(size=mesh.num_triangles))
         # (f - pi0 f, w) with the exact mixed P1 x P0 integral per element
         residual = sum(
             w.values[t]
             * (
-                mesh.element_area * f.nodal_values[mesh.triangles[t]].mean()
+                mesh.element_area * f.nodal_values[triangles[t]].mean()
                 - mesh.element_area * means.values[t]
             )
             for t in range(mesh.num_triangles)

@@ -22,7 +22,15 @@ from oracles import (
     dense_stiffness_full,
     dense_stiffness_interior,
     five_point_laplacian,
+    gather_evaluate,
+    gather_load_pwc,
+    gather_pi0,
+    gather_point_load,
+    interior_mask,
+    interior_nodes,
     manufactured_linf_error,
+    mesh_nodes,
+    mesh_triangles,
     quadrature_element_integral,
     quadrature_load_pwc,
 )
@@ -71,7 +79,7 @@ def test_full_rows_sum_to_zero_over_all_columns():
     # partition-of-unity: hat-function gradients sum to zero per triangle
     mesh = build_uniform_mesh(3)
     full = dense_stiffness_full(mesh)
-    interior = np.flatnonzero(mesh.interior_mask)
+    interior = interior_nodes(mesh)
     assert np.abs(full[interior, :].sum(axis=1)).max() <= 1e-13
     block = full[np.ix_(interior, interior)]
     assert np.abs(operator_matrix(assemble_stiffness(mesh)) - block).max() <= 1e-14
@@ -112,8 +120,9 @@ def test_point_load_zero_coefficients():
 def test_point_load_at_grid_node_is_scaled_indicator():
     mesh = build_uniform_mesh(2)
     load = assemble_point_load(mesh, [(0.5, 0.5)], [3.5])
-    node = np.flatnonzero((mesh.nodes[:, 0] == 0.5) & (mesh.nodes[:, 1] == 0.5))[0]
-    unknown = np.flatnonzero(mesh.interior_mask).tolist().index(node)
+    nodes = mesh_nodes(mesh)
+    node = np.flatnonzero((nodes[:, 0] == 0.5) & (nodes[:, 1] == 0.5))[0]
+    unknown = interior_nodes(mesh).tolist().index(node)
     expected = np.zeros(load.shape)
     expected[unknown] = 3.5
     assert np.array_equal(load, expected)
@@ -122,7 +131,7 @@ def test_point_load_at_grid_node_is_scaled_indicator():
 def test_point_load_at_centroid_splits_in_thirds():
     mesh = build_uniform_mesh(2)
     t = 2 * (1 * 4 + 1)  # interior cell, lower triangle
-    centroid = mesh.nodes[mesh.triangles[t]].mean(axis=0)
+    centroid = mesh_nodes(mesh)[mesh_triangles(mesh)[t]].mean(axis=0)
     load = assemble_point_load(mesh, [centroid], [1.0])
     nonzero = load[load != 0.0]
     assert nonzero == pytest.approx([1 / 3] * 3)
@@ -149,8 +158,8 @@ def test_solve_level_one_hand_value():
     mesh = build_uniform_mesh(1)
     system = assemble_stiffness(mesh)
     y = solve_spd(system, np.array([0.25]))
-    assert y.nodal_values[system.interior_nodes] == pytest.approx([0.0625])
-    boundary = y.nodal_values[~mesh.interior_mask]
+    assert y.nodal_values[interior_nodes(mesh)] == pytest.approx([0.0625])
+    boundary = y.nodal_values[~interior_mask(mesh)]
     assert np.all(boundary == 0.0)
 
 
@@ -158,7 +167,7 @@ def test_solver_residual_contract(level3, rng):
     mesh, system = level3
     rhs = rng.normal(size=system.num_unknowns)
     y = solve_spd(system, rhs, tol=1e-12)
-    x = y.nodal_values[system.interior_nodes]
+    x = y.nodal_values[interior_nodes(mesh)]
     residual = np.linalg.norm(dense_stiffness_interior(mesh) @ x - rhs)
     assert residual <= 1e-12 * max(1.0, np.linalg.norm(rhs))
 
@@ -170,7 +179,7 @@ def test_dst_agrees_with_dense_solve(level, rng):
     rhs = rng.normal(size=system.num_unknowns)
     y = solve_spd(system, rhs)
     dense = np.linalg.solve(dense_stiffness_interior(mesh), rhs)
-    assert np.allclose(y.nodal_values[system.interior_nodes], dense, atol=1e-11)
+    assert np.allclose(y.nodal_values[interior_nodes(mesh)], dense, atol=1e-11)
 
 
 def test_solver_is_deterministic(level3, rng):
@@ -240,8 +249,7 @@ def test_galerkin_residual_per_basis_function(rng):
     y = solve_spd(system, rhs, tol=1e-12)
     # (grad y, grad phi_i) - (u, phi_i) via the dense-oracle full matrix
     full = dense_stiffness_full(mesh)
-    interior = np.flatnonzero(mesh.interior_mask)
-    lhs = full[interior, :] @ y.nodal_values
+    lhs = full[interior_nodes(mesh), :] @ y.nodal_values
     assert np.abs(lhs - rhs).max() <= 1e-11
 
 
@@ -258,7 +266,7 @@ def test_manufactured_solution_second_order():
 
 def test_evaluate_reproduces_linear_functions():
     mesh = build_uniform_mesh(3)
-    f = P1Function(mesh, mesh.nodes[:, 0].copy())
+    f = P1Function(mesh, mesh_nodes(mesh)[:, 0].copy())
     values = evaluate(f, (0.3, 0.7))
     assert values.shape == (1,)
     assert values[0] == pytest.approx(0.3, abs=1e-14)
@@ -273,7 +281,7 @@ def test_evaluate_zero_function():
 def test_evaluate_lagrange_property(rng):
     mesh = build_uniform_mesh(2)
     f = P1Function(mesh, rng.normal(size=mesh.num_nodes))
-    assert np.array_equal(evaluate(f, mesh.nodes), f.nodal_values)
+    assert np.array_equal(evaluate(f, mesh_nodes(mesh)), f.nodal_values)
 
 
 def test_element_mean_constant_and_simple():
@@ -281,7 +289,7 @@ def test_element_mean_constant_and_simple():
     const = P1Function(mesh, np.full(mesh.num_nodes, 2.5))
     assert pi0_project(const).values[0] == 2.5
     values = np.zeros(mesh.num_nodes)
-    values[mesh.triangles[3]] = [0.0, 1.0, 2.0]
+    values[mesh_triangles(mesh)[3]] = [0.0, 1.0, 2.0]
     assert pi0_project(P1Function(mesh, values)).values[3] == pytest.approx(1.0)
 
 
@@ -300,11 +308,13 @@ def test_point_load_is_dual_to_evaluation(rng):
     points = rng.uniform(0.05, 0.95, (7, 2))
     points[:2] = [(0.5, 0.25), (0.375, 0.375)]  # a grid node and a cell diagonal
     c = rng.normal(size=7)
-    values = np.where(mesh.interior_mask, rng.normal(size=mesh.num_nodes), 0.0)
+    interior = interior_mask(mesh)
+    values = np.where(interior, rng.normal(size=mesh.num_nodes), 0.0)
     f = P1Function(mesh, values)
     load = assemble_point_load(mesh, points, c)
-    assert c @ evaluate(f, points) == pytest.approx(load @ values[mesh.interior_mask], abs=1e-13)
-    linear = P1Function(mesh, 2.0 * mesh.nodes[:, 0] - 3.0 * mesh.nodes[:, 1] + 0.5)
+    assert c @ evaluate(f, points) == pytest.approx(load @ values[interior], abs=1e-13)
+    nodes = mesh_nodes(mesh)
+    linear = P1Function(mesh, 2.0 * nodes[:, 0] - 3.0 * nodes[:, 1] + 0.5)
     exact = 2.0 * points[:, 0] - 3.0 * points[:, 1] + 0.5
     assert np.abs(evaluate(linear, points) - exact).max() <= 1e-14
 
@@ -322,3 +332,18 @@ def test_solve_rejects_nonpositive_tolerance():
     system = assemble_stiffness(mesh)
     with pytest.raises(ValueError):
         solve_spd(system, np.zeros(1), tol=0.0)
+
+
+@pytest.mark.parametrize("level", range(7))
+def test_grid_operators_match_the_explicit_arrays(level, rng):
+    mesh = build_uniform_mesh(level)
+    f = P1Function(mesh, rng.normal(size=mesh.num_nodes))
+    assert np.array_equal(pi0_project(f).values, gather_pi0(f))
+    points = np.concatenate([rng.uniform(0.01, 0.99, (20, 2)), [(0.5, 0.5), (0.25, 0.75), (0.375, 0.125)]])
+    coeffs = rng.normal(size=points.shape[0])
+    assert np.abs(assemble_point_load(mesh, points, coeffs) - gather_point_load(mesh, points, coeffs)).max(
+        initial=0.0) <= 1e-15
+    assert np.abs(evaluate(f, points) - gather_evaluate(f, points)).max() <= 1e-15
+    u = PwcControl(mesh, rng.normal(size=mesh.num_triangles))
+    assert np.abs(assemble_load_pwc(mesh, u) - gather_load_pwc(mesh, u)).max(initial=0.0) <= 1e-15
+

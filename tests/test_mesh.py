@@ -1,9 +1,22 @@
+import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from mopoisson import MAX_LEVEL, build_uniform_mesh
-from mopoisson.mesh import locate_point, parent_elements
-from oracles import brute_force_locate, parent_elements_closed_form
+import mopoisson
+from mopoisson import MAX_LEVEL, PwcControl, build_uniform_mesh, write_control
+from mopoisson.mesh import locate_point, parent_elements, triangle_nodes
+from oracles import (
+    brute_force_locate,
+    interior_mask,
+    mesh_nodes,
+    mesh_triangles,
+    parent_elements_closed_form,
+)
 
 
 @pytest.mark.parametrize("level", range(9))
@@ -12,25 +25,34 @@ def test_counts_match_closed_forms(level):
     n = 2 ** level
     assert mesh.num_nodes == (n + 1) ** 2
     assert mesh.num_triangles == 2 * 4 ** level
-    assert mesh.interior_mask.sum() == max(0, n - 1) ** 2
+    assert interior_mask(mesh).sum() == max(0, n - 1) ** 2
+
+
+@pytest.mark.parametrize("level", range(7))
+def test_triangle_nodes_match_closed_form(level):
+    mesh = build_uniform_mesh(level)
+    triangles = mesh_triangles(mesh)
+    assert np.array_equal(triangle_nodes(mesh, np.arange(mesh.num_triangles)), triangles)
+    picked = np.array([mesh.num_triangles - 1, 0, mesh.num_triangles // 2])
+    assert np.array_equal(triangle_nodes(mesh, picked), triangles[picked])
 
 
 def test_smallest_grid():
     mesh = build_uniform_mesh(0)
     assert mesh.num_nodes == 4
     assert mesh.num_triangles == 2
-    assert mesh.interior_mask.sum() == 0
+    assert interior_mask(mesh).sum() == 0
 
 
 def test_level_two_counts():
     mesh = build_uniform_mesh(2)
-    assert (mesh.num_nodes, mesh.num_triangles, int(mesh.interior_mask.sum())) == (25, 32, 9)
+    assert (mesh.num_nodes, mesh.num_triangles, int(interior_mask(mesh).sum())) == (25, 32, 9)
 
 
 @pytest.mark.parametrize("level", range(9))
 def test_signed_areas_and_tiling(level):
     mesh = build_uniform_mesh(level)
-    pts = mesh.nodes[mesh.triangles]
+    pts = mesh_nodes(mesh)[mesh_triangles(mesh)]
     d1 = pts[:, 1] - pts[:, 0]
     d2 = pts[:, 2] - pts[:, 0]
     signed = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
@@ -40,13 +62,14 @@ def test_signed_areas_and_tiling(level):
 
 def test_interior_mask_is_boundary_complement():
     mesh = build_uniform_mesh(3)
+    nodes = mesh_nodes(mesh)
     on_boundary = (
-        (mesh.nodes[:, 0] == 0.0)
-        | (mesh.nodes[:, 0] == 1.0)
-        | (mesh.nodes[:, 1] == 0.0)
-        | (mesh.nodes[:, 1] == 1.0)
+        (nodes[:, 0] == 0.0)
+        | (nodes[:, 0] == 1.0)
+        | (nodes[:, 1] == 0.0)
+        | (nodes[:, 1] == 1.0)
     )
-    assert np.array_equal(mesh.interior_mask, ~on_boundary)
+    assert np.array_equal(interior_mask(mesh), ~on_boundary)
 
 
 def test_level_bounds_rejected():
@@ -74,7 +97,7 @@ def test_locate_diagonal_tie_breaks_low():
 def test_locate_reconstructs_query_point():
     mesh = build_uniform_mesh(1)
     elements, bary = locate_point(mesh, (0.3, 0.1))
-    rebuilt = bary[0] @ mesh.nodes[mesh.triangles[elements[0]]]
+    rebuilt = bary[0] @ mesh_nodes(mesh)[mesh_triangles(mesh)[elements[0]]]
     assert np.allclose(rebuilt, [0.3, 0.1], atol=1e-12)
 
 
@@ -92,7 +115,7 @@ def test_locate_identity_on_random_points(level, rng):
     mesh = build_uniform_mesh(level)
     points = rng.uniform(0.0, 1.0, (1000, 2))
     elements, bary = locate_point(mesh, points)
-    rebuilt = np.einsum("pk,pkd->pd", bary, mesh.nodes[mesh.triangles[elements]])
+    rebuilt = np.einsum("pk,pkd->pd", bary, mesh_nodes(mesh)[mesh_triangles(mesh)[elements]])
     assert np.abs(rebuilt - points).max() <= 1e-12
     assert bary.min() >= 0.0
     assert np.abs(bary.sum(axis=1) - 1.0).max() <= 1e-14
@@ -135,7 +158,7 @@ def test_nested_map_children_tile_parent():
 def test_nested_map_centroids_land_in_parent():
     coarse = build_uniform_mesh(2)
     fine = build_uniform_mesh(4)
-    centroids = fine.nodes[fine.triangles].mean(axis=1)
+    centroids = mesh_nodes(fine)[mesh_triangles(fine)].mean(axis=1)
     elements, _ = locate_point(coarse, centroids)
     assert np.array_equal(elements, parent_elements(fine, coarse))
 
@@ -190,12 +213,39 @@ def test_parent_elements_rejects_wrong_direction():
 
 def test_meshes_are_immutable():
     mesh = build_uniform_mesh(1)
-    with pytest.raises(ValueError):
-        mesh.nodes[0, 0] = 7.0
+    for name, value in (("level", 3), ("element_area", 7.0)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(mesh, name, value)
+    assert (mesh.level, mesh.element_area) == (1, 0.125)
 
 
 def test_meshes_are_built_once_per_level():
     mesh = build_uniform_mesh(4)
     assert build_uniform_mesh(4) is mesh
-    for arr in (mesh.nodes, mesh.triangles, mesh.interior_mask):
-        assert not arr.flags.writeable
+    # the level is the whole mesh: no array is stored
+    assert [f.name for f in dataclasses.fields(mesh)] == ["level", "element_area"]
+    assert (mesh.level, mesh.element_area) == (4, 2.0 ** -9)
+
+
+# Peak-RSS growth allowed over the import baseline.  Reading the L9 file maps
+# and copies 4 MiB (9 MiB measured); explicit node and triangle arrays of the
+# two meshes measured 101 MiB.
+_MESH_AND_READ_MARGIN_MIB = 32
+
+
+def test_fine_mesh_and_control_read_stay_small(tmp_path):
+    path = tmp_path / "u9.ctrl"
+    write_control(PwcControl(build_uniform_mesh(9), np.zeros(2 * 4 ** 9)), path)
+    code = (
+        "import resource, sys\n"
+        "from mopoisson import build_uniform_mesh, read_control\n"
+        "base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "build_uniform_mesh(10)\n"
+        "assert read_control(sys.argv[1]).mesh.level == 9\n"
+        "print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base) / 1024)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(mopoisson.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", code, str(path)], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert float(done.stdout) <= _MESH_AND_READ_MARGIN_MIB

@@ -22,7 +22,7 @@ from mopoisson import (
     solve_state,
 )
 from mopoisson.objective import greens_function_means
-from oracles import central_difference, scalarized_gradient
+from oracles import central_difference, gather_greens_means, interior_nodes, scalarized_gradient
 
 
 @pytest.fixture(scope="module")
@@ -89,7 +89,7 @@ def test_state_level_one_value(bench):
     mesh = build_uniform_mesh(1)
     system = assemble_stiffness(mesh)
     y = solve_state(bench, system, PwcControl(mesh, np.ones(mesh.num_triangles)))
-    assert y.nodal_values[system.interior_nodes][0] == pytest.approx(0.0625)
+    assert y.nodal_values[interior_nodes(mesh)][0] == pytest.approx(0.0625)
 
 
 def test_adjoints_vanish_when_state_matches_desired(setup, rng):
@@ -239,3 +239,8 @@ def test_objective_convexity_surrogate(setup, rng):
             jm = objectives(problem, system, mix)
             assert jm.j1 <= t * ju.j1 + (1 - t) * jv.j1 + 1e-12
             assert jm.j2 <= t * ju.j2 + (1 - t) * jv.j2 + 1e-12
+
+
+def test_greens_means_equal_the_gather_route_at_level_8(bench, system_for):
+    mesh, system = system_for(8)
+    assert np.array_equal(greens_function_means(bench, system), gather_greens_means(bench, system))

@@ -21,11 +21,14 @@ from mopoisson import (
 from mopoisson.objective import ObjectivePair, eval_objectives, grad_rpm, grad_wsm, greens_function_means
 from oracles import (
     fixed_step_projected_gradient,
+    mesh_nodes,
+    mesh_triangles,
     mutually_nondominated,
     pareto_ordered,
     pde_grad_eval,
     power_iteration_bound,
     reflect_problem,
+    reference_bb,
     reflect_triangle_permutation,
     scalarization,
     scalarized_gradient,
@@ -404,7 +407,7 @@ def test_control_saturates_near_observation_points(bench, system_for):
     mesh, system = system_for(6)
     report = solve_wsm(bench, system, (0.2, 0.8))
     values = report.control.values
-    centroids = mesh.nodes[mesh.triangles].mean(axis=1)
+    centroids = mesh_nodes(mesh)[mesh_triangles(mesh)].mean(axis=1)
     clamped_low = centroids[values <= bench.bounds.ua + 1e-9]
     assert len(clamped_low) > 0
     assert np.linalg.norm(clamped_low - bench.obs2[0], axis=1).max() <= 0.1
@@ -428,3 +431,52 @@ def test_rpm_zeta2_converges_and_dominates(bench, system_for):
     report = solve_rpm(bench, system, zeta)
     assert report.converged
     assert report.objectives.j1 > zeta[0] and report.objectives.j2 > zeta[1]
+
+
+def _outcome(report):
+    return (report.control.values.tobytes(), report.objectives, report.iterations, report.fallback_steps,
+            report.final_residual, report.converged)
+
+
+@pytest.mark.parametrize("level", [3, 5])
+def test_in_place_bb_loop_is_exact(bench, system_for, monkeypatch, level):
+    """Solver and allocate-per-operation reference agree bit for bit; no input array is written."""
+    import mopoisson.scalarize
+
+    mesh, system = system_for(level)
+    warm = solve_wsm(bench, system, (0.6, 0.4)).control
+    cases = [(solve, p, start) for solve, p in [(solve_wsm, (0.3, 0.7)), (solve_rpm, (16.5, 1.5))]
+             for start in (None, warm)]
+    inputs = []
+
+    def recording(problem, grad_eval, u0, u_minus1, config):
+        def recorded(u):
+            g, j = grad_eval(u)
+            inputs.append((g, g.copy()))
+            return g, j
+
+        inputs.extend([(u0.values, u0.values.copy()), (u_minus1.values, u_minus1.values.copy())])
+        return bb_projected_gradient(problem, recorded, u0, u_minus1, config)
+
+    monkeypatch.setattr(mopoisson.scalarize, "bb_projected_gradient", recording)
+    solver = [_outcome(solve(bench, system, p, u_start=start)) for solve, p, start in cases]
+    assert inputs and all(np.array_equal(array, copy) for array, copy in inputs)
+    monkeypatch.setattr(mopoisson.scalarize, "bb_projected_gradient", reference_bb)
+    assert solver == [_outcome(solve(bench, system, p, u_start=start)) for solve, p, start in cases]
+
+
+def test_in_place_bb_loop_is_exact_through_fallbacks(level3, rng):
+    # concave in every third entry: nonpositive curvature mixes fallback and BB steps
+    problem, mesh, system = level3
+    sign = np.where(np.arange(mesh.num_triangles) % 3 == 0, -1.0, 1.0)
+    target = rng.uniform(-3.0, 3.0, mesh.num_triangles)
+
+    def grad(u):
+        return sign * (u - target), ObjectivePair(0.0, 0.0)
+
+    u0 = PwcControl(mesh, rng.uniform(-1.0, 1.0, mesh.num_triangles))
+    u_minus1 = PwcControl(mesh, rng.uniform(-1.0, 1.0, mesh.num_triangles))
+    for config in (BBConfig(), BBConfig(max_iter=3)):
+        report = bb_projected_gradient(problem, grad, u0, u_minus1, config)
+        assert report.fallback_steps >= 1
+        assert _outcome(report) == _outcome(reference_bb(problem, grad, u0, u_minus1, config))
