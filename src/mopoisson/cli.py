@@ -73,7 +73,7 @@ def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--h-par", type=float, default=0.2, help="reference-point offset (parallel)")
     parser.add_argument("--points", type=int, default=None, help="sweep size (default 50 WSM, 12 RPM)")
     parser.add_argument("--out", type=Path, default=Path("out"), help="output directory")
-    parser.add_argument("--jobs", type=int, default=1, help="threads for the study-level solves of convergence tables")
+    parser.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; has no effect")
     parser.add_argument("--cold-start", action="store_true", help="disable warm starts along sweeps")
 
 
@@ -151,7 +151,10 @@ def _problem_from_args(args) -> ProblemData:
 
 
 def _experiment_config(args, problem: ProblemData, levels, reference_level) -> ExperimentConfig:
-    config = ExperimentConfig(
+    if args.jobs < 1:
+        raise ValueError("--jobs must be positive")
+    sizes = {} if args.points is None else {"wsm_front_size": args.points, "rpm_front_size": args.points}
+    return ExperimentConfig(
         problem=problem,
         levels=levels,
         reference_level=reference_level,
@@ -160,13 +163,9 @@ def _experiment_config(args, problem: ProblemData, levels, reference_level) -> E
         h_par=args.h_par,
         bb=BBConfig(tol=args.tol, max_iter=args.max_iter),
         output_dir=args.out,
-        jobs=args.jobs,
         cold_start=args.cold_start,
+        **sizes,
     )
-    if args.points is not None:
-        config.wsm_front_size = args.points
-        config.rpm_front_size = args.points
-    return config
 
 
 def _lambda_tag(problem: ProblemData) -> str:

@@ -11,9 +11,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import os
-import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -22,7 +20,7 @@ import numpy as np
 from .control import BoxBounds, PwcControl, l2_error, read_control, write_control
 from .fem import assemble_stiffness
 from .mesh import MAX_LEVEL, build_uniform_mesh
-from .objective import ProblemData, _check_weights
+from .objective import ProblemData, _check_reference_point, _check_weights
 from .scalarize import BBConfig, ParetoFront, SolveReport, rpm_front, solve_rpm, solve_wsm, wsm_front
 
 __all__ = [
@@ -90,7 +88,6 @@ class ExperimentConfig:
     h_par: float = 0.2
     bb: BBConfig = field(default_factory=BBConfig)
     output_dir: Path = Path("out")
-    jobs: int = 1
     cold_start: bool = False
 
     def __post_init__(self):
@@ -106,8 +103,6 @@ class ExperimentConfig:
             raise ValueError(f"reference level must exceed every study level and be at most {MAX_LEVEL}")
         if min(self.wsm_front_size, self.rpm_front_size) < 2:
             raise ValueError("front sizes must be at least 2")
-        if self.jobs < 1:
-            raise ValueError("jobs must be positive")
 
 
 @dataclass
@@ -197,7 +192,7 @@ def _reference_control(
     report = _solve_at_level(config, method, parameter, level)
     if not report.converged:
         return None
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         write_control(report.control, tmp)
         os.replace(tmp, path)
@@ -210,22 +205,16 @@ def _reference_control(
 def _run_convergence(config: ExperimentConfig, method: str, parameters, labels) -> ConvergenceTable:
     if not parameters:
         raise ValueError("a convergence study needs at least one parameter")
-    refs = [_reference_control(config, method, p) for p in parameters]
-
-    def cell(args):
-        index, parameter, level = args
-        if refs[index] is None:
-            return None
-        report = _solve_at_level(config, method, parameter, level)
-        return report.control if report.converged else None
-
-    tasks = [(ip, p, level) for level in config.levels for ip, p in enumerate(parameters)]
-    with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-        controls = list(pool.map(cell, tasks))
-    # Reference-size temporaries stay on this thread, so peak memory does not grow with jobs.
-    flat = [np.nan if u is None else l2_error(u, refs[ip]) for u, (ip, _, _) in zip(controls, tasks)]
-
-    errors = np.array(flat).reshape(len(config.levels), len(parameters))
+    errors = np.full((len(config.levels), len(parameters)), np.nan)
+    for ip, parameter in enumerate(parameters):
+        ref = _reference_control(config, method, parameter)
+        if ref is None:
+            continue
+        for il, level in enumerate(config.levels):
+            report = _solve_at_level(config, method, parameter, level)
+            if report.converged:
+                errors[il, ip] = l2_error(report.control, ref)
+        del ref  # freed before the next reference solve
     hs = np.array([2.0 ** -level for level in config.levels])
     rates = np.array([estimate_rate(hs, errors[:, ip]) for ip in range(len(parameters))])
     return ConvergenceTable(hs=hs, labels=list(labels), errors=errors, rates=rates)
@@ -254,9 +243,7 @@ def run_convergence_rpm(config: ExperimentConfig, zetas=None) -> ConvergenceTabl
     """
     if zetas is None:
         zetas = reference_sweep_zetas(config)
-    zetas = [tuple(float(v) for v in z) for z in zetas]
-    if not np.all(np.isfinite(zetas)):
-        raise ValueError("reference point must be finite")
+    zetas = [_check_reference_point(z) for z in zetas]
     labels = [f"zeta=({z[0]:g},{z[1]:g})" for z in zetas]
     return _run_convergence(config, "rpm", zetas, labels)
 

@@ -9,7 +9,6 @@ control-cost term.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +28,8 @@ __all__ = [
     "grad_rpm",
 ]
 
-# Largest accepted |desired value|, |weight| and |box bound|: their squares and products stay finite.
+# Largest accepted |desired value|, |weight|, |box bound| and |reference point|:
+# their squares and products stay finite.
 MAX_MAGNITUDE = 1e100
 
 
@@ -43,7 +43,8 @@ class ProblemData:
     bounds are at most :data:`MAX_MAGNITUDE` in magnitude.  Instances
     are immutable (the arrays are read-only copies), so the Green's function
     means of a mesh level, kept in ``_greens`` by the solver's first solve at
-    that level, stay valid for every later solve.
+    that level, stay valid for every later solve.  Racing first solves at
+    one level store equal means.
     """
 
     obs1: np.ndarray
@@ -54,7 +55,6 @@ class ProblemData:
     lambda2: float
     bounds: BoxBounds
     _greens: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _greens_lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name, ndmin in (("obs1", 2), ("y1", 1), ("obs2", 2), ("y2", 1)):
@@ -154,6 +154,13 @@ def _check_weights(alpha) -> tuple[float, float]:
     if not abs(a1 + a2 - 1.0) <= 1e-9:
         raise ValueError("weights must sum to one")
     return a1, a2
+
+
+def _check_reference_point(zeta) -> tuple[float, float]:
+    z1, z2 = float(zeta[0]), float(zeta[1])
+    if not (abs(z1) <= MAX_MAGNITUDE and abs(z2) <= MAX_MAGNITUDE):
+        raise ValueError(f"reference point must be at most {MAX_MAGNITUDE:g} in magnitude")
+    return z1, z2
 
 
 def _weighted_gradient(

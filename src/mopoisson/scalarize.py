@@ -18,6 +18,7 @@ from .fem import LINEAR_TOL, StiffnessSystem
 from .objective import (
     ObjectivePair,
     ProblemData,
+    _check_reference_point,
     _check_weights,
     eval_objectives,
     grad_rpm,
@@ -206,10 +207,9 @@ def _solve(
     if not bounds.ub > bounds.ua:
         raise ValueError("box bounds must have a nonempty interior")
     mesh = system.mesh
-    with problem._greens_lock:  # concurrent cells of one level share one precompute
-        own = mesh.level not in problem._greens
-        if own:
-            problem._greens[mesh.level] = greens_function_means(problem, system)
+    own = mesh.level not in problem._greens
+    if own:
+        problem._greens[mesh.level] = greens_function_means(problem, system)
     greens = problem._greens[mesh.level]
     area = mesh.element_area
 
@@ -247,9 +247,7 @@ def solve_rpm(
     u_start: PwcControl | None = None,
 ) -> SolveReport:
     """Minimize the squared distance of the objective pair to ``zeta``."""
-    zeta = (float(zeta[0]), float(zeta[1]))
-    if not np.all(np.isfinite(zeta)):
-        raise ValueError("reference point must be finite")
+    zeta = _check_reference_point(zeta)
     return _solve(problem, system, lambda g, r, u, j: grad_rpm(problem, g, r, u, zeta, j), config, u_start)
 
 

@@ -53,6 +53,7 @@ def test_bad_study_levels_exit_two_before_any_reference_solve(tmp_path, solve_ca
     ["--method", "wsm", "--alphas", "0.5,0.5;0.2,0.7"],
     ["--method", "wsm", "--alphas", "1,0"],
     ["--method", "rpm", "--zetas", "nan,1"],
+    ["--method", "rpm", "--zetas", "1e308,1e308"],
 ])
 def test_bad_study_parameters_exit_two_before_any_reference_solve(tmp_path, solve_calls, args):
     assert main(["convergence", *args, "--levels", "2,3", "--ref-level", "5", "--out", str(tmp_path)]) == 2
@@ -90,6 +91,7 @@ def test_non_finite_input_exits_two_without_output(tmp_path, args):
     ["solve-wsm", "--alpha", "0.5,0.5", "--obs1", "0.5,0.5=1e200"],
     ["solve-wsm", "--alpha", "0.5,0.5", "--lambda", "1e300,1e300"],
     ["solve-rpm", "--zeta", "1,1", "--bounds=-1e101,1"],
+    ["solve-rpm", "--zeta", "1e308,1e308"],
 ])
 def test_overflow_scale_input_exits_two_without_warning(tmp_path, capsys, args):
     with warnings.catch_warnings():
@@ -166,6 +168,16 @@ def test_convergence_subcommand(tmp_path, capsys):
     assert rows[-1][0] == "rate"
     errors = [float(r[1]) for r in rows[:-1]]
     assert errors[0] > errors[1]
+
+
+def test_jobs_is_validated_but_changes_nothing(tmp_path):
+    study = ["convergence", "--method", "wsm", "--levels", "2,3", "--ref-level", "4"]
+    for jobs in ("1", "3"):
+        assert main(study + ["--jobs", jobs, "--out", str(tmp_path / jobs)]) == 0
+    csv_bytes = [(tmp_path / jobs / "convergence_wsm.csv").read_bytes() for jobs in ("1", "3")]
+    assert csv_bytes[0] == csv_bytes[1]
+    assert main(study + ["--jobs", "0", "--out", str(tmp_path / "0")]) == 2
+    assert not (tmp_path / "0").exists()
 
 
 def test_convergence_rpm_with_zetas(tmp_path):

@@ -1,5 +1,4 @@
 import csv
-import threading
 
 import numpy as np
 import pytest
@@ -161,29 +160,18 @@ def test_shared_system_under_concurrent_first_calls(race, rng):
         assert np.array_equal(values, solve_spd(reference, rhs).nodal_values)
 
 
-@pytest.mark.parametrize("jobs", [1, 4])
-def test_study_computes_greens_means_once_per_level(tmp_path, solve_calls, jobs):
+def test_study_computes_greens_means_once_per_level(tmp_path, solve_calls):
     alphas = [(0.3, 0.7), (0.7, 0.3)]
     # cold cache: one solve per observation point on each of the levels 2, 3 and 4
-    run_convergence_wsm(small_config(benchmark_problem(), tmp_path, jobs=jobs), alphas)
+    run_convergence_wsm(small_config(benchmark_problem(), tmp_path), alphas)
     assert len(solve_calls) == 6
     # warm cache, fresh problem: the study levels only
     solve_calls.clear()
-    run_convergence_wsm(small_config(benchmark_problem(), tmp_path, jobs=jobs), alphas)
+    run_convergence_wsm(small_config(benchmark_problem(), tmp_path), alphas)
     assert len(solve_calls) == 4
 
 
-@pytest.mark.parametrize("jobs", [1, 2, 4])
-def test_parallel_cells_match_sequential(tmp_path, jobs):
-    problem = benchmark_problem()
-    alphas = [(0.3, 0.7), (0.7, 0.3)]
-    sequential = run_convergence_wsm(small_config(problem, tmp_path / "a"), alphas)
-    for _ in ("cold", "cached"):
-        parallel = run_convergence_wsm(small_config(problem, tmp_path / "b", jobs=jobs), alphas)
-        assert np.array_equal(sequential.errors, parallel.errors)
-
-
-def test_errors_and_references_stay_on_the_calling_thread(tmp_path, monkeypatch):
+def test_study_solves_each_reference_before_its_cells(tmp_path, monkeypatch):
     from mopoisson import experiments
 
     calls = []
@@ -191,23 +179,22 @@ def test_errors_and_references_stay_on_the_calling_thread(tmp_path, monkeypatch)
     def recorded(name, fn, when=lambda *args: True):
         def wrapper(*args):
             if when(*args):
-                calls.append((name, threading.get_ident()))
+                calls.append(name)
             return fn(*args)
 
         return wrapper
 
-    config = small_config(benchmark_problem(), tmp_path, jobs=4)
+    config = small_config(benchmark_problem(), tmp_path)
     monkeypatch.setattr(experiments, "l2_error", recorded("error", experiments.l2_error))
     monkeypatch.setattr(experiments, "read_control", recorded("read", experiments.read_control))
     monkeypatch.setattr(experiments, "_solve_at_level", recorded(
         "reference", experiments._solve_at_level, lambda c, m, p, level: level == config.reference_level
     ))
     alphas = [(0.3, 0.7), (0.7, 0.3)]
-    for expected in (["error"] * 4 + ["reference"] * 2, ["error"] * 4 + ["read"] * 2):
+    for first in ("reference", "read"):  # cold pass, then cached pass
         calls.clear()
         run_convergence_wsm(config, alphas)
-        assert sorted(name for name, _ in calls) == expected
-        assert {ident for _, ident in calls} == {threading.get_ident()}
+        assert calls == [first, "error", "error"] * 2
 
 
 def test_rpm_convergence_with_explicit_zetas(tmp_path):

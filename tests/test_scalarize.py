@@ -199,6 +199,29 @@ def test_solve_counts_are_audited(bench, level3, system_for, solve_calls):
     assert report.solve_count == full == len(solve_calls)
 
 
+def test_racing_first_solves_match_serial(bench, system_for, race):
+    # no lock: eight threads race on the Green's function precompute of one fresh problem
+    _, system = system_for(4)
+
+    def fresh():
+        return ProblemData(
+            obs1=bench.obs1, y1=bench.y1, obs2=bench.obs2, y2=bench.y2,
+            lambda1=bench.lambda1, lambda2=bench.lambda2, bounds=bench.bounds,
+        )
+
+    alphas = [(a, 1.0 - a) for a in np.linspace(0.1, 0.9, 8)]
+    serial = [solve_wsm(fresh(), system, alpha).control.values for alpha in alphas]
+    problem = fresh()
+    results = [None] * 8
+
+    def work(i):
+        results[i] = solve_wsm(problem, system, alphas[i]).control.values
+
+    race(work)
+    for got, want in zip(results, serial):
+        assert np.array_equal(got, want)
+
+
 def test_sweeps_share_one_greens_precompute(bench, level3, solve_calls):
     _, mesh, system = level3
     problem = ProblemData(
