@@ -160,9 +160,11 @@ def test_shared_system_under_concurrent_first_calls(race, rng):
         assert np.array_equal(values, solve_spd(reference, rhs).nodal_values)
 
 
-def test_study_computes_greens_means_once_per_level(tmp_path, solve_calls):
-    alphas = [(0.3, 0.7), (0.7, 0.3)]
-    # cold cache: one solve per observation point on each of the levels 2, 3 and 4
+@pytest.mark.parametrize("n_weights", [1, 4])
+def test_study_computes_greens_means_once_per_level(tmp_path, solve_calls, n_weights):
+    alphas = [(a, 1.0 - a) for a in np.linspace(0.2, 0.8, n_weights)]
+    # cold cache: one solve per observation point on each of the levels 2, 3 and 4,
+    # however many weight vectors the study runs
     run_convergence_wsm(small_config(benchmark_problem(), tmp_path), alphas)
     assert len(solve_calls) == 6
     # warm cache, fresh problem: the study levels only
