@@ -9,7 +9,6 @@ swept controls measured against a fine reference level.
 from __future__ import annotations
 
 import functools
-import hashlib
 import os
 import warnings
 from dataclasses import dataclass, field
@@ -143,6 +142,8 @@ def _problem_fingerprint(problem: ProblemData) -> str:
 
 
 def _cache_key(config: ExperimentConfig, method: str, parameter, level: int) -> str:
+    import hashlib  # loads OpenSSL; only convergence studies need it
+
     payload = "|".join(
         [
             _CACHE_FORMAT,

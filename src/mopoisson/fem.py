@@ -152,13 +152,15 @@ def _dst1(a: np.ndarray) -> np.ndarray:
     Each pass takes the imaginary part of the real FFT of every row's odd
     extension ``[0, x, 0, -x reversed]`` (Cooley, Lewis & Welch, J. Sound
     Vib. 12, 1970), then transposes.  One pass negates the sine sums, so
-    the two passes' signs cancel.
+    the two passes' signs cancel.  Both passes fill one extension buffer.
     """
     m = a.shape[0]
+    ext = np.empty((m, 2 * m + 2))
+    ext[:, 0] = 0.0
+    ext[:, m + 1] = 0.0
     for _ in range(2):
-        ext = np.zeros((m, 2 * m + 2))
         ext[:, 1 : m + 1] = a
-        ext[:, m + 2 :] = -a[:, ::-1]
+        np.negative(a[:, ::-1], out=ext[:, m + 2 :])
         a = rfft(ext)[:, 1 : m + 1].imag.T
     return a / (2 * m + 2)
 

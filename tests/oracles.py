@@ -358,6 +358,17 @@ def mutually_nondominated(objectives: np.ndarray, slack: float = 1e-8) -> bool:
     return True
 
 
+def clip_and_where_starting_pair(bounds, mesh, u_start):
+    """The solver's starting pair built with fresh arrays: ``u_start`` (zero if
+    absent) clipped to the box, and that moved up by ``delta``, or down where
+    up leaves the box."""
+    if u_start is None:
+        u_start = PwcControl(mesh, np.zeros(mesh.num_triangles))
+    u0 = clip_to_box(u_start, bounds)
+    delta = 1e-2 * min(1.0, bounds.ub - bounds.ua)
+    return u0, PwcControl(mesh, np.where(u0.values + delta <= bounds.ub, u0.values + delta, u0.values - delta))
+
+
 def reference_bb(problem, grad_eval, u0: PwcControl, u_minus1: PwcControl, config) -> SolveReport:
     """The projected BB loop of ``bb_projected_gradient``, one fresh array per operation.
 

@@ -15,7 +15,7 @@ from mopoisson import (
     run_convergence_wsm,
     run_front,
 )
-from mopoisson.experiments import ConvergenceTable
+from mopoisson.experiments import ConvergenceTable, _cache_key
 
 PUBLISHED_H = [2.0 ** -k for k in (2, 3, 4, 5)]
 PUBLISHED_WSM_ERRORS = [0.727125, 0.399550, 0.209558, 0.107604]
@@ -88,6 +88,13 @@ def test_reference_cache_round_trip(tmp_path):
 
     assert l2_error(cached, recomputed) <= 1e-10
     assert np.allclose(table_first.errors, table_second.errors, atol=1e-10)
+
+
+def test_cache_key_is_pinned():
+    # existing cache files stay hits only while the key of a fixed config is unchanged
+    config = ExperimentConfig(problem=benchmark_problem(), levels=(2, 3), reference_level=6)
+    assert _cache_key(config, "wsm", (0.5, 0.5), 6) == "718d8f53d3ed9ccc"
+    assert _cache_key(config, "rpm", (17.88, 1.71), 6) == "c0f24c31c0f1450f"
 
 
 @pytest.mark.parametrize("damage", ["truncated", "nan"])

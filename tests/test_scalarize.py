@@ -1,3 +1,6 @@
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,6 +23,7 @@ from mopoisson import (
 )
 from mopoisson.objective import ObjectivePair, eval_objectives, grad_rpm, grad_wsm, greens_function_means
 from oracles import (
+    clip_and_where_starting_pair,
     fixed_step_projected_gradient,
     mesh_nodes,
     mesh_triangles,
@@ -503,3 +507,42 @@ def test_in_place_bb_loop_is_exact_through_fallbacks(level3, rng):
         report = bb_projected_gradient(problem, grad, u0, u_minus1, config)
         assert report.fallback_steps >= 1
         assert _outcome(report) == _outcome(reference_bb(problem, grad, u0, u_minus1, config))
+
+
+@pytest.mark.parametrize("solve, parameter", [(solve_wsm, (0.3, 0.7)), (solve_rpm, (16.5, 1.5))])
+def test_starting_pair_matches_the_clip_and_where_construction(bench, system_for, monkeypatch, solve, parameter):
+    """The reference loop from freshly built starting arrays ends where the solver does, bit for bit."""
+    import mopoisson.scalarize
+
+    mesh, system = system_for(5)
+    warm = solve_wsm(bench, system, (0.6, 0.4)).control
+    grad_evals = []
+
+    def recording(problem, grad_eval, u0, u_minus1, config):
+        grad_evals.append(grad_eval)
+        return bb_projected_gradient(problem, grad_eval, u0, u_minus1, config)
+
+    monkeypatch.setattr(mopoisson.scalarize, "bb_projected_gradient", recording)
+    for start in (None, warm):
+        report = solve(bench, system, parameter, u_start=start)
+        pair = clip_and_where_starting_pair(bench.bounds, mesh, start)
+        assert _outcome(report) == _outcome(reference_bb(bench, grad_evals[-1], *pair, BBConfig()))
+
+
+@pytest.mark.skipif(
+    sys.version_info < (3, 11),
+    reason="before CPython 3.11 the caller's evaluation stack keeps the starting pair alive for the whole call",
+)
+def test_solve_peak_stays_within_six_control_vectors(bench, system_for):
+    mesh, system = system_for(7)
+    warm = solve_wsm(bench, system, (0.6, 0.4)).control  # the problem now holds the Green's means
+    vector = mesh.num_triangles * np.dtype(np.float64).itemsize
+    for solve, parameter in [(solve_wsm, (0.3, 0.7)), (solve_rpm, (16.5, 1.5))]:
+        for start in (None, warm):
+            tracemalloc.start()
+            try:
+                solve(bench, system, parameter, u_start=start)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 6.5 * vector, (solve.__name__, start is None, peak / vector)
