@@ -8,8 +8,9 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .mesh import MAX_LEVEL, TriMesh, build_uniform_mesh, parent_elements
+from .mesh import MAX_LEVEL, TriMesh, build_uniform_mesh
 
 if TYPE_CHECKING:
     from .fem import P1Function
@@ -86,9 +87,30 @@ def prolong(u: PwcControl, fine: TriMesh) -> PwcControl:
     """Exact injection to a finer mesh of the family.
 
     Each fine triangle inherits the value of its coarse ancestor, so the
-    function is preserved pointwise and the L2 norm exactly.
+    function is preserved pointwise and the L2 norm exactly.  With
+    ``s = 2**(fine.level - coarse.level)`` the fine values are viewed as
+    ``(nc, s, nc, s, 2)``: coarse row, row offset ``b``, coarse column,
+    column offset ``a``, fine kind.  A fine triangle lies in the upper
+    coarse triangle when ``b > a``, or when ``b == a`` and it is an upper
+    one itself; otherwise it lies in the lower one.  Along ``(a, kind)``,
+    row ``b`` of a coarse cell thus reads ``2b`` upper values, one lower,
+    one upper, then lower ones: the window at ``2(s - 1 - b)`` of one
+    ``(4s - 2)``-long sequence per coarse cell.  The prolongation is one
+    strided copy of those windows; no index map is built or kept, and the
+    sequences take ``(2s - 1) / s**2`` of the fine vector.
     """
-    return PwcControl(fine, u.values.take(parent_elements(fine, u.mesh)))
+    coarse = u.mesh
+    if coarse.level > fine.level:
+        raise ValueError("coarse mesh must not be finer than the fine mesh")
+    nc, s = coarse.cells_per_side, 2 ** (fine.level - coarse.level)
+    lower, upper = u.values.reshape(nc, nc, 2, 1).transpose(2, 0, 1, 3)
+    seq = np.empty((nc, nc, 4 * s - 2))
+    seq[..., :2 * s] = upper
+    seq[..., 2 * s - 2] = lower[..., 0]
+    seq[..., 2 * s:] = lower
+    values = np.empty((nc, s, nc, 2 * s))  # (row, b, column, (a, kind))
+    values.transpose(0, 2, 1, 3)[...] = sliding_window_view(seq, 2 * s, axis=-1)[:, :, ::-2]
+    return PwcControl(fine, values.ravel())
 
 
 def l2_error(u_coarse: PwcControl, u_ref: PwcControl) -> float:

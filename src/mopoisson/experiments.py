@@ -178,8 +178,8 @@ def _reference_control(
 ) -> PwcControl | None:
     """Reference-level solve, cached on disk keyed by data and parameter.
 
-    Cache files are replaced atomically; an unreadable one is a miss that
-    is recomputed and overwritten.
+    Cache files are replaced atomically; an unreadable one, or one holding
+    a control of another level, is a miss that is recomputed and overwritten.
     """
     level = _reference_level(config)
     cache_dir = config.output_dir / "cache"
@@ -187,7 +187,10 @@ def _reference_control(
     path = cache_dir / f"{method}_{_cache_key(config, method, parameter, level)}.ctrl"
     if path.exists():
         try:
-            return read_control(path)
+            ref = read_control(path)
+            if ref.mesh.level != level:
+                raise ValueError(f"{path}: a level-{ref.mesh.level} control, expected level {level}")
+            return ref
         except ValueError as exc:
             warnings.warn(f"ignoring unreadable reference cache file: {exc}", RuntimeWarning)
     report = _solve_at_level(config, method, parameter, level)

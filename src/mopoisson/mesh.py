@@ -19,7 +19,6 @@ __all__ = [
     "TriMesh",
     "build_uniform_mesh",
     "locate_point",
-    "parent_elements",
     "triangle_nodes",
 ]
 
@@ -117,39 +116,3 @@ def locate_point(mesh: TriMesh, points) -> tuple[np.ndarray, np.ndarray]:
     bary = bary.clip(0.0, 1.0)
     bary /= bary.sum(axis=1, keepdims=True)
     return 2 * (cell[:, 1] * n + cell[:, 0]) + upper, bary
-
-
-def parent_elements(fine: TriMesh, coarse: TriMesh) -> np.ndarray:
-    """Index of the coarse ancestor of every fine triangle (read-only int32).
-
-    Pure index arithmetic on the nested family; no geometry is evaluated.
-    The map depends on the two levels only and is computed once per pair.
-    """
-    if coarse.level > fine.level:
-        raise ValueError("coarse mesh must not be finer than the fine mesh")
-    return _parent_map(fine.level, coarse.level)
-
-
-# One convergence study needs at most MAX_LEVEL maps, one per study level.
-@functools.lru_cache(maxsize=MAX_LEVEL)
-def _parent_map(fine_level: int, coarse_level: int) -> np.ndarray:
-    delta = fine_level - coarse_level
-    nf = 2 ** fine_level
-    nc = 2 ** coarse_level
-
-    # int32 halves the map: 2 * 4**MAX_LEVEL < 2**31 bounds every index.
-    t = np.arange(2 * nf * nf, dtype=np.int32)
-    cell = t >> 1
-    kind = t & 1
-    ixf = cell % nf
-    iyf = cell // nf
-    ixc = ixf >> delta
-    iyc = iyf >> delta
-    # Position of the fine cell inside its coarse cell decides the side of
-    # the coarse diagonal; on the diagonal the fine split continues it.
-    a = ixf - (ixc << delta)
-    b = iyf - (iyc << delta)
-    coarse_kind = np.where(b < a, 0, np.where(b > a, 1, kind))
-    parents = 2 * (iyc * nc + ixc) + coarse_kind
-    parents.setflags(write=False)
-    return parents

@@ -48,3 +48,24 @@ def test_src_imports_only_stdlib_and_numpy():
     pyproject = package.parents[1] / "pyproject.toml"
     dependencies = tomllib.loads(pyproject.read_text())["project"]["dependencies"]
     assert [re.match(r"[A-Za-z0-9_.-]+", d).group() for d in dependencies] == ["numpy"]
+
+
+# functools memoization keeps every result for the whole process: one mesh and
+# one stiffness system per level are small, a per-pair or per-call array is not.
+MEMOIZED = ["experiments.shared_system", "mesh.build_uniform_mesh"]
+
+
+def test_only_the_per_level_builders_are_memoized():
+    package = Path(mopoisson.__file__).resolve().parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        decorated = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                decorated.update((id(sub), node.name) for deco in node.decorator_list for sub in ast.walk(deco))
+        for node in ast.walk(tree):
+            name = {ast.Attribute: "attr", ast.Name: "id", ast.alias: "name"}.get(type(node))
+            if name and getattr(node, name) in {"lru_cache", "cache"}:
+                found.append(f"{path.stem}.{decorated.get(id(node), '<not a decorator>')}")
+    assert found == MEMOIZED

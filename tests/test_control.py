@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -145,6 +146,20 @@ def test_l2_error_single_element_perturbation(rng):
     ref_values[17] += delta
     err = l2_error(u, control(fine, ref_values))
     assert err == pytest.approx(delta * np.sqrt(fine.element_area), abs=1e-14)
+
+
+def test_l2_error_allocates_one_fine_vector_and_keeps_nothing(rng):
+    u = control(build_uniform_mesh(2), rng.normal(size=32))
+    ref = control(build_uniform_mesh(9), rng.normal(size=2 * 4 ** 9))
+    for call in ("first", "repeated"):
+        tracemalloc.start()
+        try:
+            l2_error(u, ref)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * ref.values.nbytes, call
+        assert retained <= 1e-3 * ref.values.nbytes, call
 
 
 def test_pi0_constant_and_coordinate():

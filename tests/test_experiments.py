@@ -7,13 +7,16 @@ from mopoisson import (
     BBConfig,
     ExperimentConfig,
     ParetoFront,
+    PwcControl,
     benchmark_problem,
+    build_uniform_mesh,
     estimate_rate,
     export_csv,
     read_control,
     run_convergence_rpm,
     run_convergence_wsm,
     run_front,
+    write_control,
 )
 from mopoisson.experiments import ConvergenceTable, _cache_key
 
@@ -97,7 +100,7 @@ def test_cache_key_is_pinned():
     assert _cache_key(config, "rpm", (17.88, 1.71), 6) == "c0f24c31c0f1450f"
 
 
-@pytest.mark.parametrize("damage", ["truncated", "nan"])
+@pytest.mark.parametrize("damage", ["truncated", "nan", "level-3", "level-5"])
 def test_truncated_cache_file_is_recomputed(tmp_path, damage):
     config = small_config(benchmark_problem(), tmp_path)
     table_first = run_convergence_wsm(config, [(0.5, 0.5)])
@@ -105,8 +108,11 @@ def test_truncated_cache_file_is_recomputed(tmp_path, damage):
     complete = cache_file.read_bytes()
     if damage == "truncated":
         cache_file.write_bytes(complete[: len(complete) // 2])
-    else:  # the last value replaced, the count unchanged
+    elif damage == "nan":  # the last value replaced, the count unchanged
         cache_file.write_bytes(complete[:-8] + np.array(np.nan, "<f8").tobytes())
+    else:  # a valid control of a level other than the reference level 4
+        level = int(damage.split("-")[1])
+        write_control(PwcControl(build_uniform_mesh(level), np.ones(2 * 4 ** level)), cache_file)
     with pytest.warns(RuntimeWarning, match="unreadable reference cache"):
         table_second = run_convergence_wsm(config, [(0.5, 0.5)])
     assert cache_file.read_bytes() == complete

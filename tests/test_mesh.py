@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -8,8 +9,8 @@ import numpy as np
 import pytest
 
 import mopoisson
-from mopoisson import MAX_LEVEL, PwcControl, build_uniform_mesh, write_control
-from mopoisson.mesh import locate_point, parent_elements, triangle_nodes
+from mopoisson import MAX_LEVEL, PwcControl, build_uniform_mesh, l2_error, prolong, write_control
+from mopoisson.mesh import locate_point, triangle_nodes
 from oracles import (
     brute_force_locate,
     interior_mask,
@@ -141,15 +142,21 @@ def test_locate_matches_brute_force_on_edges_and_vertices(rng):
         assert elements.tolist() == [brute_force_locate(mesh, p)[0] for p in points]
 
 
+def ancestors(fine, coarse):
+    """Coarse ancestor of every fine triangle, read off the prolonged triangle indices."""
+    indices = PwcControl(coarse, np.arange(coarse.num_triangles, dtype=float))
+    return prolong(indices, fine).values.astype(np.int64)
+
+
 def test_nested_map_identity():
     mesh = build_uniform_mesh(2)
-    assert np.array_equal(parent_elements(mesh, mesh), np.arange(mesh.num_triangles))
+    assert np.array_equal(ancestors(mesh, mesh), np.arange(mesh.num_triangles))
 
 
 def test_nested_map_children_tile_parent():
     coarse = build_uniform_mesh(1)
     fine = build_uniform_mesh(2)
-    parents = parent_elements(fine, coarse)
+    parents = ancestors(fine, coarse)
     assert np.array_equal(np.bincount(parents), np.full(coarse.num_triangles, 4))
     child_area = fine.element_area * 4
     assert child_area == coarse.element_area * 1  # 4 children recover the parent area
@@ -160,55 +167,30 @@ def test_nested_map_centroids_land_in_parent():
     fine = build_uniform_mesh(4)
     centroids = mesh_nodes(fine)[mesh_triangles(fine)].mean(axis=1)
     elements, _ = locate_point(coarse, centroids)
-    assert np.array_equal(elements, parent_elements(fine, coarse))
+    assert np.array_equal(elements, ancestors(fine, coarse))
+    assert np.array_equal(elements, parent_elements_closed_form(4, 2))
 
 
 def test_nested_map_partitions_fine_mesh():
     coarse = build_uniform_mesh(1)
     fine = build_uniform_mesh(3)
-    parents = parent_elements(fine, coarse)
+    parents = ancestors(fine, coarse)
     assert parents.shape == (fine.num_triangles,)
     assert 0 <= parents.min() and parents.max() < coarse.num_triangles
     assert np.array_equal(np.bincount(parents), np.full(coarse.num_triangles, 4 ** 2))
 
 
-@pytest.mark.parametrize("fine_level", range(6))
-def test_parent_map_is_memoized_and_read_only(fine_level):
+@pytest.mark.parametrize("fine_level", range(8))
+def test_prolong_equals_the_oracle_gather(fine_level, rng):
     fine = build_uniform_mesh(fine_level)
+    ref = PwcControl(fine, rng.normal(size=fine.num_triangles))
     for coarse_level in range(fine_level + 1):
-        coarse = build_uniform_mesh(coarse_level)
-        parents = parent_elements(fine, coarse)
-        assert parent_elements(build_uniform_mesh(fine_level), coarse) is parents
-        assert not parents.flags.writeable
-        assert parents.dtype == np.int32
-        assert np.array_equal(parents, parent_elements_closed_form(fine_level, coarse_level))
-
-
-def test_int32_holds_every_triangle_index_up_to_max_level():
-    # arithmetic only: the level-14 map itself would take 2 GiB
-    assert 2 * 4 ** MAX_LEVEL < 2 ** 31
-
-
-def test_parent_map_under_concurrent_first_calls(race):
-    import mopoisson.mesh
-
-    mopoisson.mesh._parent_map.cache_clear()
-    fine, coarse = build_uniform_mesh(7), build_uniform_mesh(3)
-    results = [None] * 8
-
-    def work(i):
-        results[i] = parent_elements(fine, coarse)
-
-    race(work)
-    expected = parent_elements_closed_form(7, 3)
-    for parents in results:
-        assert np.array_equal(parents, expected)
-        assert not parents.flags.writeable
-
-
-def test_parent_elements_rejects_wrong_direction():
-    with pytest.raises(ValueError):
-        parent_elements(build_uniform_mesh(1), build_uniform_mesh(2))
+        u = PwcControl(build_uniform_mesh(coarse_level), rng.normal(size=2 * 4 ** coarse_level))
+        gathered = u.values.take(parent_elements_closed_form(fine_level, coarse_level))
+        assert np.array_equal(prolong(u, fine).values, gathered)
+        # l2_error's own order: a fresh prolongation, an in-place subtract, one dot
+        gathered -= ref.values
+        assert l2_error(u, ref) == math.sqrt(fine.element_area * float(gathered @ gathered))
 
 
 def test_meshes_are_immutable():
