@@ -144,10 +144,11 @@ def write_control(u: PwcControl, path) -> None:
         np.save(fh, u.values.astype("<f8", copy=False), allow_pickle=False)
 
 
-def read_control(path) -> PwcControl:
+def read_control(path, level: int | None = None) -> PwcControl:
     """Read a file of :func:`write_control`, rebuilding the mesh.
 
-    The header is checked before any value is read or a mesh is built;
+    The header is checked before any value is read or a mesh is built,
+    including, if ``level`` is given, that the count is that level's;
     nothing is ever unpickled.
     """
     try:
@@ -156,12 +157,14 @@ def read_control(path) -> PwcControl:
         raise ValueError(f"{path}: not a control file: {exc}") from exc
     if mapped.ndim != 1 or mapped.dtype.str != "<f8":
         raise ValueError(f"{path}: expected a 1-D <f8 array, found {mapped.dtype.str} {mapped.shape}")
-    level = (mapped.size // 2).bit_length() // 2  # size == 2 * 4**level
-    if level > MAX_LEVEL or mapped.size != 2 * 4 ** level:
+    found = (mapped.size // 2).bit_length() // 2  # size == 2 * 4**found
+    if found > MAX_LEVEL or mapped.size != 2 * 4 ** found:
         raise ValueError(f"{path}: {mapped.size} values is not 2*4**L with L in [0, {MAX_LEVEL}]")
+    if level is not None and found != level:
+        raise ValueError(f"{path}: a level-{found} control, expected level {level}")
     if os.path.getsize(path) != mapped.offset + mapped.nbytes:
         raise ValueError(f"{path}: bytes after the last value")
     values = np.array(mapped)
     if not np.all(np.isfinite(values)):
         raise ValueError(f"{path}: non-finite value")
-    return PwcControl(build_uniform_mesh(level), values)
+    return PwcControl(build_uniform_mesh(found), values)

@@ -187,10 +187,7 @@ def _reference_control(
     path = cache_dir / f"{method}_{_cache_key(config, method, parameter, level)}.ctrl"
     if path.exists():
         try:
-            ref = read_control(path)
-            if ref.mesh.level != level:
-                raise ValueError(f"{path}: a level-{ref.mesh.level} control, expected level {level}")
-            return ref
+            return read_control(path, level)
         except ValueError as exc:
             warnings.warn(f"ignoring unreadable reference cache file: {exc}", RuntimeWarning)
     report = _solve_at_level(config, method, parameter, level)

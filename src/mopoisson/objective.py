@@ -44,7 +44,9 @@ class ProblemData:
     are immutable (the arrays are read-only copies), so the Green's function
     means of a mesh level, kept in ``_greens`` by the solver's first solve at
     that level, stay valid for every later solve.  Racing first solves at
-    one level store equal means.
+    one level store equal means.  ``y`` stacks ``y1``, then ``y2``, in the
+    row order of those means, and ``_point_set`` holds each row's criterion
+    index (0 or 1).
     """
 
     obs1: np.ndarray
@@ -54,6 +56,8 @@ class ProblemData:
     lambda1: float
     lambda2: float
     bounds: BoxBounds
+    y: np.ndarray = field(init=False, repr=False, compare=False)
+    _point_set: np.ndarray = field(init=False, repr=False, compare=False)
     _greens: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -70,6 +74,11 @@ class ProblemData:
                 raise ValueError(f"observation set {k} must lie strictly inside the domain")
             if not np.all(np.abs(des) <= MAX_MAGNITUDE):
                 raise ValueError(f"desired values of set {k} must be at most {MAX_MAGNITUDE:g} in magnitude")
+        y = np.concatenate((self.y1, self.y2))
+        point_set = np.repeat([0, 1], [self.y1.shape[0], self.y2.shape[0]])
+        for name, values in (("y", y), ("_point_set", point_set)):
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
         object.__setattr__(self, "lambda1", float(self.lambda1))
         object.__setattr__(self, "lambda2", float(self.lambda2))
         if not (0.0 < self.lambda1 <= MAX_MAGNITUDE and 0.0 < self.lambda2 <= MAX_MAGNITUDE):
@@ -128,6 +137,11 @@ def greens_function_means(problem: ProblemData, system: StiffnessSystem) -> np.n
     return np.array([pi0_project(solve_spd(system, assemble_point_load(mesh, x, 1.0))).values for x in points])
 
 
+def _residuals(problem: ProblemData, greens: np.ndarray, area: float, u: np.ndarray) -> np.ndarray:
+    """``r = |T| G u - y``: the state of ``u`` at ``obs1``, then ``obs2``, minus the desired values."""
+    return area * (greens @ u) - problem.y
+
+
 def eval_objectives(
     problem: ProblemData, greens: np.ndarray, area: float, u: np.ndarray
 ) -> tuple[np.ndarray, ObjectivePair]:
@@ -138,7 +152,7 @@ def eval_objectives(
     ``obs2``.  No solve happens here, keeping solve counts auditable.
     """
     n1 = problem.y1.shape[0]
-    r = area * (greens @ u) - np.concatenate((problem.y1, problem.y2))
+    r = _residuals(problem, greens, area, u)
     r1, r2 = r[:n1], r[n1:]
     un2 = area * float(u @ u)
     return r, ObjectivePair(
@@ -163,31 +177,34 @@ def _check_reference_point(zeta) -> tuple[float, float]:
     return z1, z2
 
 
-def _weighted_gradient(
-    problem: ProblemData, greens: np.ndarray, r: np.ndarray, u: np.ndarray, c1: float, c2: float
-) -> np.ndarray:
-    """Control-space gradient representer of ``c1 j1 + c2 j2``.
+def _coefficients(problem: ProblemData, c1: float, c2: float) -> tuple[np.ndarray, float]:
+    """Per-point coefficients ``c`` of ``c1 j1 + c2 j2`` and its control-cost weight ``lam``."""
+    return np.array((c1, c2))[problem._point_set], c1 * problem.lambda1 + c2 * problem.lambda2
+
+
+def _weighted_gradient(greens: np.ndarray, r: np.ndarray, u: np.ndarray, c: np.ndarray, lam: float) -> np.ndarray:
+    """Control-space gradient representer of ``c1 j1 + c2 j2``: ``G^T (c r) + lam u``.
 
     Per triangle: ``sum_k c_k (mean_T(p_k) + lambda_k u_T)``, the unique
     piecewise-constant function realizing the derivative against
-    piecewise-constant variations.  The adjoint means of both criteria come
-    from one mat-vec, ``G^T (c r)`` with ``c`` repeating ``(c1, c2)`` over
-    the two sets.
+    piecewise-constant variations.  ``c`` and ``lam`` come from
+    :func:`_coefficients`; the adjoint means of both criteria come from one
+    mat-vec.
     """
-    n1 = problem.y1.shape[0]
-    cr = np.concatenate((c1 * r[:n1], c2 * r[n1:]))
     # G^T (c r) as np.dot(c r, G): one gemv on the row-major G
-    g = np.dot(cr, greens)
-    return np.add(g, (c1 * problem.lambda1 + c2 * problem.lambda2) * u, out=g)
+    g = np.dot(r * c, greens)
+    return np.add(g, lam * u, out=g)
 
 
 def grad_wsm(problem: ProblemData, greens: np.ndarray, r: np.ndarray, u: np.ndarray, alpha) -> np.ndarray:
     """Gradient representer of the weighted-sum objective: coefficients ``alpha``."""
-    return _weighted_gradient(problem, greens, r, u, *_check_weights(alpha))
+    return _weighted_gradient(greens, r, u, *_coefficients(problem, *_check_weights(alpha)))
 
 
 def grad_rpm(
     problem: ProblemData, greens: np.ndarray, r: np.ndarray, u: np.ndarray, zeta, j: ObjectivePair
 ) -> np.ndarray:
     """Gradient representer of the reference-point distance: coefficients ``j - zeta``."""
-    return _weighted_gradient(problem, greens, r, u, j.j1 - float(zeta[0]), j.j2 - float(zeta[1]))
+    return _weighted_gradient(
+        greens, r, u, *_coefficients(problem, j.j1 - float(zeta[0]), j.j2 - float(zeta[1]))
+    )

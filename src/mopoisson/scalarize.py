@@ -8,6 +8,7 @@ Pareto front by varying the weight or walking the reference point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -21,9 +22,10 @@ from .objective import (
     ProblemData,
     _check_reference_point,
     _check_weights,
+    _coefficients,
+    _residuals,
+    _weighted_gradient,
     eval_objectives,
-    grad_rpm,
-    grad_wsm,
     greens_function_means,
 )
 
@@ -46,7 +48,7 @@ __all__ = [
 _CURVATURE_TOL = 1e-14
 _FALLBACK_STEP = 1.0
 
-GradEval = Callable[[np.ndarray], tuple[np.ndarray, ObjectivePair]]
+GradEval = Callable[[np.ndarray], tuple[np.ndarray, ObjectivePair | None]]
 
 
 @dataclass
@@ -68,7 +70,7 @@ class SolveReport:
     """Converged (or last) control with diagnostics of the run."""
 
     control: PwcControl
-    objectives: ObjectivePair
+    objectives: ObjectivePair | None
     iterations: int
     final_residual: float
     converged: bool
@@ -102,7 +104,8 @@ def _check_eps(eps: float) -> None:
 
 
 def _require_feasible(u: PwcControl, bounds: BoxBounds, name: str) -> None:
-    if not np.array_equal(np.clip(u.values, bounds.ua, bounds.ub), u.values):
+    # min and max are NaN if a value is, and then both comparisons fail
+    if not (bounds.ua <= u.values.min() and u.values.max() <= bounds.ub):
         raise ValueError(f"{name} must lie within the box bounds")
 
 
@@ -116,12 +119,17 @@ def bb_projected_gradient(
     """Box-projected Barzilai-Borwein iteration for a scalarized objective.
 
     ``grad_eval`` maps control values to the values of their gradient
-    representer and their objective pair; the loop runs on value arrays.
+    representer and their objective pair, or ``None`` for a caller that
+    forms the pair itself; the report holds the pair of the last
+    evaluation.  The loop runs on value arrays.
     Iterates follow ``u <- clip(u - (1/t) g)`` with the BB quotient ``t =
     |dg|^2 / (dg, du)``; the loop stops once the step-to-unit-step
     gap ``|u_next - clip(u - g)|`` and the fixed-point residual of the
     accepted iterate both fall below ``config.tol``.  Exhausting
-    ``max_iter`` returns a non-converged report instead of raising.
+    ``max_iter`` returns a non-converged report instead of raising.  The
+    residual is formed only where it counts: in passes whose gap is below
+    ``tol``, and in the last pass, whose residual the report of an
+    exhausted loop holds.
     Degenerate or nonpositive curvature denominators fall back to a unit
     step and are counted in the report.  The starting values and the
     gradients of ``grad_eval`` are never written.
@@ -142,6 +150,8 @@ def bb_projected_gradient(
 
     mesh = u0.mesh
     area = mesh.element_area
+    ua, ub = bounds.ua, bounds.ub
+    tol, max_iter = config.tol, config.max_iter
     u_prev, u = u_minus1.values, u0.values
     del u0, u_minus1
     g_prev, _ = grad_eval(u_prev)
@@ -149,30 +159,32 @@ def bb_projected_gradient(
 
     fallbacks = 0
     iterations = 0
-    step_gap = np.inf
+    step_gap = math.inf
     converged = False
-    fp_residual = np.inf
+    fp_residual = math.inf
 
-    while iterations < config.max_iter:
+    while iterations < max_iter:
         # Three fresh arrays, reused in place: dg -> u_next, fixed_point -> step gap, du -> u - u_prev.
         # dg comes first: formed after du, glibc trimmed and refaulted the heap top in most
         # iterations of a cold L8 front (123k instead of 43k minor faults).
         dg = np.subtract(g, g_prev)
         del g_prev
         fixed_point = np.subtract(u, g)
-        np.clip(fixed_point, bounds.ua, bounds.ub, out=fixed_point)
-        du = np.subtract(u, fixed_point)
-        fp_residual = np.sqrt(area * float(np.square(du, out=du).sum()))
-        if step_gap <= config.tol and fp_residual <= config.tol:
-            converged = True
-            break
-
-        du = np.subtract(u, u_prev, out=du)
+        fixed_point.clip(ua, ub, out=fixed_point)
+        if step_gap <= tol or iterations + 1 == max_iter:
+            du = np.subtract(u, fixed_point)
+            fp_residual = math.sqrt(area * float(np.square(du, out=du).sum()))
+            if step_gap <= tol and fp_residual <= tol:
+                converged = True
+                break
+            np.subtract(u, u_prev, out=du)
+        else:
+            du = np.subtract(u, u_prev)
         del u_prev
         dg_sq = area * float(dg @ dg)
         curvature = area * float(dg @ du)
         du_sq = area * float(du @ du)
-        if dg_sq == 0.0 or curvature <= _CURVATURE_TOL * np.sqrt(dg_sq * du_sq):
+        if dg_sq == 0.0 or curvature <= _CURVATURE_TOL * math.sqrt(dg_sq * du_sq):
             step = _FALLBACK_STEP
             fallbacks += 1
         else:
@@ -180,9 +192,9 @@ def bb_projected_gradient(
 
         u_next = np.multiply(g, step, out=dg)
         np.subtract(u, u_next, out=u_next)
-        np.clip(u_next, bounds.ua, bounds.ub, out=u_next)
+        u_next.clip(ua, ub, out=u_next)
         np.subtract(u_next, fixed_point, out=fixed_point)
-        step_gap = np.sqrt(area * float(fixed_point @ fixed_point))
+        step_gap = math.sqrt(area * float(fixed_point @ fixed_point))
 
         u_prev, g_prev = u, g
         u = u_next
@@ -194,7 +206,7 @@ def bb_projected_gradient(
         control=PwcControl(mesh, u),
         objectives=objectives,
         iterations=iterations,
-        final_residual=float(fp_residual),
+        final_residual=fp_residual,
         converged=converged,
         fallback_steps=fallbacks,
     )
@@ -216,19 +228,23 @@ def _offset_values(values: np.ndarray, bounds: BoxBounds) -> np.ndarray:
 def _solve(
     problem: ProblemData,
     system: StiffnessSystem,
-    gradient: Callable[[np.ndarray, np.ndarray, np.ndarray, ObjectivePair], np.ndarray],
     config: BBConfig | None,
     u_start: PwcControl | None,
+    alpha: tuple[float, float] | None = None,
+    zeta: tuple[float, float] | None = None,
 ) -> SolveReport:
     """BB iteration from ``u_start`` (zero if absent) and a uniform in-box offset of it.
 
+    Minimizes ``alpha . j`` if ``alpha`` is given, else ``|j - zeta|^2 / 2``.
     The problem's first solve at a mesh level computes the Green's function
     means there, one solve per observation point, and keeps them on the
     problem; those solves are the report's ``solve_count``, which is 0 for
     every later solve at that level.  Each evaluation forms the residuals
-    ``r`` and the objective pair ``j`` of the values ``u`` from the means
-    ``G`` with one mat-vec and takes the gradient ``gradient(G, r, u, j)``
-    with another.
+    ``r`` of the values ``u`` from the means ``G`` with one mat-vec and the
+    gradient ``G^T (c r) + lam u`` with another.  The weighted-sum
+    coefficients are fixed, so those evaluations skip the objective pair,
+    which is formed once from the final iterate; the reference-point
+    coefficients ``j - zeta`` need it in every evaluation.
     """
     config = config or BBConfig()
     bounds = problem.bounds
@@ -241,9 +257,18 @@ def _solve(
     greens = problem._greens[mesh.level]
     area = mesh.element_area
 
-    def evaluate_control(u: np.ndarray):
-        r, j = eval_objectives(problem, greens, area, u)
-        return gradient(greens, r, u, j), j
+    if alpha is not None:
+        c, lam = _coefficients(problem, *alpha)
+
+        def evaluate_control(u: np.ndarray):
+            return _weighted_gradient(greens, _residuals(problem, greens, area, u), u, c, lam), None
+
+    else:
+        z1, z2 = zeta
+
+        def evaluate_control(u: np.ndarray):
+            r, j = eval_objectives(problem, greens, area, u)
+            return _weighted_gradient(greens, r, u, *_coefficients(problem, j.j1 - z1, j.j2 - z2)), j
 
     # Both starting controls are call temporaries with no name here, so the
     # loop can free them (see bb_projected_gradient); the start is clipped
@@ -255,6 +280,8 @@ def _solve(
         PwcControl(mesh, _offset_values(_start_values(mesh, bounds, u_start), bounds)),
         config,
     )
+    if alpha is not None:
+        report.objectives = eval_objectives(problem, greens, area, report.control.values)[1]
     report.solve_count = len(greens) if own else 0
     return report
 
@@ -267,8 +294,7 @@ def solve_wsm(
     u_start: PwcControl | None = None,
 ) -> SolveReport:
     """Minimize the weighted sum of the two criteria over the box."""
-    alpha = _check_weights(alpha)
-    return _solve(problem, system, lambda g, r, u, j: grad_wsm(problem, g, r, u, alpha), config, u_start)
+    return _solve(problem, system, config, u_start, alpha=_check_weights(alpha))
 
 
 def solve_rpm(
@@ -279,8 +305,7 @@ def solve_rpm(
     u_start: PwcControl | None = None,
 ) -> SolveReport:
     """Minimize the squared distance of the objective pair to ``zeta``."""
-    zeta = _check_reference_point(zeta)
-    return _solve(problem, system, lambda g, r, u, j: grad_rpm(problem, g, r, u, zeta, j), config, u_start)
+    return _solve(problem, system, config, u_start, zeta=_check_reference_point(zeta))
 
 
 def wsm_front(

@@ -369,11 +369,14 @@ def clip_and_where_starting_pair(bounds, mesh, u_start):
     return u0, PwcControl(mesh, np.where(u0.values + delta <= bounds.ub, u0.values + delta, u0.values - delta))
 
 
-def reference_bb(problem, grad_eval, u0: PwcControl, u_minus1: PwcControl, config) -> SolveReport:
+def reference_bb(problem, grad_eval, u0: PwcControl, u_minus1: PwcControl, config, checks=None) -> SolveReport:
     """The projected BB loop of ``bb_projected_gradient``, one fresh array per operation.
 
     Same iterates, step rule, fallback and stopping test, written without
-    any in-place update, so the solver's buffer reuse is checked against it.
+    any in-place update and forming the fixed-point residual in every pass,
+    so the solver's buffer reuse and its residual skipping are checked
+    against it.  ``checks``, if given, receives the ``(step_gap,
+    fp_residual)`` pair of every stopping test.
     """
     bounds = problem.bounds
     area = u0.mesh.element_area
@@ -390,6 +393,8 @@ def reference_bb(problem, grad_eval, u0: PwcControl, u_minus1: PwcControl, confi
     while iterations < config.max_iter:
         fixed_point = np.clip(u - g, bounds.ua, bounds.ub)
         fp_residual = np.sqrt(area * float(((u - fixed_point) ** 2).sum()))
+        if checks is not None:
+            checks.append((step_gap, fp_residual))
         if step_gap <= config.tol and fp_residual <= config.tol:
             converged = True
             break

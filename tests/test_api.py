@@ -11,7 +11,10 @@ import mopoisson
 
 ORACLES = Path(__file__).resolve().parent / "oracles.py"
 # The solver's evaluation formulas; the oracles recompute all of them by the PDE route.
-SOLVER_FORMULAS = {"eval_objectives", "grad_wsm", "grad_rpm", "greens_function_means", "_weighted_gradient"}
+SOLVER_FORMULAS = {
+    "eval_objectives", "grad_wsm", "grad_rpm", "greens_function_means",
+    "_residuals", "_coefficients", "_weighted_gradient",
+}
 
 
 def test_oracles_share_no_formula_with_the_solver():

@@ -238,6 +238,19 @@ def test_read_control_rejects_malformed(tmp_path):
             read_control(path)
 
 
+def test_read_control_checks_the_expected_level(tmp_path, monkeypatch):
+    import mopoisson.control
+
+    u = control(build_uniform_mesh(2), np.arange(32.0))
+    path = tmp_path / "u.ctrl"
+    write_control(u, path)
+    assert np.array_equal(read_control(path, 2).values, u.values)
+    monkeypatch.setattr(mopoisson.control, "build_uniform_mesh", lambda level: pytest.fail("mesh built"))
+    for level in (1, 3):
+        with pytest.raises(ValueError, match=f"a level-2 control, expected level {level}"):
+            read_control(path, level)
+
+
 def test_control_file_bytes(tmp_path):
     mesh = build_uniform_mesh(1)
     values = [-0.0, 5e-324, 1.0 / 3.0, 0.1, -2.5, 1e300, 1.0, 0.0]

@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -118,6 +119,44 @@ def test_truncated_cache_file_is_recomputed(tmp_path, damage):
     assert cache_file.read_bytes() == complete
     assert np.array_equal(table_first.errors, table_second.errors)
     assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == [cache_file.name]
+
+
+@pytest.mark.parametrize("slot", ["level-7", "header-14"])
+def test_wrong_level_cache_file_is_rejected_from_its_header(tmp_path, monkeypatch, slot):
+    """An L7 control, or a header claiming 2*4**14 values over a short body, in the slot of
+    an L6 reference: no value is read before the warned miss recomputes and overwrites it."""
+    import mopoisson.experiments
+
+    config = small_config(benchmark_problem(), tmp_path, reference_level=6)
+    table_first = run_convergence_wsm(config, [(0.5, 0.5)])
+    (cache_file,) = (tmp_path / "cache").glob("wsm_*.ctrl")
+    complete = cache_file.read_bytes()
+    if slot == "level-7":
+        write_control(PwcControl(build_uniform_mesh(7), np.ones(2 * 4 ** 7)), cache_file)
+    else:
+        with cache_file.open("wb") as fh:
+            np.lib.format.write_array_header_1_0(fh, {"descr": "<f8", "fortran_order": False, "shape": (2 * 4 ** 14,)})
+            fh.write(b"\0" * 16)
+    solve_at_level = mopoisson.experiments._solve_at_level
+    peaks = []
+
+    def recorded(config, method, parameter, level):
+        peaks.append((level, tracemalloc.get_traced_memory()[1]))
+        return solve_at_level(config, method, parameter, level)
+
+    monkeypatch.setattr(mopoisson.experiments, "_solve_at_level", recorded)
+    tracemalloc.start()
+    try:
+        with pytest.warns(RuntimeWarning, match="unreadable reference cache"):
+            table_second = run_convergence_wsm(config, [(0.5, 0.5)])
+    finally:
+        tracemalloc.stop()
+    level, peak = peaks[0]  # up to the recompute of the reference
+    l7_vector = 2 * 4 ** 7 * np.dtype(np.float64).itemsize
+    # below one L7 vector, and for the 2 GiB header below one L6 vector
+    assert level == 6 and peak < (l7_vector if slot == "level-7" else l7_vector / 4), peak / l7_vector
+    assert cache_file.read_bytes() == complete
+    assert np.array_equal(table_first.errors, table_second.errors)
 
 
 def test_failed_cache_write_leaves_no_temp_file(tmp_path, monkeypatch):

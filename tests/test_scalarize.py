@@ -3,9 +3,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mopoisson import (
     BBConfig,
+    BoxBounds,
     ProblemData,
     PwcControl,
     assemble_stiffness,
@@ -133,13 +136,22 @@ def test_scalarized_objective_decreases_from_start(bench, system_for):
     assert scalarization("rpm", zeta, rpm_report.objectives) <= scalarized_value(problem, system, u0, "rpm", zeta)
 
 
-def test_solution_reflects_with_the_problem(level3):
-    problem, mesh, system = level3
-    base = solve_wsm(problem, system, (0.5, 0.5))
-    reflected = solve_wsm(reflect_problem(problem), system, (0.5, 0.5))
-    perm = reflect_triangle_permutation(mesh)
-    mirrored = reflected.control.values[perm]
-    assert l2_norm(PwcControl(mesh, base.control.values - mirrored)) <= 1e-8
+def test_solution_reflects_with_the_problem(bench, system_for):
+    """Both evaluation paths at L3 and L5: a WSM solve, an RPM solve and a warm-started WSM front."""
+    reflected_problem = reflect_problem(bench)
+    for level in (3, 5):
+        mesh, system = system_for(level)
+        perm = reflect_triangle_permutation(mesh)
+        cases = [
+            lambda p: [solve_wsm(p, system, (0.5, 0.5))],
+            lambda p: [solve_rpm(p, system, (16.5, 1.5))],
+            lambda p: [e.report for e in wsm_front(p, system, 6).entries],
+        ]
+        for case in cases:
+            for base, reflected in zip(case(bench), case(reflected_problem), strict=True):
+                mirrored = reflected.control.values[perm]
+                assert l2_norm(PwcControl(mesh, base.control.values - mirrored)) <= 1e-8
+                assert np.allclose(base.objectives.as_array(), reflected.objectives.as_array(), rtol=1e-10, atol=0)
 
 
 def test_reports_are_bit_identical_across_runs(bench):
@@ -503,10 +515,76 @@ def test_in_place_bb_loop_is_exact_through_fallbacks(level3, rng):
 
     u0 = PwcControl(mesh, rng.uniform(-1.0, 1.0, mesh.num_triangles))
     u_minus1 = PwcControl(mesh, rng.uniform(-1.0, 1.0, mesh.num_triangles))
-    for config in (BBConfig(), BBConfig(max_iter=3)):
+    for config in (BBConfig(), BBConfig(max_iter=1), BBConfig(max_iter=2), BBConfig(max_iter=3)):
         report = bb_projected_gradient(problem, grad, u0, u_minus1, config)
-        assert report.fallback_steps >= 1
         assert _outcome(report) == _outcome(reference_bb(problem, grad, u0, u_minus1, config))
+        assert report.fallback_steps >= (config.max_iter >= 3)  # the first fallback comes in the third pass
+
+
+@pytest.mark.parametrize("max_iter", [3, 5000])
+def test_residual_formed_without_stopping_is_exact(level3, max_iter):
+    """Passes whose step gap is within ``tol`` form a residual too large to stop at."""
+    problem, mesh, system = level3
+    ones = np.ones(mesh.num_triangles)
+
+    def grad(u):  # linear objective: unit fallback steps, so every gap after the first is 0
+        return ones, ObjectivePair(0.0, 0.0)
+
+    u0 = PwcControl(mesh, np.zeros(mesh.num_triangles))
+    u_minus1 = PwcControl(mesh, np.full(mesh.num_triangles, 0.01))
+    config = BBConfig(max_iter=max_iter)
+    checks = []
+    reference = reference_bb(problem, grad, u0, u_minus1, config, checks)
+    assert any(gap <= config.tol < residual for gap, residual in checks[:-1])
+    assert _outcome(bb_projected_gradient(problem, grad, u0, u_minus1, config)) == _outcome(reference)
+
+
+def _old_entry_check_rejects(bounds, v0, v1):
+    """The entry rule before the min/max form: clip and compare, then the equal-pair test."""
+    def infeasible(v):
+        return not np.array_equal(np.clip(v, bounds.ua, bounds.ub), v)
+
+    return infeasible(v0) or infeasible(v1) or np.array_equal(v0, v1)
+
+
+@st.composite
+def _entry_values(draw, ua, ub):
+    """Eight in-box values, in-box edges included, with at most one value injected from
+    NaN, signed zeros, infinities and the floats one ulp outside the box."""
+    edges = [v for v in (ua, ub, np.nextafter(ua, np.inf), np.nextafter(ub, -np.inf)) if ua <= v <= ub]
+    values = draw(st.lists(st.one_of(st.sampled_from(edges), st.floats(ua, ub)), min_size=8, max_size=8))
+    injected = [np.nan, 0.0, -0.0, np.inf, -np.inf, np.nextafter(ua, -np.inf), np.nextafter(ub, np.inf)]
+    if draw(st.booleans()):
+        values[draw(st.integers(0, 7))] = draw(st.sampled_from(injected))
+    return np.array(values)
+
+
+@st.composite
+def _entry_case(draw):
+    ua, ub = draw(st.sampled_from([(0.0, 1.0), (-1.0, 0.0), (-0.0, 0.0), (-7.0, 15.0), (0.5, 0.5)]))
+    v0 = draw(_entry_values(ua, ub))
+    v1 = v0.copy() if draw(st.integers(0, 3)) == 0 else draw(_entry_values(ua, ub))
+    return BoxBounds(ua, ub), v0, v1
+
+
+@settings(deadline=None, max_examples=200)
+@given(_entry_case())
+def test_entry_checks_reject_exactly_what_clip_and_compare_rejects(level3, case):
+    problem, _, _ = level3
+    bounds, v0, v1 = case
+    mesh = build_uniform_mesh(1)
+    boxed = ProblemData(obs1=problem.obs1, y1=problem.y1, obs2=problem.obs2, y2=problem.y2,
+                        lambda1=problem.lambda1, lambda2=problem.lambda2, bounds=bounds)
+
+    def grad(u):
+        return np.zeros_like(u), ObjectivePair(0.0, 0.0)
+
+    run = lambda: bb_projected_gradient(boxed, grad, PwcControl(mesh, v0), PwcControl(mesh, v1), BBConfig(max_iter=1))
+    if _old_entry_check_rejects(bounds, v0, v1):
+        with pytest.raises(ValueError):
+            run()
+    else:
+        run()
 
 
 @pytest.mark.parametrize("solve, parameter", [(solve_wsm, (0.3, 0.7)), (solve_rpm, (16.5, 1.5))])
@@ -523,10 +601,29 @@ def test_starting_pair_matches_the_clip_and_where_construction(bench, system_for
         return bb_projected_gradient(problem, grad_eval, u0, u_minus1, config)
 
     monkeypatch.setattr(mopoisson.scalarize, "bb_projected_gradient", recording)
+    greens = greens_function_means(bench, system)
     for start in (None, warm):
         report = solve(bench, system, parameter, u_start=start)
         pair = clip_and_where_starting_pair(bench.bounds, mesh, start)
-        assert _outcome(report) == _outcome(reference_bb(bench, grad_evals[-1], *pair, BBConfig()))
+        reference = reference_bb(bench, grad_evals[-1], *pair, BBConfig())
+        if solve is solve_wsm:  # its evaluations skip the pair; the solver forms it from the final iterate
+            assert reference.objectives is None
+            reference.objectives = eval_objectives(bench, greens, mesh.element_area, reference.control.values)[1]
+        assert _outcome(report) == _outcome(reference)
+
+
+@pytest.mark.parametrize("level", [3, 5])
+def test_report_pair_is_the_pair_of_its_control(bench, system_for, level):
+    """Cold, warm and swept reports hold exactly ``eval_objectives`` at their control."""
+    mesh, system = system_for(level)
+    greens = greens_function_means(bench, system)
+    warm = solve_wsm(bench, system, (0.6, 0.4)).control
+    reports = [solve(bench, system, p, u_start=start)
+               for solve, p in [(solve_wsm, (0.3, 0.7)), (solve_rpm, (16.5, 1.5))] for start in (None, warm)]
+    reports += [e.report for e in wsm_front(bench, system, 6).entries]
+    reports += [e.report for e in wsm_front(bench, system, 3, config=BBConfig(max_iter=2)).entries]
+    for report in reports:
+        assert report.objectives == eval_objectives(bench, greens, mesh.element_area, report.control.values)[1]
 
 
 @pytest.mark.skipif(
