@@ -2,7 +2,7 @@
 
 Exit codes: 0 on success, 2 for invalid arguments or an ``--out``/``--config``
 path that cannot be used, 3 when a linear solve fails its residual check or
-a single-solve subcommand fails to converge.
+a single-solve or ``ideal-vector`` subcommand fails to converge.
 """
 
 from __future__ import annotations
@@ -153,7 +153,6 @@ def _problem_from_args(args) -> ProblemData:
 def _experiment_config(args, problem: ProblemData, levels, reference_level) -> ExperimentConfig:
     if args.jobs < 1:
         raise ValueError("--jobs must be positive")
-    sizes = {} if args.points is None else {"wsm_front_size": args.points, "rpm_front_size": args.points}
     return ExperimentConfig(
         problem=problem,
         levels=levels,
@@ -164,7 +163,7 @@ def _experiment_config(args, problem: ProblemData, levels, reference_level) -> E
         bb=BBConfig(tol=args.tol, max_iter=args.max_iter),
         output_dir=args.out,
         cold_start=args.cold_start,
-        **sizes,
+        points=args.points,
     )
 
 

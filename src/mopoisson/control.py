@@ -5,15 +5,11 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .mesh import MAX_LEVEL, TriMesh, build_uniform_mesh
-
-if TYPE_CHECKING:
-    from .fem import P1Function
+from .mesh import TriMesh, build_uniform_mesh
 
 __all__ = [
     "PwcControl",
@@ -120,21 +116,24 @@ def l2_error(u_coarse: PwcControl, u_ref: PwcControl) -> float:
     return math.sqrt(u_ref.mesh.element_area * float(diff @ diff))
 
 
-def pi0_project(f: "P1Function") -> PwcControl:
-    """L2-orthogonal projection onto piecewise constants: per-element means.
+def pi0_project(mesh: TriMesh, nodal) -> PwcControl:
+    """L2-orthogonal projection of the P1 function ``nodal`` onto piecewise constants.
 
-    Satisfies ``(f - pi0 f, w) = 0`` for every piecewise-constant ``w``.
+    Per-element means, satisfying ``(f - pi0 f, w) = 0`` for every piecewise-constant ``w``.
     Each mean sums the vertex values as ``(a + b) + c`` on node-grid slices, then divides by 3.
     """
-    n = f.mesh.cells_per_side
-    g = f.nodal_values.reshape(n + 1, n + 1)
+    nodal = np.asarray(nodal, dtype=np.float64)
+    if nodal.shape != (mesh.num_nodes,):
+        raise ValueError("nodal value count does not match the mesh")
+    n = mesh.cells_per_side
+    g = nodal.reshape(n + 1, n + 1)
     means = np.empty((n, n, 2))
     np.add(g[:-1, :-1], g[:-1, 1:], out=means[..., 0])
     means[..., 0] += g[1:, 1:]
     np.add(g[:-1, :-1], g[1:, 1:], out=means[..., 1])
     means[..., 1] += g[1:, :-1]
     means /= 3
-    return PwcControl(f.mesh, means.ravel())
+    return PwcControl(mesh, means.ravel())
 
 
 def write_control(u: PwcControl, path) -> None:
@@ -144,12 +143,11 @@ def write_control(u: PwcControl, path) -> None:
         np.save(fh, u.values.astype("<f8", copy=False), allow_pickle=False)
 
 
-def read_control(path, level: int | None = None) -> PwcControl:
-    """Read a file of :func:`write_control`, rebuilding the mesh.
+def read_control(path, level: int) -> PwcControl:
+    """Read a level-``level`` control written by :func:`write_control`, rebuilding the mesh.
 
-    The header is checked before any value is read or a mesh is built,
-    including, if ``level`` is given, that the count is that level's;
-    nothing is ever unpickled.
+    The header, including that the count is that level's, is checked
+    before any value is read or a mesh is built; nothing is ever unpickled.
     """
     try:
         mapped = np.load(path, mmap_mode="r", allow_pickle=False)
@@ -157,14 +155,11 @@ def read_control(path, level: int | None = None) -> PwcControl:
         raise ValueError(f"{path}: not a control file: {exc}") from exc
     if mapped.ndim != 1 or mapped.dtype.str != "<f8":
         raise ValueError(f"{path}: expected a 1-D <f8 array, found {mapped.dtype.str} {mapped.shape}")
-    found = (mapped.size // 2).bit_length() // 2  # size == 2 * 4**found
-    if found > MAX_LEVEL or mapped.size != 2 * 4 ** found:
-        raise ValueError(f"{path}: {mapped.size} values is not 2*4**L with L in [0, {MAX_LEVEL}]")
-    if level is not None and found != level:
-        raise ValueError(f"{path}: a level-{found} control, expected level {level}")
+    if mapped.size != 2 * 4 ** level:
+        raise ValueError(f"{path}: {mapped.size} values, not the {2 * 4 ** level} of a level-{level} control")
     if os.path.getsize(path) != mapped.offset + mapped.nbytes:
         raise ValueError(f"{path}: bytes after the last value")
     values = np.array(mapped)
     if not np.all(np.isfinite(values)):
         raise ValueError(f"{path}: non-finite value")
-    return PwcControl(build_uniform_mesh(found), values)
+    return PwcControl(build_uniform_mesh(level), values)

@@ -40,12 +40,8 @@ _FLOAT_FMT = ".9g"
 _CACHE_FORMAT = "npy1"
 
 
-def benchmark_problem(
-    lambda1: float = 0.1,
-    lambda2: float = 0.1,
-    bounds: tuple[float, float] = (-7.0, 15.0),
-) -> ProblemData:
-    """The built-in two-point benchmark configuration."""
+def benchmark_problem(lambda1: float = 0.1, lambda2: float = 0.1) -> ProblemData:
+    """The built-in two-point benchmark configuration, with bounds ``-7 <= u <= 15``."""
     return ProblemData(
         obs1=[(0.75, 0.25)],
         y1=[6.0],
@@ -53,7 +49,7 @@ def benchmark_problem(
         y2=[-2.0],
         lambda1=lambda1,
         lambda2=lambda2,
-        bounds=BoxBounds(*bounds),
+        bounds=BoxBounds(-7.0, 15.0),
     )
 
 
@@ -71,17 +67,17 @@ def shared_system(level: int) -> tuple:
 
 @dataclass
 class ExperimentConfig:
-    """Study layout: levels, reference level, sweep sizes, solver knobs.
+    """Study layout: levels, reference level, sweep size, solver knobs.
 
     A ``reference_level`` of None sweeps fronts without an error series;
-    convergence studies reject it.
+    convergence studies reject it.  ``points`` is the size of every front
+    sweep; None means 50 points for WSM and 12 for RPM.
     """
 
     problem: ProblemData
     levels: tuple = (2, 3, 4, 5)
     reference_level: int | None = 8
-    wsm_front_size: int = 50
-    rpm_front_size: int = 12
+    points: int | None = None
     eps: float = 1e-3
     h_perp: float = 0.2
     h_par: float = 0.2
@@ -100,7 +96,7 @@ class ExperimentConfig:
             raise ValueError("study levels must be nonnegative")
         if self.reference_level is not None and not max(self.levels) < self.reference_level <= MAX_LEVEL:
             raise ValueError(f"reference level must exceed every study level and be at most {MAX_LEVEL}")
-        if min(self.wsm_front_size, self.rpm_front_size) < 2:
+        if self.points is not None and self.points < 2:
             raise ValueError("front sizes must be at least 2")
 
 
@@ -238,9 +234,9 @@ def run_convergence_rpm(config: ExperimentConfig, zetas=None) -> ConvergenceTabl
     """Approximation errors of the reference-point controls.
 
     The reference points stay fixed across levels so coarse and reference
-    solves approximate the same problem; by default they are taken from the
-    reference-level sweep at steps 2, 4, 7, and 9.  Explicit points are
-    checked before the first solve.
+    solves approximate the same problem; by default they are those of
+    :func:`reference_sweep_zetas`.  Explicit points are checked before the
+    first solve.
     """
     if zetas is None:
         zetas = reference_sweep_zetas(config)
@@ -249,8 +245,9 @@ def run_convergence_rpm(config: ExperimentConfig, zetas=None) -> ConvergenceTabl
     return _run_convergence(config, "rpm", zetas, labels)
 
 
-def reference_sweep_zetas(config: ExperimentConfig, steps=(2, 4, 7, 9)) -> list:
-    """Reference points visited by the reference-level sweep at given steps."""
+def reference_sweep_zetas(config: ExperimentConfig) -> list:
+    """Reference points visited by the reference-level sweep at steps 2, 4, 7 and 9."""
+    steps = (2, 4, 7, 9)
     front = compute_front(config, "rpm", _reference_level(config))
     rpm_params = [e.parameter for e in front.entries if e.method == "rpm"]
     if max(steps) > len(rpm_params):
@@ -264,14 +261,12 @@ def compute_front(config: ExperimentConfig, method: str, level: int) -> ParetoFr
     """Sweep the ``method`` front on one level with the configured sweep settings."""
     mesh, system = shared_system(level)
     if method == "wsm":
-        return wsm_front(
-            config.problem, system, config.wsm_front_size, config.eps, config.bb, config.cold_start
-        )
+        return wsm_front(config.problem, system, config.points or 50, config.eps, config.bb, config.cold_start)
     if method == "rpm":
         return rpm_front(
             config.problem,
             system,
-            config.rpm_front_size,
+            config.points or 12,
             config.h_perp,
             config.h_par,
             config.eps,

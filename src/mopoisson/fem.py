@@ -19,7 +19,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "SolverError",
-    "P1Function",
     "StiffnessSystem",
     "assemble_stiffness",
     "assemble_load_pwc",
@@ -33,30 +32,11 @@ LINEAR_TOL = 1e-12
 
 
 class SolverError(RuntimeError):
-    """Raised when a linear solve does not reach the requested tolerance."""
+    """Raised when a solve does not reach its tolerance; ``residual`` is its last residual."""
 
     def __init__(self, message: str, residual: float):
         super().__init__(message)
         self.residual = residual
-
-
-@dataclass
-class P1Function:
-    """Continuous piecewise-linear function given by its nodal values.
-
-    The values are the row-major ravel of the mesh's ``(n+1, n+1)`` node
-    grid.  Members of the zero-boundary space carry exact zeros on boundary
-    nodes.
-    """
-
-    mesh: TriMesh
-    nodal_values: np.ndarray
-
-    def __post_init__(self):
-        values = np.ascontiguousarray(self.nodal_values, dtype=np.float64)
-        if values.shape != (self.mesh.num_nodes,):
-            raise ValueError("nodal value count does not match the mesh")
-        self.nodal_values = values
 
 
 @dataclass
@@ -165,25 +145,24 @@ def _dst1(a: np.ndarray) -> np.ndarray:
     return a / (2 * m + 2)
 
 
-def solve_spd(system: StiffnessSystem, rhs: np.ndarray, tol: float = LINEAR_TOL) -> P1Function:
+def solve_spd(system: StiffnessSystem, rhs: np.ndarray) -> np.ndarray:
     """Solve the interior system and return the zero-boundary P1 solution.
 
+    Returns the nodal values on the row-major ``(n+1, n+1)`` node grid, zero on the boundary.
     Computes ``_dst1(_dst1(rhs) / eig)`` plus at most one refinement step,
-    and guarantees ``|A x - rhs| <= tol * max(1, |rhs|)``;
+    and guarantees ``|A x - rhs| <= LINEAR_TOL * max(1, |rhs|)``;
     :class:`SolverError` carries the residual otherwise.
     """
     rhs = np.asarray(rhs, dtype=np.float64)
     if rhs.shape != (system.num_unknowns,):
         raise ValueError("right-hand side length does not match the unknown count")
-    if tol <= 0.0:
-        raise ValueError("tolerance must be positive")
 
     eig = system.factorize()._eig
 
     def inverse(b):
         return _dst1(_dst1(b.reshape(eig.shape)) / eig).ravel()
 
-    target = tol * max(1.0, np.linalg.norm(rhs))
+    target = LINEAR_TOL * max(1.0, np.linalg.norm(rhs))
     x = inverse(rhs)
     r = rhs - system.apply(x)
     if np.linalg.norm(r) > target:
@@ -195,10 +174,13 @@ def solve_spd(system: StiffnessSystem, rhs: np.ndarray, tol: float = LINEAR_TOL)
     n = system.mesh.cells_per_side
     full = np.zeros((n + 1, n + 1))
     full[1:-1, 1:-1] = x.reshape(eig.shape)
-    return P1Function(system.mesh, full.ravel())
+    return full.ravel()
 
 
-def evaluate(f: P1Function, points) -> np.ndarray:
-    """Values at ``points`` by barycentric interpolation; exact for linear nodal data."""
-    elements, bary = locate_point(f.mesh, points)
-    return (bary * f.nodal_values[triangle_nodes(f.mesh, elements)]).sum(axis=1)
+def evaluate(mesh: TriMesh, nodal, points) -> np.ndarray:
+    """Values of the nodal P1 function ``nodal`` at ``points``; exact for linear nodal data."""
+    nodal = np.asarray(nodal, dtype=np.float64)
+    if nodal.shape != (mesh.num_nodes,):
+        raise ValueError("nodal value count does not match the mesh")
+    elements, bary = locate_point(mesh, points)
+    return (bary * nodal[triangle_nodes(mesh, elements)]).sum(axis=1)

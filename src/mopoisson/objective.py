@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .control import BoxBounds, PwcControl, pi0_project
-from .fem import P1Function, StiffnessSystem, assemble_load_pwc, assemble_point_load, evaluate, solve_spd
+from .fem import StiffnessSystem, assemble_load_pwc, assemble_point_load, evaluate, solve_spd
 
 __all__ = [
     "MAX_MAGNITUDE",
@@ -98,13 +98,13 @@ class ObjectivePair:
         return np.array([self.j1, self.j2])
 
 
-def solve_state(problem: ProblemData, system: StiffnessSystem, u: PwcControl) -> P1Function:
-    """Discrete control-to-state map: Poisson solve with source ``u``."""
+def solve_state(problem: ProblemData, system: StiffnessSystem, u: PwcControl) -> np.ndarray:
+    """Discrete control-to-state map: the nodal values of the Poisson solve with source ``u``."""
     return solve_spd(system, assemble_load_pwc(system.mesh, u))
 
 
-def solve_adjoints(problem: ProblemData, system: StiffnessSystem, state: P1Function) -> tuple:
-    """Solve both adjoint systems, loaded by the observation residuals.
+def solve_adjoints(problem: ProblemData, system: StiffnessSystem, state: np.ndarray) -> tuple:
+    """Solve both adjoint systems, loaded by the observation residuals of the nodal ``state``.
 
     Returns ``((r1, m1), (r2, m2))``: per observation set, the residuals
     ``r = state(obs) - y``, gathered by :func:`evaluate`, and the element
@@ -113,12 +113,11 @@ def solve_adjoints(problem: ProblemData, system: StiffnessSystem, state: P1Funct
     to what :func:`eval_objectives` and the gradients take from the Green's
     function means without a solve.
     """
-    if state.mesh.level != system.mesh.level:
-        raise ValueError("state lives on a different mesh than the system")
+    mesh = system.mesh
     pairs = []
     for obs, desired in ((problem.obs1, problem.y1), (problem.obs2, problem.y2)):
-        r = evaluate(state, obs) - desired
-        pairs.append((r, pi0_project(solve_spd(system, assemble_point_load(system.mesh, obs, r))).values))
+        r = evaluate(mesh, state, obs) - desired
+        pairs.append((r, pi0_project(mesh, solve_spd(system, assemble_point_load(mesh, obs, r))).values))
     return tuple(pairs)
 
 
@@ -134,7 +133,8 @@ def greens_function_means(problem: ProblemData, system: StiffnessSystem) -> np.n
     """
     mesh = system.mesh
     points = np.concatenate((problem.obs1, problem.obs2))
-    return np.array([pi0_project(solve_spd(system, assemble_point_load(mesh, x, 1.0))).values for x in points])
+    return np.array([pi0_project(mesh, solve_spd(system, assemble_point_load(mesh, x, 1.0))).values
+                     for x in points])
 
 
 def _residuals(problem: ProblemData, greens: np.ndarray, area: float, u: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .control import BoxBounds, PwcControl
-from .fem import LINEAR_TOL, StiffnessSystem
+from .fem import LINEAR_TOL, SolverError, StiffnessSystem
 from .mesh import TriMesh
 from .objective import (
     ObjectivePair,
@@ -415,8 +415,13 @@ def ideal_vector(
 ) -> np.ndarray:
     """Componentwise-minimal objective values, approximated at weights
     ``(1-eps, eps)`` and ``(eps, 1-eps)`` since strictly single-objective
-    weights are excluded."""
+    weights are excluded; an endpoint solve that does not converge raises
+    :class:`~mopoisson.fem.SolverError` carrying its BB residual."""
     _check_eps(eps)
     r1 = solve_wsm(problem, system, (1.0 - eps, eps), config)
     r2 = solve_wsm(problem, system, (eps, 1.0 - eps), config)
+    for report in (r1, r2):
+        if not report.converged:
+            raise SolverError(f"endpoint solve did not converge, residual {report.final_residual:.3e}",
+                              residual=report.final_residual)
     return np.array([r1.objectives.j1, r2.objectives.j2])

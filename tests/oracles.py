@@ -71,9 +71,9 @@ def interior_nodes(mesh) -> np.ndarray:
     return np.flatnonzero(interior_mask(mesh))
 
 
-def gather_pi0(f) -> np.ndarray:
+def gather_pi0(mesh, nodal) -> np.ndarray:
     """Element means by gathering each triangle's three nodal values."""
-    return f.nodal_values[mesh_triangles(f.mesh)].mean(axis=1)
+    return nodal[mesh_triangles(mesh)].mean(axis=1)
 
 
 def gather_load_pwc(mesh, u: PwcControl) -> np.ndarray:
@@ -91,16 +91,47 @@ def gather_point_load(mesh, points, coeffs) -> np.ndarray:
     return full[interior_mask(mesh)]
 
 
-def gather_evaluate(f, points) -> np.ndarray:
+def gather_evaluate(mesh, nodal, points) -> np.ndarray:
     """Values at ``points`` from the nodal values of the located triangles' vertices."""
-    elements, bary = locate_point(f.mesh, points)
-    return (bary * f.nodal_values[mesh_triangles(f.mesh)[elements]]).sum(axis=1)
+    elements, bary = locate_point(mesh, points)
+    return (bary * nodal[mesh_triangles(mesh)[elements]]).sum(axis=1)
 
 
 def gather_greens_means(problem, system) -> np.ndarray:
     """Element means of the Green's function of every observation point, by gathers."""
+    mesh = system.mesh
     points = np.concatenate((problem.obs1, problem.obs2))
-    return np.array([gather_pi0(solve_spd(system, gather_point_load(system.mesh, x, 1.0))) for x in points])
+    return np.array([gather_pi0(mesh, solve_spd(system, gather_point_load(mesh, x, 1.0))) for x in points])
+
+
+def wsm_semismooth_newton(problem, greens, area: float, alpha, tol: float = 1e-13, max_iter: int = 50):
+    """Exact discrete WSM optimum from the ``n_obs``-unknown optimality system in the residuals.
+
+    The minimizer of ``a1 j1 + a2 j2`` over the box is ``u(r) = clip(-G^T (a r)
+    / Lam, ua, ub)``, where ``a`` repeats the weights over the two point sets,
+    ``Lam = a1 lambda1 + a2 lambda2`` and the residuals solve ``F(r) = r - |T|
+    G u(r) + y = 0``.  Semismooth Newton (Hintermueller, Ito & Kunisch, SIAM
+    J. Optim. 13, 2002) on ``F`` uses the generalized Jacobian ``I + (|T| /
+    Lam) G D G^T diag(a)``, with ``D`` selecting the elements where the clip
+    is inactive; once ``D`` is right, ``F`` is affine and one step solves it.
+    ``greens`` is the ``(n_obs, N)`` matrix of element means of the discrete
+    Green's functions.  Returns the control values, the residuals, the final
+    ``F`` and the step count.
+    """
+    a = np.repeat([float(alpha[0]), float(alpha[1])], [len(problem.y1), len(problem.y2)])
+    lam = alpha[0] * problem.lambda1 + alpha[1] * problem.lambda2
+    y = np.concatenate((problem.y1, problem.y2))
+    ua, ub = problem.bounds.ua, problem.bounds.ub
+    r = -y  # the residuals of the zero control
+    for step in range(max_iter):
+        z = -(greens.T @ (a * r)) / lam
+        u = np.clip(z, ua, ub)
+        F = r - area * (greens @ u) + y
+        if np.abs(F).max() <= tol:
+            return u, r, F, step
+        free = greens[:, (z > ua) & (z < ub)]
+        r = r - np.linalg.solve(np.eye(len(r)) + (area / lam) * (free @ free.T) * a, F)
+    raise AssertionError("semismooth Newton did not converge")
 
 
 def dense_stiffness_full(mesh) -> np.ndarray:
@@ -154,11 +185,10 @@ def quadrature_load_pwc(mesh, u: PwcControl) -> np.ndarray:
     return full[interior_mask(mesh)]
 
 
-def quadrature_element_integral(f, t: int) -> float:
+def quadrature_element_integral(mesh, nodal, t: int) -> float:
     """Integral of a P1 function over one triangle via physical-point quadrature."""
-    mesh = f.mesh
     points = _GAUSS_BARY @ mesh_nodes(mesh)[mesh_triangles(mesh)[t]]
-    return float(evaluate(f, points).sum()) * mesh.element_area / 3.0
+    return float(evaluate(mesh, nodal, points).sum()) * mesh.element_area / 3.0
 
 
 def brute_force_locate(mesh, p):
@@ -249,13 +279,14 @@ def central_difference(problem, system, u: PwcControl, w: PwcControl, kind: str,
 
 def wsm_hessian_apply(problem, system, alpha, w: PwcControl) -> PwcControl:
     """Reduced Hessian of the weighted sum applied to a control direction."""
+    mesh = system.mesh
     state_w = solve_state(problem, system, w)
-    c1 = evaluate(state_w, problem.obs1)
-    c2 = evaluate(state_w, problem.obs2)
-    q1 = solve_spd(system, assemble_point_load(system.mesh, problem.obs1, c1))
-    q2 = solve_spd(system, assemble_point_load(system.mesh, problem.obs2, c2))
-    values = alpha[0] * (pi0_project(q1).values + problem.lambda1 * w.values)
-    values += alpha[1] * (pi0_project(q2).values + problem.lambda2 * w.values)
+    c1 = evaluate(mesh, state_w, problem.obs1)
+    c2 = evaluate(mesh, state_w, problem.obs2)
+    q1 = solve_spd(system, assemble_point_load(mesh, problem.obs1, c1))
+    q2 = solve_spd(system, assemble_point_load(mesh, problem.obs2, c2))
+    values = alpha[0] * (pi0_project(mesh, q1).values + problem.lambda1 * w.values)
+    values += alpha[1] * (pi0_project(mesh, q2).values + problem.lambda2 * w.values)
     return PwcControl(w.mesh, values)
 
 
@@ -298,6 +329,30 @@ def reflect_triangle_permutation(mesh) -> np.ndarray:
     return 2 * (i * n + j) + (1 - kind)
 
 
+# The two generators of the mesh family's symmetries, as maps of (n, 2) point arrays.
+MESH_SYMMETRIES = {
+    "transpose": lambda points: points[:, ::-1],
+    "point-reflect": lambda points: 1.0 - points,
+}
+
+
+def symmetry_triangle_permutation(mesh, mirror) -> np.ndarray:
+    """``perm[t]``: the triangle that ``mirror`` maps triangle ``t`` onto, matched by centroids.
+
+    Centroids lie on the grid of thirds of a cell, so they are matched as integers.
+    """
+    centroids = mesh_nodes(mesh)[mesh_triangles(mesh)].mean(axis=1)
+    thirds = 3 * mesh.cells_per_side
+
+    def keys(points):
+        k = np.rint(thirds * points).astype(np.int64)
+        return k[:, 0] * (thirds + 1) + k[:, 1]
+
+    index = np.full((thirds + 1) ** 2, -1)
+    index[keys(centroids)] = np.arange(mesh.num_triangles)
+    return index[keys(mirror(centroids))]
+
+
 def reflect_problem(problem):
     """Swap the coordinate axes of every observation point."""
     from mopoisson import BoxBounds, ProblemData
@@ -321,7 +376,7 @@ def manufactured_linf_error(mesh, system) -> float:
     u = PwcControl(mesh, source)
     y = solve_spd(system, assemble_load_pwc(mesh, u))
     exact = np.sin(np.pi * nodes[:, 0]) * np.sin(np.pi * nodes[:, 1])
-    return float(np.abs(y.nodal_values - exact).max())
+    return float(np.abs(y - exact).max())
 
 
 def vi_min_slack(problem, u_bar: PwcControl, gradient: PwcControl, rng,

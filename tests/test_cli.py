@@ -16,7 +16,7 @@ def test_solve_wsm_writes_control_and_reports(tmp_path, capsys):
     assert "converged=True" in out
     files = list(tmp_path.glob("solution_wsm_*.ctrl"))
     assert len(files) == 1
-    control = read_control(files[0])
+    control = read_control(files[0], 3)
     assert control.mesh.level == 3
 
 
@@ -28,10 +28,12 @@ def test_solve_rpm_subcommand(tmp_path, capsys):
     assert list(tmp_path.glob("solution_rpm_*.ctrl"))
 
 
-def test_invalid_arguments_exit_two(tmp_path):
+def test_invalid_arguments_exit_two(tmp_path, capsys):
     assert main(["solve-wsm", "--alpha", "nonsense", "--level", "2", "--out", str(tmp_path)]) == 2
     assert main(["solve-wsm", "--alpha", "1.0,0.0", "--level", "2", "--out", str(tmp_path)]) == 2
     assert main(["solve-wsm", "--alpha", "0.5,0.5", "--bounds", "5,1", "--out", str(tmp_path)]) == 2
+    # equal bounds pass the box check but leave no interior to iterate in
+    assert main(["solve-wsm", "--alpha", "0.5,0.5", "--bounds=1,1", "--level", "2", "--out", str(tmp_path)]) == 2
     # eps >= 0.5 would swap the sweep endpoints
     for command in (["front", "--method", "rpm", "--ref-level", "2"], ["ideal-vector"]):
         assert main(command + ["--eps", "0.7", "--level", "2", "--out", str(tmp_path)]) == 2
@@ -40,6 +42,7 @@ def test_invalid_arguments_exit_two(tmp_path):
         assert main(["convergence", "--method", "wsm", "--ref-level", "3", *extra, "--out", str(tmp_path)]) == 2
     assert main(["convergence", "--method", "rpm", "--zetas", ";", "--out", str(tmp_path)]) == 2
     assert not list(tmp_path.iterdir())
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("levels", [["--levels=-1,2", "--ref-level", "5"], ["--levels", "2", "--ref-level", "15"]])
@@ -113,6 +116,13 @@ def test_unconverged_single_solve_exits_three(tmp_path, capsys):
         "--out", str(tmp_path),
     ])
     assert code == 3
+
+
+def test_unconverged_ideal_vector_exits_three_without_a_vector(tmp_path, capsys):
+    assert main(["ideal-vector", "--level", "3", "--max-iter", "1", "--out", str(tmp_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "solver failure: endpoint solve did not converge" in captured.err
 
 
 def test_front_subcommand_writes_csv(tmp_path):

@@ -30,8 +30,7 @@ def small_config(problem, tmp_path, **overrides):
         problem=problem,
         levels=(2, 3),
         reference_level=4,
-        wsm_front_size=4,
-        rpm_front_size=4,
+        points=4,
         output_dir=tmp_path,
         bb=BBConfig(),
     )
@@ -67,7 +66,7 @@ def test_config_validation(tmp_path):
     with pytest.raises(ValueError):
         ExperimentConfig(problem=problem, levels=(2, 3, 2), output_dir=tmp_path)
     with pytest.raises(ValueError):
-        ExperimentConfig(problem=problem, wsm_front_size=1, output_dir=tmp_path)
+        ExperimentConfig(problem=problem, points=1, output_dir=tmp_path)
 
 
 def test_wsm_convergence_small_study(tmp_path):
@@ -83,11 +82,11 @@ def test_reference_cache_round_trip(tmp_path):
     table_first = run_convergence_wsm(config, [(0.5, 0.5)])
     cache_files = sorted((tmp_path / "cache").glob("wsm_*.ctrl"))
     assert len(cache_files) == 1
-    cached = read_control(cache_files[0])
+    cached = read_control(cache_files[0], 4)
 
     cache_files[0].unlink()
     table_second = run_convergence_wsm(config, [(0.5, 0.5)])
-    recomputed = read_control(sorted((tmp_path / "cache").glob("wsm_*.ctrl"))[0])
+    recomputed = read_control(sorted((tmp_path / "cache").glob("wsm_*.ctrl"))[0], 4)
     from mopoisson import l2_error
 
     assert l2_error(cached, recomputed) <= 1e-10
@@ -173,6 +172,27 @@ def test_failed_cache_write_leaves_no_temp_file(tmp_path, monkeypatch):
     assert list((tmp_path / "cache").iterdir()) == []
 
 
+def test_unconverged_reference_leaves_its_column_nan_and_no_cache_file(tmp_path, monkeypatch):
+    import mopoisson.experiments
+
+    alphas = [(0.5, 0.5), (0.2, 0.8)]
+    full = run_convergence_wsm(small_config(benchmark_problem(), tmp_path / "full"), alphas)
+    solve_wsm = mopoisson.experiments.solve_wsm
+
+    def capped_reference(problem, system, alpha, config):
+        if system.mesh.level == 4 and alpha == alphas[0]:
+            config = BBConfig(max_iter=1)
+        return solve_wsm(problem, system, alpha, config)
+
+    monkeypatch.setattr(mopoisson.experiments, "solve_wsm", capped_reference)
+    config = small_config(benchmark_problem(), tmp_path / "capped")
+    table = run_convergence_wsm(config, alphas)
+    assert np.all(np.isnan(table.errors[:, 0])) and np.isnan(table.rates[0])
+    assert np.array_equal(table.errors[:, 1], full.errors[:, 1]) and table.rates[1] == full.rates[1]
+    cached = [p.name for p in (config.output_dir / "cache").iterdir()]
+    assert cached == [f"wsm_{_cache_key(config, 'wsm', alphas[1], 4)}.ctrl"]
+
+
 def test_text_era_cache_file_is_never_read_or_removed(tmp_path):
     import hashlib
 
@@ -203,13 +223,13 @@ def test_shared_system_under_concurrent_first_calls(race, rng):
 
     def work(i):
         mesh, system = shared_system(6)
-        results[i] = (mesh.level, solve_spd(system, rhss[i]).nodal_values)
+        results[i] = (mesh.level, solve_spd(system, rhss[i]))
 
     race(work)
     reference = assemble_stiffness(build_uniform_mesh(6))
     for (level, values), rhs in zip(results, rhss):
         assert level == 6
-        assert np.array_equal(values, solve_spd(reference, rhs).nodal_values)
+        assert np.array_equal(values, solve_spd(reference, rhs))
 
 
 @pytest.mark.parametrize("n_weights", [1, 4])
@@ -260,12 +280,12 @@ def test_rpm_convergence_with_explicit_zetas(tmp_path):
 
 
 def test_rpm_zetas_default_to_reference_sweep(tmp_path):
-    config = small_config(benchmark_problem(), tmp_path, rpm_front_size=6)
+    config = small_config(benchmark_problem(), tmp_path, points=None)
     from mopoisson.experiments import reference_sweep_zetas
 
-    zetas = reference_sweep_zetas(config, steps=(1, 2))
-    assert len(zetas) == 2
-    assert zetas[0][0] < zetas[1][0]  # the reference point walks right
+    zetas = reference_sweep_zetas(config)
+    assert len(zetas) == 4
+    assert all(a[0] < b[0] for a, b in zip(zetas, zetas[1:]))  # the reference point walks right
 
 
 def test_run_front_error_series(tmp_path):
@@ -278,7 +298,7 @@ def test_run_front_error_series(tmp_path):
 
 def test_run_front_two_point_sweep_no_crash(tmp_path):
     config = small_config(benchmark_problem(), tmp_path, levels=(2,), reference_level=3,
-                          wsm_front_size=2)
+                          points=2)
     fronts, errors = run_front(config, "wsm")
     assert errors.shape == (1, 2)
 
@@ -286,7 +306,7 @@ def test_run_front_two_point_sweep_no_crash(tmp_path):
 def test_run_front_rpm_pads_mismatched_sweeps(tmp_path):
     # reference-point sweeps may terminate at different lengths per level
     config = small_config(benchmark_problem(), tmp_path, levels=(2,), reference_level=4,
-                          rpm_front_size=6)
+                          points=6)
     fronts, errors = run_front(config, "rpm")
     lengths = {lvl: len(front.entries) for lvl, front in fronts.items()}
     assert errors.shape == (1, lengths[4])
@@ -296,7 +316,7 @@ def test_run_front_rpm_pads_mismatched_sweeps(tmp_path):
 
 def test_front_errors_mostly_shrink_under_refinement(tmp_path):
     config = small_config(
-        benchmark_problem(), tmp_path, levels=(2, 4), reference_level=6, wsm_front_size=9
+        benchmark_problem(), tmp_path, levels=(2, 4), reference_level=6, points=9
     )
     fronts, errors = run_front(config, "wsm")
     improved = errors[1] <= errors[0] + 1e-12

@@ -17,7 +17,6 @@ from mopoisson import (
     pi0_project,
     solve_spd,
 )
-from mopoisson.fem import P1Function
 from oracles import (
     dense_stiffness_full,
     dense_stiffness_interior,
@@ -146,28 +145,29 @@ def test_point_load_rejects_boundary_points():
         assemble_point_load(mesh, [(0.5, 1.0)], [1.0])
     with pytest.raises(ValueError):
         assemble_point_load(mesh, [(0.5, 0.5), (np.nan, 0.5)], [1.0, 1.0])
+    with pytest.raises(ValueError, match="differ in length"):
+        assemble_point_load(mesh, [(0.5, 0.5), (0.25, 0.5)], [1.0])
 
 
 def test_solve_zero_rhs_returns_zero_function(level3):
     mesh, system = level3
     y = solve_spd(system, np.zeros(system.num_unknowns))
-    assert np.all(y.nodal_values == 0.0)
+    assert np.all(y == 0.0)
 
 
 def test_solve_level_one_hand_value():
     mesh = build_uniform_mesh(1)
     system = assemble_stiffness(mesh)
     y = solve_spd(system, np.array([0.25]))
-    assert y.nodal_values[interior_nodes(mesh)] == pytest.approx([0.0625])
-    boundary = y.nodal_values[~interior_mask(mesh)]
+    assert y[interior_nodes(mesh)] == pytest.approx([0.0625])
+    boundary = y[~interior_mask(mesh)]
     assert np.all(boundary == 0.0)
 
 
 def test_solver_residual_contract(level3, rng):
     mesh, system = level3
     rhs = rng.normal(size=system.num_unknowns)
-    y = solve_spd(system, rhs, tol=1e-12)
-    x = y.nodal_values[interior_nodes(mesh)]
+    x = solve_spd(system, rhs)[interior_nodes(mesh)]
     residual = np.linalg.norm(dense_stiffness_interior(mesh) @ x - rhs)
     assert residual <= 1e-12 * max(1.0, np.linalg.norm(rhs))
 
@@ -179,14 +179,14 @@ def test_dst_agrees_with_dense_solve(level, rng):
     rhs = rng.normal(size=system.num_unknowns)
     y = solve_spd(system, rhs)
     dense = np.linalg.solve(dense_stiffness_interior(mesh), rhs)
-    assert np.allclose(y.nodal_values[interior_nodes(mesh)], dense, atol=1e-11)
+    assert np.allclose(y[interior_nodes(mesh)], dense, atol=1e-11)
 
 
 def test_solver_is_deterministic(level3, rng):
     mesh, system = level3
     rhs = rng.normal(size=system.num_unknowns)
-    a = solve_spd(system, rhs).nodal_values
-    b = solve_spd(system, rhs).nodal_values
+    a = solve_spd(system, rhs)
+    b = solve_spd(system, rhs)
     assert np.array_equal(a, b)
 
 
@@ -195,12 +195,12 @@ def test_concurrent_first_solves_match_serial(race, rng):
     mesh = build_uniform_mesh(6)
     rhss = rng.normal(size=(8, (2 ** 6 - 1) ** 2))
     reference = assemble_stiffness(mesh)
-    serial = [solve_spd(reference, rhs).nodal_values for rhs in rhss]
+    serial = [solve_spd(reference, rhs) for rhs in rhss]
     system = assemble_stiffness(mesh)
     results = [None] * 8
 
     def work(i):
-        results[i] = solve_spd(system, rhss[i]).nodal_values
+        results[i] = solve_spd(system, rhss[i])
 
     race(work)
     for got, want in zip(results, serial):
@@ -221,19 +221,22 @@ def test_package_import_leaves_out_scipy():
     assert done.returncode == 0, done.stderr
 
 
-def test_solver_failure_carries_residual(level3, rng):
+def test_solver_failure_carries_residual(level3, rng, monkeypatch):
+    import mopoisson.fem
+
     mesh, system = level3
     rhs = rng.normal(size=system.num_unknowns)
+    monkeypatch.setattr(mopoisson.fem, "LINEAR_TOL", 1e-300)
     with pytest.raises(SolverError) as info:
-        solve_spd(system, rhs, tol=1e-300)
+        solve_spd(system, rhs)
     assert info.value.residual > 0.0
 
 
 def test_solve_without_unknowns_returns_zero_function():
     mesh = build_uniform_mesh(0)
     y = solve_spd(assemble_stiffness(mesh), np.zeros(0))
-    assert y.nodal_values.shape == (mesh.num_nodes,)
-    assert np.all(y.nodal_values == 0.0)
+    assert y.shape == (mesh.num_nodes,)
+    assert np.all(y == 0.0)
 
 
 def test_solver_rejects_bad_rhs_length(level3):
@@ -247,10 +250,10 @@ def test_galerkin_residual_per_basis_function(rng):
     system = assemble_stiffness(mesh)
     u = PwcControl(mesh, rng.normal(size=mesh.num_triangles))
     rhs = assemble_load_pwc(mesh, u)
-    y = solve_spd(system, rhs, tol=1e-12)
+    y = solve_spd(system, rhs)
     # (grad y, grad phi_i) - (u, phi_i) via the dense-oracle full matrix
     full = dense_stiffness_full(mesh)
-    lhs = full[interior_nodes(mesh), :] @ y.nodal_values
+    lhs = full[interior_nodes(mesh), :] @ y
     assert np.abs(lhs - rhs).max() <= 1e-11
 
 
@@ -267,40 +270,37 @@ def test_manufactured_solution_second_order():
 
 def test_evaluate_reproduces_linear_functions():
     mesh = build_uniform_mesh(3)
-    f = P1Function(mesh, mesh_nodes(mesh)[:, 0].copy())
-    values = evaluate(f, (0.3, 0.7))
+    values = evaluate(mesh, mesh_nodes(mesh)[:, 0], (0.3, 0.7))
     assert values.shape == (1,)
     assert values[0] == pytest.approx(0.3, abs=1e-14)
 
 
 def test_evaluate_zero_function():
     mesh = build_uniform_mesh(2)
-    f = P1Function(mesh, np.zeros(mesh.num_nodes))
-    assert np.all(evaluate(f, [(0.123, 0.456), (0.5, 0.5)]) == 0.0)
+    assert np.all(evaluate(mesh, np.zeros(mesh.num_nodes), [(0.123, 0.456), (0.5, 0.5)]) == 0.0)
 
 
 def test_evaluate_lagrange_property(rng):
     mesh = build_uniform_mesh(2)
-    f = P1Function(mesh, rng.normal(size=mesh.num_nodes))
-    assert np.array_equal(evaluate(f, mesh_nodes(mesh)), f.nodal_values)
+    f = rng.normal(size=mesh.num_nodes)
+    assert np.array_equal(evaluate(mesh, f, mesh_nodes(mesh)), f)
 
 
 def test_element_mean_constant_and_simple():
     mesh = build_uniform_mesh(1)
-    const = P1Function(mesh, np.full(mesh.num_nodes, 2.5))
-    assert pi0_project(const).values[0] == 2.5
+    assert pi0_project(mesh, np.full(mesh.num_nodes, 2.5)).values[0] == 2.5
     values = np.zeros(mesh.num_nodes)
     values[mesh_triangles(mesh)[3]] = [0.0, 1.0, 2.0]
-    assert pi0_project(P1Function(mesh, values)).values[3] == pytest.approx(1.0)
+    assert pi0_project(mesh, values).values[3] == pytest.approx(1.0)
 
 
 def test_element_mean_matches_quadrature(rng):
     mesh = build_uniform_mesh(2)
-    f = P1Function(mesh, rng.normal(size=mesh.num_nodes))
-    means = pi0_project(f).values
+    f = rng.normal(size=mesh.num_nodes)
+    means = pi0_project(mesh, f).values
     for t in rng.integers(0, mesh.num_triangles, 5):
         integral = mesh.element_area * means[int(t)]
-        assert integral == pytest.approx(quadrature_element_integral(f, int(t)), abs=1e-14)
+        assert integral == pytest.approx(quadrature_element_integral(mesh, f, int(t)), abs=1e-14)
 
 
 def test_point_load_is_dual_to_evaluation(rng):
@@ -311,40 +311,35 @@ def test_point_load_is_dual_to_evaluation(rng):
     c = rng.normal(size=7)
     interior = interior_mask(mesh)
     values = np.where(interior, rng.normal(size=mesh.num_nodes), 0.0)
-    f = P1Function(mesh, values)
     load = assemble_point_load(mesh, points, c)
-    assert c @ evaluate(f, points) == pytest.approx(load @ values[interior], abs=1e-13)
+    assert c @ evaluate(mesh, values, points) == pytest.approx(load @ values[interior], abs=1e-13)
     nodes = mesh_nodes(mesh)
-    linear = P1Function(mesh, 2.0 * nodes[:, 0] - 3.0 * nodes[:, 1] + 0.5)
+    linear = 2.0 * nodes[:, 0] - 3.0 * nodes[:, 1] + 0.5
     exact = 2.0 * points[:, 0] - 3.0 * points[:, 1] + 0.5
-    assert np.abs(evaluate(linear, points) - exact).max() <= 1e-14
+    assert np.abs(evaluate(mesh, linear, points) - exact).max() <= 1e-14
 
 
 def test_value_shape_validation():
     mesh = build_uniform_mesh(1)
-    with pytest.raises(ValueError):
-        P1Function(mesh, np.zeros(mesh.num_nodes + 1))
+    for count in (mesh.num_nodes - 1, mesh.num_nodes + 1):
+        with pytest.raises(ValueError, match="nodal value count"):
+            pi0_project(mesh, np.zeros(count))
+        with pytest.raises(ValueError, match="nodal value count"):
+            evaluate(mesh, np.zeros(count), [(0.5, 0.5)])
     with pytest.raises(ValueError):
         PwcControl(mesh, np.zeros(mesh.num_triangles - 1))
-
-
-def test_solve_rejects_nonpositive_tolerance():
-    mesh = build_uniform_mesh(1)
-    system = assemble_stiffness(mesh)
-    with pytest.raises(ValueError):
-        solve_spd(system, np.zeros(1), tol=0.0)
 
 
 @pytest.mark.parametrize("level", range(7))
 def test_grid_operators_match_the_explicit_arrays(level, rng):
     mesh = build_uniform_mesh(level)
-    f = P1Function(mesh, rng.normal(size=mesh.num_nodes))
-    assert np.array_equal(pi0_project(f).values, gather_pi0(f))
+    f = rng.normal(size=mesh.num_nodes)
+    assert np.array_equal(pi0_project(mesh, f).values, gather_pi0(mesh, f))
     points = np.concatenate([rng.uniform(0.01, 0.99, (20, 2)), [(0.5, 0.5), (0.25, 0.75), (0.375, 0.125)]])
     coeffs = rng.normal(size=points.shape[0])
     assert np.abs(assemble_point_load(mesh, points, coeffs) - gather_point_load(mesh, points, coeffs)).max(
         initial=0.0) <= 1e-15
-    assert np.abs(evaluate(f, points) - gather_evaluate(f, points)).max() <= 1e-15
+    assert np.abs(evaluate(mesh, f, points) - gather_evaluate(mesh, f, points)).max() <= 1e-15
     u = PwcControl(mesh, rng.normal(size=mesh.num_triangles))
     assert np.abs(assemble_load_pwc(mesh, u) - gather_load_pwc(mesh, u)).max(initial=0.0) <= 1e-15
 

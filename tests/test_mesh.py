@@ -223,7 +223,7 @@ def test_fine_mesh_and_control_read_stay_small(tmp_path):
         "from mopoisson import build_uniform_mesh, read_control\n"
         "base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
         "build_uniform_mesh(10)\n"
-        "assert read_control(sys.argv[1]).mesh.level == 9\n"
+        "assert read_control(sys.argv[1], 9).mesh.level == 9\n"
         "print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base) / 1024)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(mopoisson.__file__).resolve().parents[1]))

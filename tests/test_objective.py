@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mopoisson import (
     BoxBounds,
@@ -22,7 +24,14 @@ from mopoisson import (
     solve_state,
 )
 from mopoisson.objective import greens_function_means
-from oracles import central_difference, gather_greens_means, interior_nodes, scalarized_gradient
+from oracles import (
+    MESH_SYMMETRIES,
+    central_difference,
+    gather_greens_means,
+    interior_nodes,
+    scalarized_gradient,
+    symmetry_triangle_permutation,
+)
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +51,10 @@ def objectives(problem, system, u):
 
 def test_problem_data_validation():
     box = BoxBounds(-1.0, 1.0)
-    with pytest.raises(ValueError):
+    # a (0, 2) array is an empty set; a bare [] is read as one point without coordinates
+    with pytest.raises(ValueError, match="observation set 1 is empty"):
+        ProblemData(obs1=np.empty((0, 2)), y1=[], obs2=[(0.5, 0.5)], y2=[1.0], lambda1=1, lambda2=1, bounds=box)
+    with pytest.raises(ValueError, match="observation set 1 and desired values do not match"):
         ProblemData(obs1=[], y1=[], obs2=[(0.5, 0.5)], y2=[1.0], lambda1=1, lambda2=1, bounds=box)
     with pytest.raises(ValueError):
         ProblemData(obs1=[(0.0, 0.5)], y1=[1.0], obs2=[(0.5, 0.5)], y2=[1.0],
@@ -72,16 +84,16 @@ def test_problem_data_validation():
 def test_zero_control_gives_zero_state(setup):
     problem, mesh, system = setup
     y = solve_state(problem, system, PwcControl(mesh, np.zeros(mesh.num_triangles)))
-    assert np.all(y.nodal_values == 0.0)
+    assert np.all(y == 0.0)
 
 
 def test_state_is_linear_in_control(setup, rng):
     problem, mesh, system = setup
     u = feasible(problem, mesh, rng)
     v = feasible(problem, mesh, rng)
-    yu = solve_state(problem, system, u).nodal_values
-    yv = solve_state(problem, system, v).nodal_values
-    ys = solve_state(problem, system, PwcControl(mesh, u.values + v.values)).nodal_values
+    yu = solve_state(problem, system, u)
+    yv = solve_state(problem, system, v)
+    ys = solve_state(problem, system, PwcControl(mesh, u.values + v.values))
     assert np.abs(ys - (yu + yv)).max() <= 1e-10
 
 
@@ -89,7 +101,7 @@ def test_state_level_one_value(bench):
     mesh = build_uniform_mesh(1)
     system = assemble_stiffness(mesh)
     y = solve_state(bench, system, PwcControl(mesh, np.ones(mesh.num_triangles)))
-    assert y.nodal_values[interior_nodes(mesh)][0] == pytest.approx(0.0625)
+    assert y[interior_nodes(mesh)][0] == pytest.approx(0.0625)
 
 
 def test_adjoints_vanish_when_state_matches_desired(setup, rng):
@@ -97,8 +109,8 @@ def test_adjoints_vanish_when_state_matches_desired(setup, rng):
     u = feasible(problem, mesh, rng)
     state = solve_state(problem, system, u)
     matched = ProblemData(
-        obs1=problem.obs1, y1=evaluate(state, problem.obs1),
-        obs2=problem.obs2, y2=evaluate(state, problem.obs2),
+        obs1=problem.obs1, y1=evaluate(mesh, state, problem.obs1),
+        obs2=problem.obs2, y2=evaluate(mesh, state, problem.obs2),
         lambda1=problem.lambda1, lambda2=problem.lambda2, bounds=problem.bounds,
     )
     (r1, m1), (r2, m2) = solve_adjoints(matched, system, state)
@@ -113,8 +125,11 @@ def test_adjoint_matches_unit_load_oracle(setup, rng):
     state = solve_state(problem, system, u)
     (residuals1, adjoint_means1), _ = solve_adjoints(problem, system, state)
     r = residuals1[0]
-    unit = pi0_project(solve_spd(system, assemble_point_load(mesh, problem.obs1, [1.0])))
+    unit = pi0_project(mesh, solve_spd(system, assemble_point_load(mesh, problem.obs1, [1.0])))
     assert np.abs(adjoint_means1 - r * unit.values).max() <= 1e-10 * max(1, abs(r))
+    # a state of another level has another node count
+    with pytest.raises(ValueError, match="nodal value count"):
+        solve_adjoints(problem, system, np.zeros(build_uniform_mesh(2).num_nodes))
 
 
 def test_discrete_greens_function_symmetry(setup):
@@ -122,7 +137,7 @@ def test_discrete_greens_function_symmetry(setup):
     a, b = (0.375, 0.625), (0.625, 0.125)
     ga = solve_spd(system, assemble_point_load(mesh, [a], [1.0]))
     gb = solve_spd(system, assemble_point_load(mesh, [b], [1.0]))
-    assert evaluate(ga, b)[0] == pytest.approx(evaluate(gb, a)[0], abs=1e-10)
+    assert evaluate(mesh, ga, b)[0] == pytest.approx(evaluate(mesh, gb, a)[0], abs=1e-10)
 
 
 def test_objectives_at_zero_control(bench):
@@ -141,8 +156,8 @@ def test_objectives_regularization_only(setup):
     u = PwcControl(mesh, np.full(mesh.num_triangles, c))
     state = solve_state(problem, system, u)
     matched = ProblemData(
-        obs1=problem.obs1, y1=evaluate(state, problem.obs1),
-        obs2=problem.obs2, y2=evaluate(state, problem.obs2),
+        obs1=problem.obs1, y1=evaluate(mesh, state, problem.obs1),
+        obs2=problem.obs2, y2=evaluate(mesh, state, problem.obs2),
         lambda1=problem.lambda1, lambda2=problem.lambda2, bounds=problem.bounds,
     )
     j = objectives(matched, system, u)
@@ -156,8 +171,8 @@ def test_objectives_match_hand_composition(setup, rng):
     state = solve_state(problem, system, u)
     (residuals1, _), (residuals2, _) = solve_adjoints(problem, system, state)
     r, j = eval_objectives(problem, greens_function_means(problem, system), mesh.element_area, u.values)
-    r1 = evaluate(state, problem.obs1) - problem.y1
-    r2 = evaluate(state, problem.obs2) - problem.y2
+    r1 = evaluate(mesh, state, problem.obs1) - problem.y1
+    r2 = evaluate(mesh, state, problem.obs2) - problem.y2
     assert np.allclose(residuals1, r1, rtol=0, atol=1e-13)
     assert np.allclose(residuals2, r2, rtol=0, atol=1e-13)
     assert np.allclose(r, np.concatenate((r1, r2)), rtol=0, atol=1e-13)
@@ -244,3 +259,28 @@ def test_objective_convexity_surrogate(setup, rng):
 def test_greens_means_equal_the_gather_route_at_level_8(bench, system_for):
     mesh, system = system_for(8)
     assert np.array_equal(greens_function_means(bench, system), gather_greens_means(bench, system))
+
+
+# Interior coordinates in units of 2**-12, which both mesh symmetries map without rounding.
+DYADIC = st.integers(1, 2 ** 12 - 1)
+
+
+@settings(deadline=None, max_examples=25, derandomize=True)
+@given(
+    level=st.integers(1, 6),
+    points=st.lists(st.tuples(DYADIC, DYADIC), min_size=2, max_size=4),
+    symmetry=st.sampled_from(sorted(MESH_SYMMETRIES)),
+)
+def test_mirrored_points_give_mirrored_greens_rows(system_for, level, points, symmetry):
+    mirror = MESH_SYMMETRIES[symmetry]
+    mesh, system = system_for(level)
+    points = np.array(points) / 2 ** 12
+
+    def means(obs):
+        problem = ProblemData(obs1=obs[:1], y1=[0.0], obs2=obs[1:], y2=np.zeros(len(obs) - 1),
+                              lambda1=1, lambda2=1, bounds=BoxBounds(-1.0, 1.0))
+        return greens_function_means(problem, system)
+
+    greens = means(points)
+    mirrored = means(mirror(points))[:, symmetry_triangle_permutation(mesh, mirror)]
+    assert np.abs(mirrored - greens).max() <= 1e-15 * np.abs(greens).max()

@@ -11,8 +11,10 @@ from mopoisson import (
     BoxBounds,
     ProblemData,
     PwcControl,
+    SolverError,
     assemble_stiffness,
     bb_projected_gradient,
+    benchmark_problem,
     build_uniform_mesh,
     clip_to_box,
     ideal_vector,
@@ -26,8 +28,10 @@ from mopoisson import (
 )
 from mopoisson.objective import ObjectivePair, eval_objectives, grad_rpm, grad_wsm, greens_function_means
 from oracles import (
+    MESH_SYMMETRIES,
     clip_and_where_starting_pair,
     fixed_step_projected_gradient,
+    gather_greens_means,
     mesh_nodes,
     mesh_triangles,
     mutually_nondominated,
@@ -40,7 +44,9 @@ from oracles import (
     scalarization,
     scalarized_gradient,
     scalarized_value,
+    symmetry_triangle_permutation,
     vi_min_slack,
+    wsm_semismooth_newton,
 )
 
 
@@ -108,6 +114,26 @@ def test_bb_matches_fixed_step_projected_gradient(level3):
     assert l2_error(report.control, oracle) <= 1e-6
 
 
+@pytest.mark.parametrize("lambdas", [(0.1, 0.1), (1.0, 1.0)])
+@pytest.mark.parametrize("level", [3, 5, 6])
+def test_wsm_matches_the_semismooth_newton_optimum(level, lambdas, system_for):
+    """The exact discrete optimum, from Newton on the n_obs residuals, against BB at tol 1e-10."""
+    problem = benchmark_problem(*lambdas)
+    mesh, system = system_for(level)
+    area = mesh.element_area
+    greens = gather_greens_means(problem, system)
+    for alpha in [(0.2, 0.8), (0.5, 0.5), (0.8, 0.2)]:
+        u, r, F, _ = wsm_semismooth_newton(problem, greens, area, alpha)
+        assert np.abs(F).max() <= 1e-13
+        report = solve_wsm(problem, system, alpha, BBConfig(tol=1e-10))
+        assert report.converged
+        assert l2_norm(PwcControl(mesh, report.control.values - u)) <= 1e-9
+        n1 = len(problem.y1)
+        exact = [0.5 * float(rk @ rk) + 0.5 * lam * area * float(u @ u)
+                 for rk, lam in ((r[:n1], problem.lambda1), (r[n1:], problem.lambda2))]
+        assert np.allclose(report.objectives.as_array(), exact, rtol=1e-10, atol=0)
+
+
 def test_converged_reports_satisfy_fixed_point_and_vi(level3, rng):
     problem, mesh, system = level3
     wsm_report = solve_wsm(problem, system, (0.3, 0.7))
@@ -152,6 +178,38 @@ def test_solution_reflects_with_the_problem(bench, system_for):
                 mirrored = reflected.control.values[perm]
                 assert l2_norm(PwcControl(mesh, base.control.values - mirrored)) <= 1e-8
                 assert np.allclose(base.objectives.as_array(), reflected.objectives.as_array(), rtol=1e-10, atol=0)
+
+
+@settings(deadline=None, max_examples=15, derandomize=True)
+@given(
+    level=st.integers(1, 5),
+    points=st.lists(st.tuples(st.integers(1, 2 ** 12 - 1), st.integers(1, 2 ** 12 - 1)), min_size=2, max_size=3),
+    desired=st.lists(st.floats(-8.0, 8.0), min_size=3, max_size=3),
+    lam=st.floats(0.05, 2.0),
+    a2=st.floats(0.05, 0.95),
+    symmetry=st.sampled_from(sorted(MESH_SYMMETRIES)),
+)
+def test_mirrored_data_with_swapped_weights_give_the_mirrored_wsm_solution(
+    system_for, level, points, desired, lam, a2, symmetry
+):
+    """With lambda1 = lambda2, swapping the criteria undoes the weight swap: u and j just mirror."""
+    mirror = MESH_SYMMETRIES[symmetry]
+    mesh, system = system_for(level)
+    points = np.array(points) / 2 ** 12  # dyadic, so the mirror map is exact
+    obs1, obs2 = points[:1], points[1:]
+    y1, y2 = desired[:1], desired[1:len(points)]
+
+    def solve(obs1, y1, obs2, y2, alpha):
+        problem = ProblemData(obs1=obs1, y1=y1, obs2=obs2, y2=y2, lambda1=lam, lambda2=lam,
+                              bounds=BoxBounds(-7.0, 15.0))
+        return solve_wsm(problem, system, alpha)
+
+    base = solve(obs1, y1, obs2, y2, (1.0 - a2, a2))
+    swapped = solve(mirror(obs2), y2, mirror(obs1), y1, (a2, 1.0 - a2))
+    perm = symmetry_triangle_permutation(mesh, mirror)
+    assert np.abs(swapped.control.values[perm] - base.control.values).max() <= 1e-12
+    assert np.allclose(swapped.objectives.as_array()[::-1], base.objectives.as_array(), rtol=1e-12, atol=0)
+    assert swapped.iterations == base.iterations
 
 
 def test_reports_are_bit_identical_across_runs(bench):
@@ -384,6 +442,22 @@ def test_rpm_front_two_point_cap(bench):
     assert np.array_equal(front.objective_array(), again.objective_array())
 
 
+def test_rpm_front_ends_where_the_reference_point_update_fails(bench, monkeypatch):
+    import mopoisson.scalarize
+
+    def fail(*args):
+        raise ValueError("reference point coincides with the objective value")
+
+    system = assemble_stiffness(build_uniform_mesh(3))
+    full = rpm_front(bench, system, 6, 0.2, 0.2)
+    monkeypatch.setattr(mopoisson.scalarize, "next_reference_point", fail)
+    front = rpm_front(bench, system, 6, 0.2, 0.2)
+    assert [e.method for e in front.entries] == ["wsm", "rpm", "wsm"]
+    assert np.array_equal(front.objective_array()[:2], full.objective_array()[:2])
+    assert front.entries[-1].parameter == full.entries[-1].parameter
+    assert front.entries[-1].report.objectives == full.entries[-1].report.objectives
+
+
 def test_rpm_front_entries_dominate_their_reference(bench):
     mesh = build_uniform_mesh(4)
     system = assemble_stiffness(mesh)
@@ -426,6 +500,10 @@ def test_ideal_vector_properties(bench):
     for eps in [0.0, 0.5, 0.7, np.nan]:
         with pytest.raises(ValueError):
             ideal_vector(bench, system, eps=eps)
+    with pytest.raises(SolverError, match="did not converge") as info:
+        ideal_vector(bench, system, config=BBConfig(max_iter=1))
+    unconverged = solve_wsm(bench, system, (1.0 - 1e-3, 1e-3), BBConfig(max_iter=1))
+    assert info.value.residual == unconverged.final_residual > 0.0
     front = wsm_front(bench, system, 7)
     objectives = front.objective_array()
     assert np.all(ideal[0] <= objectives[:, 0] + 1e-6)
