@@ -7,11 +7,7 @@ points) solved by a projected Barzilai-Borwein gradient method.
 
 from .control import (
     BoxBounds,
-    PwcControl,
-    clip_to_box,
     l2_error,
-    l2_inner,
-    l2_norm,
     pi0_project,
     prolong,
     read_control,

@@ -1,42 +1,26 @@
-"""Piecewise-constant controls: L2 geometry, box projection, prolongation."""
+"""Piecewise-constant controls, each the flat array of its triangle values: bounds, prolongation, files."""
 
 from __future__ import annotations
 
 import math
 import os
 from dataclasses import dataclass
+from tokenize import TokenError
 
 import numpy as np
+from numpy.lib import format as npy
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .mesh import TriMesh, build_uniform_mesh
+from .mesh import TriMesh, mesh_of
 
 __all__ = [
-    "PwcControl",
     "BoxBounds",
-    "clip_to_box",
-    "l2_inner",
-    "l2_norm",
     "prolong",
     "l2_error",
     "pi0_project",
     "write_control",
     "read_control",
 ]
-
-
-@dataclass
-class PwcControl:
-    """One real value per triangle."""
-
-    mesh: TriMesh
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.ascontiguousarray(self.values, dtype=np.float64)
-        if values.shape != (self.mesh.num_triangles,):
-            raise ValueError("value count does not match the triangle count")
-        self.values = values
 
 
 @dataclass(frozen=True)
@@ -59,27 +43,7 @@ class BoxBounds:
             raise ValueError("lower bound exceeds upper bound")
 
 
-def clip_to_box(u: PwcControl, b: BoxBounds) -> PwcControl:
-    """Per-triangle min(ub, max(ua, u)); idempotent."""
-    return PwcControl(u.mesh, np.clip(u.values, b.ua, b.ub))
-
-
-def _check_same_mesh(u: PwcControl, v: PwcControl) -> None:
-    if u.mesh.level != v.mesh.level:
-        raise ValueError("controls live on different meshes")
-
-
-def l2_inner(u: PwcControl, v: PwcControl) -> float:
-    """Exact L2 inner product: sum_T |T| u_T v_T."""
-    _check_same_mesh(u, v)
-    return float(u.mesh.element_area * (u.values @ v.values))
-
-
-def l2_norm(u: PwcControl) -> float:
-    return math.sqrt(l2_inner(u, u))
-
-
-def prolong(u: PwcControl, fine: TriMesh) -> PwcControl:
+def prolong(u: np.ndarray, fine: TriMesh) -> np.ndarray:
     """Exact injection to a finer mesh of the family.
 
     Each fine triangle inherits the value of its coarse ancestor, so the
@@ -95,28 +59,29 @@ def prolong(u: PwcControl, fine: TriMesh) -> PwcControl:
     strided copy of those windows; no index map is built or kept, and the
     sequences take ``(2s - 1) / s**2`` of the fine vector.
     """
-    coarse = u.mesh
+    coarse = mesh_of(u)
     if coarse.level > fine.level:
         raise ValueError("coarse mesh must not be finer than the fine mesh")
     nc, s = coarse.cells_per_side, 2 ** (fine.level - coarse.level)
-    lower, upper = u.values.reshape(nc, nc, 2, 1).transpose(2, 0, 1, 3)
+    lower, upper = u.reshape(nc, nc, 2, 1).transpose(2, 0, 1, 3)
     seq = np.empty((nc, nc, 4 * s - 2))
     seq[..., :2 * s] = upper
     seq[..., 2 * s - 2] = lower[..., 0]
     seq[..., 2 * s:] = lower
     values = np.empty((nc, s, nc, 2 * s))  # (row, b, column, (a, kind))
     values.transpose(0, 2, 1, 3)[...] = sliding_window_view(seq, 2 * s, axis=-1)[:, :, ::-2]
-    return PwcControl(fine, values.ravel())
+    return values.ravel()
 
 
-def l2_error(u_coarse: PwcControl, u_ref: PwcControl) -> float:
+def l2_error(u_coarse: np.ndarray, u_ref: np.ndarray) -> float:
     """L2 distance after prolonging the coarse control to the reference mesh."""
-    diff = prolong(u_coarse, u_ref.mesh).values  # a fresh gather, so subtract in place
-    diff -= u_ref.values
-    return math.sqrt(u_ref.mesh.element_area * float(diff @ diff))
+    fine = mesh_of(u_ref)
+    diff = prolong(u_coarse, fine)  # a fresh gather, so subtract in place
+    diff -= u_ref
+    return math.sqrt(fine.element_area * float(diff @ diff))
 
 
-def pi0_project(mesh: TriMesh, nodal) -> PwcControl:
+def pi0_project(mesh: TriMesh, nodal) -> np.ndarray:
     """L2-orthogonal projection of the P1 function ``nodal`` onto piecewise constants.
 
     Per-element means, satisfying ``(f - pi0 f, w) = 0`` for every piecewise-constant ``w``.
@@ -133,33 +98,39 @@ def pi0_project(mesh: TriMesh, nodal) -> PwcControl:
     np.add(g[:-1, :-1], g[1:, 1:], out=means[..., 1])
     means[..., 1] += g[1:, :-1]
     means /= 3
-    return PwcControl(mesh, means.ravel())
+    return means.ravel()
 
 
-def write_control(u: PwcControl, path) -> None:
+def write_control(u: np.ndarray, path) -> None:
     """Serialize the values as a 1-D float64 ``.npy`` array; the count gives the level."""
     # A file handle, because np.save appends ".npy" to a path without it.
     with open(path, "wb") as fh:
-        np.save(fh, u.values.astype("<f8", copy=False), allow_pickle=False)
+        np.save(fh, np.asarray(u, dtype="<f8"), allow_pickle=False)
 
 
-def read_control(path, level: int) -> PwcControl:
-    """Read a level-``level`` control written by :func:`write_control`, rebuilding the mesh.
+def read_control(path, level: int) -> np.ndarray:
+    """The values of a level-``level`` control written by :func:`write_control`.
 
     The header, including that the count is that level's, is checked
-    before any value is read or a mesh is built; nothing is ever unpickled.
+    before any value is read; nothing is ever unpickled or memory-mapped.
+    Every fault of the file raises :class:`ValueError`.
     """
-    try:
-        mapped = np.load(path, mmap_mode="r", allow_pickle=False)
-    except (ValueError, EOFError, OverflowError) as exc:
-        raise ValueError(f"{path}: not a control file: {exc}") from exc
-    if mapped.ndim != 1 or mapped.dtype.str != "<f8":
-        raise ValueError(f"{path}: expected a 1-D <f8 array, found {mapped.dtype.str} {mapped.shape}")
-    if mapped.size != 2 * 4 ** level:
-        raise ValueError(f"{path}: {mapped.size} values, not the {2 * 4 ** level} of a level-{level} control")
-    if os.path.getsize(path) != mapped.offset + mapped.nbytes:
-        raise ValueError(f"{path}: bytes after the last value")
-    values = np.array(mapped)
+    count = 2 * 4 ** level
+    with open(path, "rb") as fh:
+        try:
+            if npy.read_magic(fh) != (1, 0):  # np.save's version for a 1-D float64 array
+                raise ValueError("not a version-1.0 .npy file")
+            shape, _, dtype = npy.read_array_header_1_0(fh)
+        # numpy's header parser lets the last four escape; UserWarning is its Python 2 header warning
+        except (ValueError, SyntaxError, TokenError, TypeError, UserWarning) as exc:
+            raise ValueError(f"{path}: not a control file: {exc}") from exc
+        if len(shape) != 1 or dtype.str != "<f8":
+            raise ValueError(f"{path}: expected a 1-D <f8 array, found {dtype.str} {shape}")
+        if shape[0] != count:
+            raise ValueError(f"{path}: {shape[0]} values, not the {count} of a level-{level} control")
+        if os.path.getsize(path) != fh.tell() + 8 * count:
+            raise ValueError(f"{path}: {os.path.getsize(path) - fh.tell()} bytes of values, not {8 * count}")
+        values = np.fromfile(fh, dtype="<f8", count=count)
     if not np.all(np.isfinite(values)):
         raise ValueError(f"{path}: non-finite value")
-    return PwcControl(build_uniform_mesh(level), values)
+    return values

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .control import BoxBounds, PwcControl, l2_error, read_control, write_control
+from .control import BoxBounds, l2_error, read_control, write_control
 from .fem import assemble_stiffness
 from .mesh import MAX_LEVEL, build_uniform_mesh
 from .objective import ProblemData, _check_reference_point, _check_weights
@@ -171,7 +171,7 @@ def _solve_at_level(
 
 def _reference_control(
     config: ExperimentConfig, method: str, parameter
-) -> PwcControl | None:
+) -> np.ndarray | None:
     """Reference-level solve, cached on disk keyed by data and parameter.
 
     Cache files are replaced atomically; an unreadable one, or one holding

@@ -7,15 +7,11 @@ integrand that occurs is piecewise polynomial of degree at most one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.fft import rfft
 
 from .mesh import TriMesh, locate_point, triangle_nodes
-
-if TYPE_CHECKING:
-    from .control import PwcControl
 
 __all__ = [
     "SolverError",
@@ -84,21 +80,17 @@ def assemble_stiffness(mesh: TriMesh) -> StiffnessSystem:
     return StiffnessSystem(mesh=mesh)
 
 
-def _check_mesh(mesh: TriMesh, other: TriMesh, what: str) -> None:
-    if other.level != mesh.level:
-        raise ValueError(f"{what} lives on a different mesh (levels {other.level} vs {mesh.level})")
-
-
-def assemble_load_pwc(mesh: TriMesh, u: "PwcControl") -> np.ndarray:
+def assemble_load_pwc(mesh: TriMesh, u: np.ndarray) -> np.ndarray:
     """Interior load vector of a piecewise-constant source.
 
     The exact integral of a hat function against a constant contributes
     ``u_T |T| / 3`` to each vertex of ``T``: per cell, the lower triangle
     to nodes ``v00, v10, v11`` and the upper one to ``v00, v11, v01``.
     """
-    _check_mesh(mesh, u.mesh, "control")
+    if np.shape(u) != (mesh.num_triangles,):
+        raise ValueError(f"control of shape {np.shape(u)} does not match the {mesh.num_triangles} triangles")
     n = mesh.cells_per_side
-    w = (u.values * (mesh.element_area / 3.0)).reshape(n, n, 2)
+    w = (u * (mesh.element_area / 3.0)).reshape(n, n, 2)
     both = w[..., 0] + w[..., 1]
     full = np.zeros((n + 1, n + 1))
     full[:-1, :-1] += both

@@ -18,6 +18,7 @@ __all__ = [
     "MAX_LEVEL",
     "TriMesh",
     "build_uniform_mesh",
+    "mesh_of",
     "locate_point",
     "triangle_nodes",
 ]
@@ -79,6 +80,15 @@ def build_uniform_mesh(level: int) -> TriMesh:
     if level > MAX_LEVEL:
         raise ValueError(f"level {level} exceeds the supported cap {MAX_LEVEL}")
     return TriMesh(level=level, element_area=2.0 ** (-2 * level - 1))
+
+
+def mesh_of(values) -> TriMesh:
+    """The mesh of the control ``values``, a 1-D array whose length ``2 * 4**level`` gives the level."""
+    n = len(values) if np.ndim(values) == 1 else 0
+    level = (n.bit_length() - 2) // 2
+    if not (0 <= level <= MAX_LEVEL and n == 2 * 4 ** level):
+        raise ValueError(f"shape {np.shape(values)} is not (2 * 4**level,) for a level from 0 to {MAX_LEVEL}")
+    return build_uniform_mesh(level)
 
 
 def triangle_nodes(mesh: TriMesh, elements) -> np.ndarray:

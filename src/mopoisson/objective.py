@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .control import BoxBounds, PwcControl, pi0_project
+from .control import BoxBounds, pi0_project
 from .fem import StiffnessSystem, assemble_load_pwc, assemble_point_load, evaluate, solve_spd
 
 __all__ = [
@@ -98,7 +98,7 @@ class ObjectivePair:
         return np.array([self.j1, self.j2])
 
 
-def solve_state(problem: ProblemData, system: StiffnessSystem, u: PwcControl) -> np.ndarray:
+def solve_state(system: StiffnessSystem, u: np.ndarray) -> np.ndarray:
     """Discrete control-to-state map: the nodal values of the Poisson solve with source ``u``."""
     return solve_spd(system, assemble_load_pwc(system.mesh, u))
 
@@ -117,7 +117,7 @@ def solve_adjoints(problem: ProblemData, system: StiffnessSystem, state: np.ndar
     pairs = []
     for obs, desired in ((problem.obs1, problem.y1), (problem.obs2, problem.y2)):
         r = evaluate(mesh, state, obs) - desired
-        pairs.append((r, pi0_project(mesh, solve_spd(system, assemble_point_load(mesh, obs, r))).values))
+        pairs.append((r, pi0_project(mesh, solve_spd(system, assemble_point_load(mesh, obs, r)))))
     return tuple(pairs)
 
 
@@ -133,7 +133,7 @@ def greens_function_means(problem: ProblemData, system: StiffnessSystem) -> np.n
     """
     mesh = system.mesh
     points = np.concatenate((problem.obs1, problem.obs2))
-    return np.array([pi0_project(mesh, solve_spd(system, assemble_point_load(mesh, x, 1.0))).values
+    return np.array([pi0_project(mesh, solve_spd(system, assemble_point_load(mesh, x, 1.0)))
                      for x in points])
 
 

@@ -14,9 +14,9 @@ from typing import Callable
 
 import numpy as np
 
-from .control import BoxBounds, PwcControl
+from .control import BoxBounds
 from .fem import LINEAR_TOL, SolverError, StiffnessSystem
-from .mesh import TriMesh
+from .mesh import TriMesh, mesh_of
 from .objective import (
     ObjectivePair,
     ProblemData,
@@ -67,9 +67,9 @@ class BBConfig:
 
 @dataclass
 class SolveReport:
-    """Converged (or last) control with diagnostics of the run."""
+    """Converged (or last) control values with diagnostics of the run."""
 
-    control: PwcControl
+    control: np.ndarray
     objectives: ObjectivePair | None
     iterations: int
     final_residual: float
@@ -103,17 +103,17 @@ def _check_eps(eps: float) -> None:
         raise ValueError("eps must lie in (0, 0.5)")
 
 
-def _require_feasible(u: PwcControl, bounds: BoxBounds, name: str) -> None:
+def _require_feasible(u: np.ndarray, bounds: BoxBounds, name: str) -> None:
     # min and max are NaN if a value is, and then both comparisons fail
-    if not (bounds.ua <= u.values.min() and u.values.max() <= bounds.ub):
+    if not (bounds.ua <= u.min() and u.max() <= bounds.ub):
         raise ValueError(f"{name} must lie within the box bounds")
 
 
 def bb_projected_gradient(
     problem: ProblemData,
     grad_eval: GradEval,
-    u0: PwcControl,
-    u_minus1: PwcControl,
+    u0: np.ndarray,
+    u_minus1: np.ndarray,
     config: BBConfig,
 ) -> SolveReport:
     """Box-projected Barzilai-Borwein iteration for a scalarized objective.
@@ -121,7 +121,7 @@ def bb_projected_gradient(
     ``grad_eval`` maps control values to the values of their gradient
     representer and their objective pair, or ``None`` for a caller that
     forms the pair itself; the report holds the pair of the last
-    evaluation.  The loop runs on value arrays.
+    evaluation.
     Iterates follow ``u <- clip(u - (1/t) g)`` with the BB quotient ``t =
     |dg|^2 / (dg, du)``; the loop stops once the step-to-unit-step
     gap ``|u_next - clip(u - g)|`` and the fixed-point residual of the
@@ -135,7 +135,7 @@ def bb_projected_gradient(
     gradients of ``grad_eval`` are never written.
 
     The loop drops its references to ``u0`` and ``u_minus1`` once it has
-    read their values and mesh, and each previous iterate and gradient
+    read them, and each previous iterate and gradient
     right after their last read: at most six N-vectors are alive.  On
     CPython >= 3.11 a Python-to-Python call hands the caller's argument
     references to the callee, so starting controls that the caller built
@@ -145,14 +145,13 @@ def bb_projected_gradient(
     bounds = problem.bounds
     _require_feasible(u0, bounds, "u0")
     _require_feasible(u_minus1, bounds, "u_minus1")
-    if np.array_equal(u0.values, u_minus1.values):
+    if np.array_equal(u0, u_minus1):
         raise ValueError("the two starting iterates must differ")
 
-    mesh = u0.mesh
-    area = mesh.element_area
+    area = mesh_of(u0).element_area
     ua, ub = bounds.ua, bounds.ub
     tol, max_iter = config.tol, config.max_iter
-    u_prev, u = u_minus1.values, u0.values
+    u_prev, u = u_minus1, u0
     del u0, u_minus1
     g_prev, _ = grad_eval(u_prev)
     g, objectives = grad_eval(u)
@@ -203,7 +202,7 @@ def bb_projected_gradient(
         iterations += 1
 
     return SolveReport(
-        control=PwcControl(mesh, u),
+        control=u,
         objectives=objectives,
         iterations=iterations,
         final_residual=fp_residual,
@@ -212,9 +211,11 @@ def bb_projected_gradient(
     )
 
 
-def _start_values(mesh: TriMesh, bounds: BoxBounds, u_start: PwcControl | None) -> np.ndarray:
+def _start_values(mesh: TriMesh, bounds: BoxBounds, u_start: np.ndarray | None) -> np.ndarray:
     """Fresh values of ``u_start`` clipped to the box; zero if absent."""
-    values = np.broadcast_to(0.0, mesh.num_triangles) if u_start is None else u_start.values
+    values = np.broadcast_to(0.0, mesh.num_triangles) if u_start is None else u_start
+    if np.shape(values) != (mesh.num_triangles,):
+        raise ValueError(f"u_start of shape {np.shape(values)} is no control of level {mesh.level}")
     return np.clip(values, bounds.ua, bounds.ub)
 
 
@@ -229,7 +230,7 @@ def _solve(
     problem: ProblemData,
     system: StiffnessSystem,
     config: BBConfig | None,
-    u_start: PwcControl | None,
+    u_start: np.ndarray | None,
     alpha: tuple[float, float] | None = None,
     zeta: tuple[float, float] | None = None,
 ) -> SolveReport:
@@ -276,12 +277,12 @@ def _solve(
     report = bb_projected_gradient(
         problem,
         evaluate_control,
-        PwcControl(mesh, _start_values(mesh, bounds, u_start)),
-        PwcControl(mesh, _offset_values(_start_values(mesh, bounds, u_start), bounds)),
+        _start_values(mesh, bounds, u_start),
+        _offset_values(_start_values(mesh, bounds, u_start), bounds),
         config,
     )
     if alpha is not None:
-        report.objectives = eval_objectives(problem, greens, area, report.control.values)[1]
+        report.objectives = eval_objectives(problem, greens, area, report.control)[1]
     report.solve_count = len(greens) if own else 0
     return report
 
@@ -291,7 +292,7 @@ def solve_wsm(
     system: StiffnessSystem,
     alpha,
     config: BBConfig | None = None,
-    u_start: PwcControl | None = None,
+    u_start: np.ndarray | None = None,
 ) -> SolveReport:
     """Minimize the weighted sum of the two criteria over the box."""
     return _solve(problem, system, config, u_start, alpha=_check_weights(alpha))
@@ -302,7 +303,7 @@ def solve_rpm(
     system: StiffnessSystem,
     zeta,
     config: BBConfig | None = None,
-    u_start: PwcControl | None = None,
+    u_start: np.ndarray | None = None,
 ) -> SolveReport:
     """Minimize the squared distance of the objective pair to ``zeta``."""
     return _solve(problem, system, config, u_start, zeta=_check_reference_point(zeta))

@@ -15,14 +15,10 @@ import numpy as np
 
 from mopoisson import (
     ObjectivePair,
-    PwcControl,
     SolveReport,
     assemble_load_pwc,
     assemble_point_load,
-    clip_to_box,
     evaluate,
-    l2_inner,
-    l2_norm,
     pi0_project,
     solve_adjoints,
     solve_spd,
@@ -36,6 +32,20 @@ _GAUSS_BARY = np.array([
     [1.0 / 6.0, 2.0 / 3.0, 1.0 / 6.0],
     [1.0 / 6.0, 1.0 / 6.0, 2.0 / 3.0],
 ])
+
+
+def l2_inner(u, v) -> float:
+    """Exact L2 inner product ``sum_T |T| u_T v_T`` of two controls; ``|T|`` is one over their length."""
+    return float(u @ v) / len(u)
+
+
+def l2_norm(u) -> float:
+    return math.sqrt(l2_inner(u, u))
+
+
+def clip(u, bounds):
+    """Per-triangle ``min(ub, max(ua, u))``."""
+    return np.clip(u, bounds.ua, bounds.ub)
 
 
 def mesh_nodes(mesh) -> np.ndarray:
@@ -76,10 +86,10 @@ def gather_pi0(mesh, nodal) -> np.ndarray:
     return nodal[mesh_triangles(mesh)].mean(axis=1)
 
 
-def gather_load_pwc(mesh, u: PwcControl) -> np.ndarray:
+def gather_load_pwc(mesh, u) -> np.ndarray:
     """Interior load of a piecewise-constant source, scattered vertex by vertex."""
     full = np.zeros(mesh.num_nodes)
-    np.add.at(full, mesh_triangles(mesh).ravel(), np.repeat(u.values * (mesh.element_area / 3.0), 3))
+    np.add.at(full, mesh_triangles(mesh).ravel(), np.repeat(u * (mesh.element_area / 3.0), 3))
     return full[interior_mask(mesh)]
 
 
@@ -175,13 +185,13 @@ def five_point_laplacian(level: int) -> np.ndarray:
     return A
 
 
-def quadrature_load_pwc(mesh, u: PwcControl) -> np.ndarray:
+def quadrature_load_pwc(mesh, u) -> np.ndarray:
     """Interior load of a piecewise-constant source via the 3-point rule."""
     full = np.zeros(mesh.num_nodes)
     weight = mesh.element_area / 3.0
     for t, tri in enumerate(mesh_triangles(mesh)):
         for bary in _GAUSS_BARY:
-            full[tri] += u.values[t] * weight * bary
+            full[tri] += u[t] * weight * bary
     return full[interior_mask(mesh)]
 
 
@@ -221,10 +231,10 @@ def parent_elements_closed_form(fine_level: int, coarse_level: int) -> np.ndarra
     return 2 * (jy * nc + jx) + (cy - jy * span > cx - jx * span)
 
 
-def pde_objectives(problem, system, u: PwcControl):
+def pde_objectives(problem, system, u):
     """Objective pair and per-set adjoint means of ``u`` by a state solve and two adjoint solves."""
-    (r1, m1), (r2, m2) = solve_adjoints(problem, system, solve_state(problem, system, u))
-    control_cost = l2_norm(u) ** 2
+    (r1, m1), (r2, m2) = solve_adjoints(problem, system, solve_state(system, u))
+    control_cost = l2_inner(u, u)
     j = ObjectivePair(
         0.5 * float(r1 @ r1) + 0.5 * problem.lambda1 * control_cost,
         0.5 * float(r2 @ r2) + 0.5 * problem.lambda2 * control_cost,
@@ -239,7 +249,7 @@ def scalarization(kind: str, parameter, j) -> float:
     return 0.5 * ((j.j1 - parameter[0]) ** 2 + (j.j2 - parameter[1]) ** 2)
 
 
-def scalarized_value(problem, system, u: PwcControl, kind: str, parameter) -> float:
+def scalarized_value(problem, system, u, kind: str, parameter) -> float:
     """Objective value of a scalarization, evaluated by the PDE route."""
     return scalarization(kind, parameter, pde_objectives(problem, system, u)[0])
 
@@ -252,69 +262,60 @@ def pde_grad_eval(problem, system, kind: str, parameter):
     solver's own evaluator, which takes both from the Green's function means.
     The coefficients ``c`` are the weights (``wsm``) or ``j - zeta`` (``rpm``).
     """
-    mesh = system.mesh
 
-    def grad_eval(values: np.ndarray):
-        u = PwcControl(mesh, values)
+    def grad_eval(u: np.ndarray):
         j, (m1, m2) = pde_objectives(problem, system, u)
         c1, c2 = parameter if kind == "wsm" else (j.j1 - parameter[0], j.j2 - parameter[1])
-        return c1 * (m1 + problem.lambda1 * u.values) + c2 * (m2 + problem.lambda2 * u.values), j
+        return c1 * (m1 + problem.lambda1 * u) + c2 * (m2 + problem.lambda2 * u), j
 
     return grad_eval
 
 
-def scalarized_gradient(problem, system, u: PwcControl, kind: str, parameter) -> PwcControl:
-    return PwcControl(u.mesh, pde_grad_eval(problem, system, kind, parameter)(u.values)[0])
+def scalarized_gradient(problem, system, u, kind: str, parameter) -> np.ndarray:
+    return pde_grad_eval(problem, system, kind, parameter)(u)[0]
 
 
-def central_difference(problem, system, u: PwcControl, w: PwcControl, kind: str, parameter,
-                       step: float = 1e-5) -> float:
+def central_difference(problem, system, u, w, kind: str, parameter, step: float = 1e-5) -> float:
     """Central finite difference of the scalarized objective along ``w``."""
-    up = PwcControl(u.mesh, u.values + step * w.values)
-    um = PwcControl(u.mesh, u.values - step * w.values)
-    fp = scalarized_value(problem, system, up, kind, parameter)
-    fm = scalarized_value(problem, system, um, kind, parameter)
+    fp = scalarized_value(problem, system, u + step * w, kind, parameter)
+    fm = scalarized_value(problem, system, u - step * w, kind, parameter)
     return (fp - fm) / (2.0 * step)
 
 
-def wsm_hessian_apply(problem, system, alpha, w: PwcControl) -> PwcControl:
+def wsm_hessian_apply(problem, system, alpha, w) -> np.ndarray:
     """Reduced Hessian of the weighted sum applied to a control direction."""
     mesh = system.mesh
-    state_w = solve_state(problem, system, w)
+    state_w = solve_state(system, w)
     c1 = evaluate(mesh, state_w, problem.obs1)
     c2 = evaluate(mesh, state_w, problem.obs2)
     q1 = solve_spd(system, assemble_point_load(mesh, problem.obs1, c1))
     q2 = solve_spd(system, assemble_point_load(mesh, problem.obs2, c2))
-    values = alpha[0] * (pi0_project(mesh, q1).values + problem.lambda1 * w.values)
-    values += alpha[1] * (pi0_project(mesh, q2).values + problem.lambda2 * w.values)
-    return PwcControl(w.mesh, values)
+    values = alpha[0] * (pi0_project(mesh, q1) + problem.lambda1 * w)
+    values += alpha[1] * (pi0_project(mesh, q2) + problem.lambda2 * w)
+    return values
 
 
 def power_iteration_bound(problem, system, alpha, iterations: int = 60) -> float:
     """Largest reduced-Hessian eigenvalue by power iteration."""
-    mesh = system.mesh
-    w = PwcControl(mesh, np.ones(mesh.num_triangles))
-    w = PwcControl(mesh, w.values / l2_norm(w))
+    w = np.ones(system.mesh.num_triangles)
+    w /= l2_norm(w)
     bound = 0.0
     for _ in range(iterations):
         hw = wsm_hessian_apply(problem, system, alpha, w)
         bound = l2_inner(w, hw)
-        w = PwcControl(mesh, hw.values / l2_norm(hw))
+        w = hw / l2_norm(hw)
     return bound
 
 
 def fixed_step_projected_gradient(problem, system, alpha, step: float,
-                                  tol: float = 1e-10, max_iter: int = 100000) -> PwcControl:
+                                  tol: float = 1e-10, max_iter: int = 100000) -> np.ndarray:
     """Plain projected gradient with a constant step; slow but reliable."""
-    mesh = system.mesh
-    u = clip_to_box(PwcControl(mesh, np.zeros(mesh.num_triangles)), problem.bounds)
+    u = clip(np.zeros(system.mesh.num_triangles), problem.bounds)
     for _ in range(max_iter):
         g = scalarized_gradient(problem, system, u, "wsm", alpha)
-        fixed_point = clip_to_box(PwcControl(mesh, u.values - g.values), problem.bounds)
-        residual = l2_norm(PwcControl(mesh, u.values - fixed_point.values))
-        if residual <= tol:
+        if l2_norm(u - clip(u - g, problem.bounds)) <= tol:
             return u
-        u = clip_to_box(PwcControl(mesh, u.values - step * g.values), problem.bounds)
+        u = clip(u - step * g, problem.bounds)
     raise AssertionError("projected-gradient oracle did not converge")
 
 
@@ -373,23 +374,17 @@ def manufactured_linf_error(mesh, system) -> float:
     nodes = mesh_nodes(mesh)
     centroids = nodes[mesh_triangles(mesh)].mean(axis=1)
     source = 2.0 * math.pi ** 2 * np.sin(np.pi * centroids[:, 0]) * np.sin(np.pi * centroids[:, 1])
-    u = PwcControl(mesh, source)
-    y = solve_spd(system, assemble_load_pwc(mesh, u))
+    y = solve_spd(system, assemble_load_pwc(mesh, source))
     exact = np.sin(np.pi * nodes[:, 0]) * np.sin(np.pi * nodes[:, 1])
     return float(np.abs(y - exact).max())
 
 
-def vi_min_slack(problem, u_bar: PwcControl, gradient: PwcControl, rng,
-                 samples: int = 100) -> float:
+def vi_min_slack(problem, u_bar, gradient, rng, samples: int = 100) -> float:
     """Worst sampled value of (gradient, u - u_bar) over random feasible u."""
     worst = np.inf
     for _ in range(samples):
-        u = PwcControl(
-            u_bar.mesh,
-            rng.uniform(problem.bounds.ua, problem.bounds.ub, u_bar.mesh.num_triangles),
-        )
-        diff = PwcControl(u_bar.mesh, u.values - u_bar.values)
-        worst = min(worst, l2_inner(gradient, diff))
+        u = rng.uniform(problem.bounds.ua, problem.bounds.ub, len(u_bar))
+        worst = min(worst, l2_inner(gradient, u - u_bar))
     return worst
 
 
@@ -417,14 +412,12 @@ def clip_and_where_starting_pair(bounds, mesh, u_start):
     """The solver's starting pair built with fresh arrays: ``u_start`` (zero if
     absent) clipped to the box, and that moved up by ``delta``, or down where
     up leaves the box."""
-    if u_start is None:
-        u_start = PwcControl(mesh, np.zeros(mesh.num_triangles))
-    u0 = clip_to_box(u_start, bounds)
+    u0 = clip(np.zeros(mesh.num_triangles) if u_start is None else u_start, bounds)
     delta = 1e-2 * min(1.0, bounds.ub - bounds.ua)
-    return u0, PwcControl(mesh, np.where(u0.values + delta <= bounds.ub, u0.values + delta, u0.values - delta))
+    return u0, np.where(u0 + delta <= bounds.ub, u0 + delta, u0 - delta)
 
 
-def reference_bb(problem, grad_eval, u0: PwcControl, u_minus1: PwcControl, config, checks=None) -> SolveReport:
+def reference_bb(problem, grad_eval, u0, u_minus1, config, checks=None) -> SolveReport:
     """The projected BB loop of ``bb_projected_gradient``, one fresh array per operation.
 
     Same iterates, step rule, fallback and stopping test, written without
@@ -434,8 +427,8 @@ def reference_bb(problem, grad_eval, u0: PwcControl, u_minus1: PwcControl, confi
     fp_residual)`` pair of every stopping test.
     """
     bounds = problem.bounds
-    area = u0.mesh.element_area
-    u_prev, u = u_minus1.values, u0.values
+    area = 1.0 / len(u0)
+    u_prev, u = u_minus1, u0
     g_prev, _ = grad_eval(u_prev)
     g, objectives = grad_eval(u)
 
@@ -475,7 +468,7 @@ def reference_bb(problem, grad_eval, u0: PwcControl, u_minus1: PwcControl, confi
         iterations += 1
 
     return SolveReport(
-        control=PwcControl(u0.mesh, u),
+        control=u,
         objectives=objectives,
         iterations=iterations,
         final_residual=float(fp_residual),

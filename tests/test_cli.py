@@ -16,8 +16,7 @@ def test_solve_wsm_writes_control_and_reports(tmp_path, capsys):
     assert "converged=True" in out
     files = list(tmp_path.glob("solution_wsm_*.ctrl"))
     assert len(files) == 1
-    control = read_control(files[0], 3)
-    assert control.mesh.level == 3
+    assert read_control(files[0], 3).shape == (2 * 4 ** 3,)
 
 
 def test_solve_rpm_subcommand(tmp_path, capsys):
@@ -178,6 +177,23 @@ def test_convergence_subcommand(tmp_path, capsys):
     assert rows[-1][0] == "rate"
     errors = [float(r[1]) for r in rows[:-1]]
     assert errors[0] > errors[1]
+
+
+def test_unparsable_cache_header_is_warned_recomputed_and_restored(tmp_path, capsys):
+    """numpy's header parser raises tokenize.TokenError on unbalanced parentheses."""
+    study = ["convergence", "--method", "wsm", "--levels", "2,3", "--ref-level", "5",
+             "--alphas", "0.5,0.5", "--out", str(tmp_path)]
+    assert main(study) == 0
+    cold = (tmp_path / "convergence_wsm.csv").read_bytes()
+    (cache_file,) = (tmp_path / "cache").glob("wsm_*.ctrl")
+    complete = cache_file.read_bytes()
+    assert complete.count(b"'shape': (2048,)") == 1
+    cache_file.write_bytes(complete.replace(b"'shape': (2048,)", b"'shape': (((2048"))
+    with pytest.warns(RuntimeWarning, match="unreadable reference cache"):
+        assert main(study) == 0
+    assert (tmp_path / "convergence_wsm.csv").read_bytes() == cold
+    assert cache_file.read_bytes() == complete
+    assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == [cache_file.name]
 
 
 def test_jobs_is_validated_but_changes_nothing(tmp_path):

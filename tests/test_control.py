@@ -8,24 +8,14 @@ from hypothesis import strategies as st
 
 from mopoisson import (
     BoxBounds,
-    PwcControl,
     build_uniform_mesh,
-    clip_to_box,
     l2_error,
-    l2_inner,
-    l2_norm,
     pi0_project,
     prolong,
     read_control,
     write_control,
 )
-from oracles import mesh_nodes, mesh_triangles
-
-BENCH_BOX = BoxBounds(-7.0, 15.0)
-
-
-def control(mesh, values):
-    return PwcControl(mesh, np.asarray(values, dtype=float))
+from oracles import l2_inner, l2_norm, mesh_nodes, mesh_triangles
 
 
 def test_bounds_validation():
@@ -35,121 +25,89 @@ def test_bounds_validation():
         BoxBounds(np.array([0.0, 1.0]), 2.0)
 
 
-def test_clip_examples():
-    mesh = build_uniform_mesh(0)
-    assert np.array_equal(clip_to_box(control(mesh, [3.0, -2.0]), BENCH_BOX).values, [3.0, -2.0])
-    assert clip_to_box(control(mesh, [20.0, 0.0]), BENCH_BOX).values[0] == 15.0
-    assert clip_to_box(control(mesh, [-7.5, 0.0]), BENCH_BOX).values[0] == -7.0
-
-
-@settings(deadline=None, max_examples=50)
-@given(st.lists(st.floats(-100, 100), min_size=2, max_size=2))
-def test_clip_is_idempotent(values):
-    mesh = build_uniform_mesh(0)
-    once = clip_to_box(control(mesh, values), BENCH_BOX)
-    twice = clip_to_box(once, BENCH_BOX)
-    assert np.array_equal(once.values, twice.values)
-
-
-@settings(deadline=None, max_examples=50)
-@given(
-    st.lists(st.floats(-50, 50), min_size=8, max_size=8),
-    st.lists(st.floats(-50, 50), min_size=8, max_size=8),
-)
-def test_clip_is_nonexpansive(u_vals, v_vals):
-    mesh = build_uniform_mesh(1)
-    u, v = control(mesh, u_vals), control(mesh, v_vals)
-    cu, cv = clip_to_box(u, BENCH_BOX), clip_to_box(v, BENCH_BOX)
-    diff_clipped = control(mesh, cu.values - cv.values)
-    diff = control(mesh, u.values - v.values)
-    assert l2_norm(diff_clipped) <= l2_norm(diff) + 1e-12
-
-
+# The oracles' L2 geometry takes |T| as one over the control's length.
 def test_inner_product_of_constants():
     mesh = build_uniform_mesh(3)
-    ones = control(mesh, np.ones(mesh.num_triangles))
+    ones = np.ones(mesh.num_triangles)
     assert l2_inner(ones, ones) == pytest.approx(1.0, abs=1e-14)
-    u = control(mesh, np.full(mesh.num_triangles, 2.0))
-    v = control(mesh, np.full(mesh.num_triangles, 3.0))
+    u = np.full(mesh.num_triangles, 2.0)
+    v = np.full(mesh.num_triangles, 3.0)
     assert l2_inner(u, v) == pytest.approx(6.0, abs=1e-13)
 
 
 def test_inner_matches_direct_summation(rng):
     mesh = build_uniform_mesh(2)
-    u = control(mesh, rng.normal(size=mesh.num_triangles))
-    v = control(mesh, rng.normal(size=mesh.num_triangles))
-    direct = sum(mesh.element_area * a * b for a, b in zip(u.values, v.values))
+    u = rng.normal(size=mesh.num_triangles)
+    v = rng.normal(size=mesh.num_triangles)
+    direct = sum(mesh.element_area * a * b for a, b in zip(u, v))
     assert l2_inner(u, v) == pytest.approx(direct, abs=1e-14)
 
 
 def test_inner_rejects_mesh_mismatch():
-    u = control(build_uniform_mesh(1), np.zeros(8))
-    v = control(build_uniform_mesh(2), np.zeros(32))
     with pytest.raises(ValueError):
-        l2_inner(u, v)
+        l2_inner(np.zeros(8), np.zeros(32))
 
 
 def test_norm_examples(rng):
     mesh = build_uniform_mesh(2)
-    assert l2_norm(control(mesh, np.zeros(mesh.num_triangles))) == 0.0
-    assert l2_norm(control(mesh, np.full(mesh.num_triangles, -4.0))) == pytest.approx(4.0)
+    assert l2_norm(np.zeros(mesh.num_triangles)) == 0.0
+    assert l2_norm(np.full(mesh.num_triangles, -4.0)) == pytest.approx(4.0)
     for _ in range(10):
-        u = control(mesh, rng.normal(size=mesh.num_triangles))
-        v = control(mesh, rng.normal(size=mesh.num_triangles))
-        s = control(mesh, u.values + v.values)
-        assert l2_norm(s) <= l2_norm(u) + l2_norm(v) + 1e-12
+        u = rng.normal(size=mesh.num_triangles)
+        v = rng.normal(size=mesh.num_triangles)
+        assert l2_norm(u + v) <= l2_norm(u) + l2_norm(v) + 1e-12
 
 
 def test_prolong_identity_and_constant():
     mesh = build_uniform_mesh(2)
-    u = control(mesh, np.arange(mesh.num_triangles, dtype=float))
+    u = np.arange(mesh.num_triangles, dtype=float)
     same = prolong(u, mesh)
-    assert np.array_equal(same.values, u.values)
+    assert np.array_equal(same, u)
     fine = build_uniform_mesh(4)
-    c = prolong(control(mesh, np.full(mesh.num_triangles, 3.25)), fine)
-    assert np.all(c.values == 3.25)
+    c = prolong(np.full(mesh.num_triangles, 3.25), fine)
+    assert c.shape == (fine.num_triangles,)
+    assert np.all(c == 3.25)
     assert l2_norm(c) == pytest.approx(3.25, abs=1e-14)
 
 
 def test_prolong_is_isometry(rng):
     coarse = build_uniform_mesh(2)
     fine = build_uniform_mesh(4)
-    u = control(coarse, rng.normal(size=coarse.num_triangles))
+    u = rng.normal(size=coarse.num_triangles)
     assert l2_norm(prolong(u, fine)) == pytest.approx(l2_norm(u), abs=1e-14)
     assert l2_error(u, prolong(u, fine)) == 0.0
 
 
 def test_prolong_rejects_coarsening():
     fine = build_uniform_mesh(3)
-    u = control(fine, np.zeros(fine.num_triangles))
     with pytest.raises(ValueError):
-        prolong(u, build_uniform_mesh(2))
+        prolong(np.zeros(fine.num_triangles), build_uniform_mesh(2))
 
 
 def test_l2_error_trivial_cases():
     mesh2 = build_uniform_mesh(2)
     mesh3 = build_uniform_mesh(3)
-    u = control(mesh2, np.zeros(mesh2.num_triangles))
-    ref = control(mesh3, np.ones(mesh3.num_triangles))
+    u = np.zeros(mesh2.num_triangles)
+    ref = np.ones(mesh3.num_triangles)
     assert l2_error(u, ref) == pytest.approx(1.0, abs=1e-14)
-    same = control(mesh2, np.arange(mesh2.num_triangles, dtype=float))
+    same = np.arange(mesh2.num_triangles, dtype=float)
     assert l2_error(same, prolong(same, mesh3)) == 0.0
 
 
 def test_l2_error_single_element_perturbation(rng):
     coarse = build_uniform_mesh(2)
     fine = build_uniform_mesh(3)
-    u = control(coarse, rng.normal(size=coarse.num_triangles))
-    ref_values = prolong(u, fine).values.copy()
+    u = rng.normal(size=coarse.num_triangles)
+    ref = prolong(u, fine)
     delta = 0.7
-    ref_values[17] += delta
-    err = l2_error(u, control(fine, ref_values))
+    ref[17] += delta
+    err = l2_error(u, ref)
     assert err == pytest.approx(delta * np.sqrt(fine.element_area), abs=1e-14)
 
 
 def test_l2_error_allocates_one_fine_vector_and_keeps_nothing(rng):
-    u = control(build_uniform_mesh(2), rng.normal(size=32))
-    ref = control(build_uniform_mesh(9), rng.normal(size=2 * 4 ** 9))
+    u = rng.normal(size=32)
+    ref = rng.normal(size=2 * 4 ** 9)
     for call in ("first", "repeated"):
         tracemalloc.start()
         try:
@@ -157,18 +115,18 @@ def test_l2_error_allocates_one_fine_vector_and_keeps_nothing(rng):
             retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * ref.values.nbytes, call
-        assert retained <= 1e-3 * ref.values.nbytes, call
+        assert peak <= 1.25 * ref.nbytes, call
+        assert retained <= 1e-3 * ref.nbytes, call
 
 
 def test_pi0_constant_and_coordinate():
     mesh = build_uniform_mesh(2)
     const = pi0_project(mesh, np.full(mesh.num_nodes, 1.5))
-    assert np.all(const.values == 1.5)
+    assert np.all(const == 1.5)
     nodes = mesh_nodes(mesh)
     fx = pi0_project(mesh, nodes[:, 0])
     centroids = nodes[mesh_triangles(mesh)].mean(axis=1)
-    assert np.allclose(fx.values, centroids[:, 0], atol=1e-15)
+    assert np.allclose(fx, centroids[:, 0], atol=1e-15)
 
 
 def test_pi0_orthogonality(rng):
@@ -177,13 +135,13 @@ def test_pi0_orthogonality(rng):
     means = pi0_project(mesh, f)
     triangles = mesh_triangles(mesh)
     for _ in range(10):
-        w = control(mesh, rng.normal(size=mesh.num_triangles))
+        w = rng.normal(size=mesh.num_triangles)
         # (f - pi0 f, w) with the exact mixed P1 x P0 integral per element
         residual = sum(
-            w.values[t]
+            w[t]
             * (
                 mesh.element_area * f[triangles[t]].mean()
-                - mesh.element_area * means.values[t]
+                - mesh.element_area * means[t]
             )
             for t in range(mesh.num_triangles)
         )
@@ -192,12 +150,12 @@ def test_pi0_orthogonality(rng):
 
 def test_serialization_round_trip(tmp_path, rng):
     mesh = build_uniform_mesh(3)
-    u = control(mesh, rng.normal(size=mesh.num_triangles))
+    u = rng.normal(size=mesh.num_triangles)
     path = tmp_path / "u.ctrl"
     write_control(u, path)
     back = read_control(path, 3)
-    assert back.mesh.level == 3
-    assert np.array_equal(back.values, u.values)
+    assert back.dtype == np.float64 and back.flags.c_contiguous and back.flags.writeable
+    assert np.array_equal(back, u)
 
 
 def npy_bytes(array, **save_kwargs) -> bytes:
@@ -215,9 +173,34 @@ def npy_header(count: int) -> bytes:
     return buffer.getvalue()
 
 
+def npy_with_header(header: str, body: bytes = b"", version: int = 1) -> bytes:
+    """An ``.npy`` file whose header dictionary is the literal text ``header``."""
+    text = header.encode("latin1")
+    text += b" " * (-(len(text) + 11) % 64) + b"\n"
+    return b"\x93NUMPY" + bytes([version, 0]) + len(text).to_bytes(2 if version == 1 else 4, "little") + text + body
+
+
+def header_text(descr="'<f8'", shape="(8,)") -> str:
+    return f"{{'descr': {descr}, 'fortran_order': False, 'shape': {shape}, }}"
+
+
 def test_read_control_rejects_malformed(tmp_path):
     complete = npy_bytes(np.arange(8.0))
+    version2 = io.BytesIO()
+    np.lib.format.write_array(version2, np.arange(8.0), version=(2, 0))
+    body = np.arange(8.0).tobytes()
     cases = {
+        "big-endian": npy_bytes(np.arange(8.0).astype(">f8")),
+        "negative-shape": npy_with_header(header_text(shape="(-8,)"), body),
+        "huge-shape": npy_with_header(header_text(shape=f"({2 ** 70},)"), body),
+        "void-negative-shape": npy_with_header(header_text(descr="'V0'", shape="(-1,)")),  # memmap divides by 0
+        "unbalanced": npy_with_header(header_text(shape="(((8,)"), body),  # tokenize.TokenError in numpy
+        "descr-syntax": npy_with_header(header_text(descr="'<f8,('"), body),  # SyntaxError in numpy
+        "mixed-keys": npy_with_header("{'descr': '<f8', 1: 2}", body),  # TypeError in numpy
+        "python2-long": npy_with_header(header_text(shape="(8L,)"), body),  # numpy warns, then reads it
+        "version-2": version2.getvalue(),
+        "zip": b"PK\x03\x04" + complete,
+        "trailing-byte": complete + b"\0",
         "empty": b"",
         "truncated": complete[: len(complete) - 8],
         "trailing": complete + b"\0" * 8,
@@ -238,14 +221,45 @@ def test_read_control_rejects_malformed(tmp_path):
             read_control(path, level)
 
 
-def test_read_control_checks_the_expected_level(tmp_path, monkeypatch):
-    import mopoisson.control
+HEADER_ALPHABET = b" (){}[],:'-0123456789<>|fiOVLTrueFalsdcph"
 
-    u = control(build_uniform_mesh(2), np.arange(32.0))
+
+@st.composite
+def mutated_control_files(draw) -> bytes:
+    """A level-1 control file with its 128-byte header mutated up to three times, or truncated."""
+    data = bytearray(npy_bytes(np.linspace(-1.0, 1.0, 8)))
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, min(127, len(data))))
+        kind = draw(st.sampled_from(["replace", "insert", "delete", "truncate"]))
+        if kind == "replace" and at < len(data):
+            data[at] = draw(st.integers(0, 255))
+        elif kind == "insert":
+            data[at:at] = draw(st.lists(st.sampled_from(HEADER_ALPHABET), min_size=1, max_size=4))
+        elif kind == "delete":
+            del data[at:at + draw(st.integers(1, 4))]
+        else:
+            del data[draw(st.integers(0, len(data))):]
+    return bytes(data)
+
+
+@settings(deadline=None, max_examples=300)
+@given(mutated_control_files())
+def test_read_control_raises_only_value_error(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "mutated.ctrl"
+    path.write_bytes(data)
+    try:
+        values = read_control(path, 1)
+    except ValueError as exc:
+        assert "mutated.ctrl" in str(exc)
+    else:  # a mutation that leaves a valid 1-D <f8 header of 8 values
+        assert values.shape == (8,) and np.all(np.isfinite(values))
+
+
+def test_read_control_checks_the_expected_level(tmp_path):
+    u = np.arange(32.0)
     path = tmp_path / "u.ctrl"
     write_control(u, path)
-    assert np.array_equal(read_control(path, 2).values, u.values)
-    monkeypatch.setattr(mopoisson.control, "build_uniform_mesh", lambda level: pytest.fail("mesh built"))
+    assert np.array_equal(read_control(path, 2), u)
     for level in (1, 3):
         with pytest.raises(ValueError, match=f"32 values, not the {2 * 4 ** level} of a level-{level} control"):
             read_control(path, level)
@@ -255,10 +269,10 @@ def test_control_file_bytes(tmp_path):
     mesh = build_uniform_mesh(1)
     values = [-0.0, 5e-324, 1.0 / 3.0, 0.1, -2.5, 1e300, 1.0, 0.0]
     path = tmp_path / "u.ctrl"
-    write_control(control(mesh, values), path)
+    write_control(np.array(values), path)
     assert path.read_bytes() == npy_header(8) + np.array(values, "<f8").tobytes()
     assert path.stat().st_size == 128 + 8 * len(values)
-    back = read_control(path, 1).values
+    back = read_control(path, 1)
     assert back.tobytes() == np.array(values).tobytes()  # also keeps the sign of -0.0
 
 
@@ -267,15 +281,15 @@ def test_control_file_bytes(tmp_path):
     [2 * 4 ** 14, 2 * 4 ** 15, 2 * 4 ** 99, 2 * 4 ** 3 + 2],
     ids=["level=14", "level=15", "level=99", "non-power"],
 )
-def test_read_control_checks_count_before_building_mesh(tmp_path, monkeypatch, count):
+def test_read_control_checks_count_before_building_mesh(tmp_path, count):
     """A header over a 16-byte body; no array of the claimed size is allocated."""
-    import mopoisson.control
-
-    def refuse(level):
-        raise AssertionError(f"mesh of level {level} built")
-
-    monkeypatch.setattr(mopoisson.control, "build_uniform_mesh", refuse)
     path = tmp_path / "corrupt.ctrl"
     path.write_bytes(npy_header(count) + b"\0" * 16)
-    with pytest.raises(ValueError, match="corrupt.ctrl"):
-        read_control(path, 14)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="corrupt.ctrl"):
+            read_control(path, 14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20

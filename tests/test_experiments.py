@@ -8,7 +8,6 @@ from mopoisson import (
     BBConfig,
     ExperimentConfig,
     ParetoFront,
-    PwcControl,
     benchmark_problem,
     build_uniform_mesh,
     estimate_rate,
@@ -112,7 +111,7 @@ def test_truncated_cache_file_is_recomputed(tmp_path, damage):
         cache_file.write_bytes(complete[:-8] + np.array(np.nan, "<f8").tobytes())
     else:  # a valid control of a level other than the reference level 4
         level = int(damage.split("-")[1])
-        write_control(PwcControl(build_uniform_mesh(level), np.ones(2 * 4 ** level)), cache_file)
+        write_control(np.ones(2 * 4 ** level), cache_file)
     with pytest.warns(RuntimeWarning, match="unreadable reference cache"):
         table_second = run_convergence_wsm(config, [(0.5, 0.5)])
     assert cache_file.read_bytes() == complete
@@ -131,7 +130,7 @@ def test_wrong_level_cache_file_is_rejected_from_its_header(tmp_path, monkeypatc
     (cache_file,) = (tmp_path / "cache").glob("wsm_*.ctrl")
     complete = cache_file.read_bytes()
     if slot == "level-7":
-        write_control(PwcControl(build_uniform_mesh(7), np.ones(2 * 4 ** 7)), cache_file)
+        write_control(np.ones(2 * 4 ** 7), cache_file)
     else:
         with cache_file.open("wb") as fh:
             np.lib.format.write_array_header_1_0(fh, {"descr": "<f8", "fortran_order": False, "shape": (2 * 4 ** 14,)})

@@ -5,12 +5,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mopoisson
-from mopoisson import MAX_LEVEL, PwcControl, build_uniform_mesh, l2_error, prolong, write_control
-from mopoisson.mesh import locate_point, triangle_nodes
+from mopoisson import MAX_LEVEL, build_uniform_mesh, l2_error, prolong, write_control
+from mopoisson.mesh import locate_point, mesh_of, triangle_nodes
 from oracles import (
     brute_force_locate,
     interior_mask,
@@ -144,8 +148,7 @@ def test_locate_matches_brute_force_on_edges_and_vertices(rng):
 
 def ancestors(fine, coarse):
     """Coarse ancestor of every fine triangle, read off the prolonged triangle indices."""
-    indices = PwcControl(coarse, np.arange(coarse.num_triangles, dtype=float))
-    return prolong(indices, fine).values.astype(np.int64)
+    return prolong(np.arange(coarse.num_triangles, dtype=float), fine).astype(np.int64)
 
 
 def test_nested_map_identity():
@@ -183,14 +186,39 @@ def test_nested_map_partitions_fine_mesh():
 @pytest.mark.parametrize("fine_level", range(8))
 def test_prolong_equals_the_oracle_gather(fine_level, rng):
     fine = build_uniform_mesh(fine_level)
-    ref = PwcControl(fine, rng.normal(size=fine.num_triangles))
+    ref = rng.normal(size=fine.num_triangles)
     for coarse_level in range(fine_level + 1):
-        u = PwcControl(build_uniform_mesh(coarse_level), rng.normal(size=2 * 4 ** coarse_level))
-        gathered = u.values.take(parent_elements_closed_form(fine_level, coarse_level))
-        assert np.array_equal(prolong(u, fine).values, gathered)
+        u = rng.normal(size=2 * 4 ** coarse_level)
+        gathered = u.take(parent_elements_closed_form(fine_level, coarse_level))
+        assert np.array_equal(prolong(u, fine), gathered)
         # l2_error's own order: a fresh prolongation, an in-place subtract, one dot
-        gathered -= ref.values
+        gathered -= ref
         assert l2_error(u, ref) == math.sqrt(fine.element_area * float(gathered @ gathered))
+
+
+CONTROL_LENGTHS = [2 * 4 ** level for level in range(MAX_LEVEL + 1)]
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.one_of(st.integers(0, CONTROL_LENGTHS[-1] + 1), st.sampled_from(CONTROL_LENGTHS), st.sampled_from(
+        [n + d for n in CONTROL_LENGTHS for d in (-1, 1)] + [4 * CONTROL_LENGTHS[-1]])),
+    st.sampled_from(["1-D", "2-D", "0-D"]),
+)
+def test_mesh_of_accepts_exactly_the_control_lengths(n, rank):
+    """Zero-stride views up to one past the finest control, and the next level's length: nothing is allocated."""
+    values = {"1-D": np.broadcast_to(0.0, n), "2-D": np.broadcast_to(0.0, (1, n)), "0-D": np.float64(n)}[rank]
+    tracemalloc.start()
+    try:
+        if rank == "1-D" and n in CONTROL_LENGTHS:
+            assert mesh_of(values) is build_uniform_mesh(CONTROL_LENGTHS.index(n))
+        else:
+            with pytest.raises(ValueError):
+                mesh_of(values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 16
 
 
 def test_meshes_are_immutable():
@@ -217,13 +245,13 @@ _MESH_AND_READ_MARGIN_MIB = 32
 
 def test_fine_mesh_and_control_read_stay_small(tmp_path):
     path = tmp_path / "u9.ctrl"
-    write_control(PwcControl(build_uniform_mesh(9), np.zeros(2 * 4 ** 9)), path)
+    write_control(np.zeros(2 * 4 ** 9), path)
     code = (
         "import resource, sys\n"
         "from mopoisson import build_uniform_mesh, read_control\n"
         "base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
         "build_uniform_mesh(10)\n"
-        "assert read_control(sys.argv[1], 9).mesh.level == 9\n"
+        "assert read_control(sys.argv[1], 9).shape == (2 * 4 ** 9,)\n"
         "print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base) / 1024)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(mopoisson.__file__).resolve().parents[1]))

@@ -10,16 +10,13 @@ from mopoisson import (
     BBConfig,
     BoxBounds,
     ProblemData,
-    PwcControl,
     SolverError,
     assemble_stiffness,
     bb_projected_gradient,
     benchmark_problem,
     build_uniform_mesh,
-    clip_to_box,
     ideal_vector,
     l2_error,
-    l2_norm,
     next_reference_point,
     rpm_front,
     solve_rpm,
@@ -29,9 +26,11 @@ from mopoisson import (
 from mopoisson.objective import ObjectivePair, eval_objectives, grad_rpm, grad_wsm, greens_function_means
 from oracles import (
     MESH_SYMMETRIES,
+    clip,
     clip_and_where_starting_pair,
     fixed_step_projected_gradient,
     gather_greens_means,
+    l2_norm,
     mesh_nodes,
     mesh_triangles,
     mutually_nondominated,
@@ -85,7 +84,7 @@ def test_immediate_convergence_at_stationary_start(level3):
     report = solve_wsm(quad, system, (0.5, 0.5))
     assert report.converged
     assert report.iterations == 1
-    assert np.abs(report.control.values).max() <= 1e-12
+    assert np.abs(report.control).max() <= 1e-12
 
 
 def test_quadratic_surrogate_converges_in_three_iterations(level3):
@@ -96,12 +95,12 @@ def test_quadratic_surrogate_converges_in_three_iterations(level3):
     def grad(u):
         return lam * u, ObjectivePair(0.0, 0.0)
 
-    u0 = PwcControl(mesh, np.full(mesh.num_triangles, 5.0))
-    u_minus1 = PwcControl(mesh, np.full(mesh.num_triangles, 5.01))
+    u0 = np.full(mesh.num_triangles, 5.0)
+    u_minus1 = np.full(mesh.num_triangles, 5.01)
     report = bb_projected_gradient(problem, grad, u0, u_minus1, BBConfig())
     assert report.converged
     assert report.iterations <= 3
-    assert np.abs(report.control.values).max() <= 1e-10
+    assert np.abs(report.control).max() <= 1e-10
 
 
 def test_bb_matches_fixed_step_projected_gradient(level3):
@@ -127,7 +126,7 @@ def test_wsm_matches_the_semismooth_newton_optimum(level, lambdas, system_for):
         assert np.abs(F).max() <= 1e-13
         report = solve_wsm(problem, system, alpha, BBConfig(tol=1e-10))
         assert report.converged
-        assert l2_norm(PwcControl(mesh, report.control.values - u)) <= 1e-9
+        assert l2_norm(report.control - u) <= 1e-9
         n1 = len(problem.y1)
         exact = [0.5 * float(rk @ rk) + 0.5 * lam * area * float(u @ u)
                  for rk, lam in ((r[:n1], problem.lambda1), (r[n1:], problem.lambda2))]
@@ -145,15 +144,15 @@ def test_converged_reports_satisfy_fixed_point_and_vi(level3, rng):
         assert report.converged
         u = report.control
         g = scalarized_gradient(problem, system, u, kind, parameter)
-        fixed_point = clip_to_box(PwcControl(mesh, u.values - g.values), problem.bounds)
-        assert l2_norm(PwcControl(mesh, u.values - fixed_point.values)) <= 1e-8
+        fixed_point = clip(u - g, problem.bounds)
+        assert l2_norm(u - fixed_point) <= 1e-8
         assert vi_min_slack(problem, u, g, rng, samples=100) >= -1e-6
 
 
 def test_scalarized_objective_decreases_from_start(bench, system_for):
     problem = bench
     mesh, system = system_for(4)
-    u0 = clip_to_box(PwcControl(mesh, np.zeros(mesh.num_triangles)), problem.bounds)
+    u0 = clip(np.zeros(mesh.num_triangles), problem.bounds)
     alpha = (0.5, 0.5)
     report = solve_wsm(problem, system, alpha)
     assert scalarization("wsm", alpha, report.objectives) <= scalarized_value(problem, system, u0, "wsm", alpha)
@@ -163,7 +162,13 @@ def test_scalarized_objective_decreases_from_start(bench, system_for):
 
 
 def test_solution_reflects_with_the_problem(bench, system_for):
-    """Both evaluation paths at L3 and L5: a WSM solve, an RPM solve and a warm-started WSM front."""
+    """Both evaluation paths at L3 and L5: a WSM solve, an RPM solve and a warm-started WSM front.
+
+    With the criteria swapped as well (lambda1 = lambda2 here), the mirrored
+    WSM front is the reversed front with ``j`` swapped: to rounding when cold,
+    to the solver tolerance when each sweep warm-starts in its own order.
+    """
+    assert bench.lambda1 == bench.lambda2
     reflected_problem = reflect_problem(bench)
     for level in (3, 5):
         mesh, system = system_for(level)
@@ -175,9 +180,21 @@ def test_solution_reflects_with_the_problem(bench, system_for):
         ]
         for case in cases:
             for base, reflected in zip(case(bench), case(reflected_problem), strict=True):
-                mirrored = reflected.control.values[perm]
-                assert l2_norm(PwcControl(mesh, base.control.values - mirrored)) <= 1e-8
+                mirrored = reflected.control[perm]
+                assert l2_norm(base.control - mirrored) <= 1e-8
                 assert np.allclose(base.objectives.as_array(), reflected.objectives.as_array(), rtol=1e-10, atol=0)
+        for cold_start, u_tol, j_tol in [(True, 1e-12, 1e-12), (False, 1e-8, 1e-10)]:
+            front = wsm_front(bench, system, 8, cold_start=cold_start).entries
+            for mirror in MESH_SYMMETRIES.values():
+                swapped = ProblemData(obs1=mirror(bench.obs2), y1=bench.y2, obs2=mirror(bench.obs1), y2=bench.y1,
+                                      lambda1=bench.lambda1, lambda2=bench.lambda2, bounds=bench.bounds)
+                mirrored = wsm_front(swapped, system, 8, cold_start=cold_start).entries[::-1]
+                perm = symmetry_triangle_permutation(mesh, mirror)
+                for entry, other in zip(front, mirrored, strict=True):
+                    assert np.allclose(other.parameter[::-1], entry.parameter, rtol=0, atol=1e-15)
+                    assert l2_norm(other.report.control[perm] - entry.report.control) <= u_tol
+                    assert np.allclose(other.report.objectives.as_array()[::-1], entry.report.objectives.as_array(),
+                                       rtol=j_tol, atol=0)
 
 
 @settings(deadline=None, max_examples=15, derandomize=True)
@@ -207,7 +224,7 @@ def test_mirrored_data_with_swapped_weights_give_the_mirrored_wsm_solution(
     base = solve(obs1, y1, obs2, y2, (1.0 - a2, a2))
     swapped = solve(mirror(obs2), y2, mirror(obs1), y1, (a2, 1.0 - a2))
     perm = symmetry_triangle_permutation(mesh, mirror)
-    assert np.abs(swapped.control.values[perm] - base.control.values).max() <= 1e-12
+    assert np.abs(swapped.control[perm] - base.control).max() <= 1e-12
     assert np.allclose(swapped.objectives.as_array()[::-1], base.objectives.as_array(), rtol=1e-12, atol=0)
     assert swapped.iterations == base.iterations
 
@@ -217,20 +234,28 @@ def test_reports_are_bit_identical_across_runs(bench):
     system = assemble_stiffness(mesh)
     a = solve_wsm(bench, system, (0.4, 0.6))
     b = solve_wsm(bench, system, (0.4, 0.6))
-    assert np.array_equal(a.control.values, b.control.values)
+    assert np.array_equal(a.control, b.control)
     assert a.objectives == b.objectives
     assert (a.iterations, a.fallback_steps) == (b.iterations, b.fallback_steps)
 
 
 def test_solver_requires_distinct_feasible_starts(level3):
     problem, mesh, system = level3
-    u = clip_to_box(PwcControl(mesh, np.zeros(mesh.num_triangles)), problem.bounds)
+    u = clip(np.zeros(mesh.num_triangles), problem.bounds)
     grad = lambda v: (v, ObjectivePair(0.0, 0.0))
     with pytest.raises(ValueError):
         bb_projected_gradient(problem, grad, u, u, BBConfig())
-    outside = PwcControl(mesh, np.full(mesh.num_triangles, 100.0))
+    outside = np.full(mesh.num_triangles, 100.0)
     with pytest.raises(ValueError):
         bb_projected_gradient(problem, grad, outside, u, BBConfig())
+
+
+def test_warm_start_from_another_level_is_rejected(level3):
+    problem, mesh, system = level3
+    for start in (np.zeros(2 * 4 ** 2), np.zeros(2 * 4 ** 4), np.zeros((mesh.num_triangles, 1)), [0.0] * 8):
+        for solve, parameter in [(solve_wsm, (0.5, 0.5)), (solve_rpm, (16.5, 1.5))]:
+            with pytest.raises(ValueError, match="u_start"):
+                solve(problem, system, parameter, u_start=start)
 
 
 def test_max_iter_returns_unconverged_report(level3):
@@ -248,12 +273,12 @@ def test_constant_gradient_triggers_fallback(level3):
     def grad(u):
         return ones, ObjectivePair(0.0, 0.0)
 
-    u0 = clip_to_box(PwcControl(mesh, np.zeros(mesh.num_triangles)), problem.bounds)
-    u_minus1 = PwcControl(mesh, np.full(mesh.num_triangles, 0.01))
+    u0 = clip(np.zeros(mesh.num_triangles), problem.bounds)
+    u_minus1 = np.full(mesh.num_triangles, 0.01)
     report = bb_projected_gradient(problem, grad, u0, u_minus1, BBConfig(max_iter=50))
     assert report.fallback_steps >= 1
     assert report.converged
-    assert np.all(report.control.values == problem.bounds.ua)
+    assert np.all(report.control == problem.bounds.ua)
 
 
 def test_solve_counts_are_audited(bench, level3, system_for, solve_calls):
@@ -284,12 +309,12 @@ def test_racing_first_solves_match_serial(bench, system_for, race):
         )
 
     alphas = [(a, 1.0 - a) for a in np.linspace(0.1, 0.9, 8)]
-    serial = [solve_wsm(fresh(), system, alpha).control.values for alpha in alphas]
+    serial = [solve_wsm(fresh(), system, alpha).control for alpha in alphas]
     problem = fresh()
     results = [None] * 8
 
     def work(i):
-        results[i] = solve_wsm(problem, system, alphas[i]).control.values
+        results[i] = solve_wsm(problem, system, alphas[i]).control
 
     race(work)
     for got, want in zip(results, serial):
@@ -352,8 +377,8 @@ def test_reduced_route_matches_pde_route(bench, system_for, rng, level):
         # the solver's BB run against BB on the PDE route from the solver's starts
         solve = solve_wsm if kind == "wsm" else solve_rpm
         report = solve(problem, system, parameter)
-        u0 = PwcControl(mesh, np.zeros(mesh.num_triangles))
-        oracle = bb_projected_gradient(problem, pde, u0, PwcControl(mesh, u0.values + 1e-2), BBConfig())
+        u0 = np.zeros(mesh.num_triangles)
+        oracle = bb_projected_gradient(problem, pde, u0, u0 + 1e-2, BBConfig())
         assert report.converged and oracle.converged
         assert (report.iterations, report.fallback_steps) == (oracle.iterations, oracle.fallback_steps)
         assert report.objectives.as_array() == pytest.approx(oracle.objectives.as_array(), rel=1e-12, abs=0)
@@ -364,7 +389,7 @@ def test_wsm_converges_on_mesh_without_unknowns(bench):
     report = solve_wsm(bench, assemble_stiffness(mesh), (0.5, 0.5))
     assert report.converged
     assert report.objectives == ObjectivePair(18.0, 2.0)
-    assert np.all(report.control.values == 0.0)
+    assert np.all(report.control == 0.0)
 
 
 def test_wsm_front_endpoints():
@@ -397,7 +422,7 @@ def test_wsm_front_cold_start_matches_standalone(bench):
     middle = front.entries[1]
     assert middle.parameter[1] == pytest.approx(0.5)
     standalone = solve_wsm(bench, system, middle.parameter)
-    assert np.array_equal(middle.report.control.values, standalone.control.values)
+    assert np.array_equal(middle.report.control, standalone.control)
     assert middle.report.objectives == standalone.objectives
 
 
@@ -523,7 +548,7 @@ def test_control_saturates_near_observation_points(bench, system_for):
     # bound around its observation point
     mesh, system = system_for(6)
     report = solve_wsm(bench, system, (0.2, 0.8))
-    values = report.control.values
+    values = report.control
     centroids = mesh_nodes(mesh)[mesh_triangles(mesh)].mean(axis=1)
     clamped_low = centroids[values <= bench.bounds.ua + 1e-9]
     assert len(clamped_low) > 0
@@ -551,7 +576,7 @@ def test_rpm_zeta2_converges_and_dominates(bench, system_for):
 
 
 def _outcome(report):
-    return (report.control.values.tobytes(), report.objectives, report.iterations, report.fallback_steps,
+    return (report.control.tobytes(), report.objectives, report.iterations, report.fallback_steps,
             report.final_residual, report.converged)
 
 
@@ -572,7 +597,7 @@ def test_in_place_bb_loop_is_exact(bench, system_for, monkeypatch, level):
             inputs.append((g, g.copy()))
             return g, j
 
-        inputs.extend([(u0.values, u0.values.copy()), (u_minus1.values, u_minus1.values.copy())])
+        inputs.extend([(u0, u0.copy()), (u_minus1, u_minus1.copy())])
         return bb_projected_gradient(problem, recorded, u0, u_minus1, config)
 
     monkeypatch.setattr(mopoisson.scalarize, "bb_projected_gradient", recording)
@@ -591,8 +616,8 @@ def test_in_place_bb_loop_is_exact_through_fallbacks(level3, rng):
     def grad(u):
         return sign * (u - target), ObjectivePair(0.0, 0.0)
 
-    u0 = PwcControl(mesh, rng.uniform(-1.0, 1.0, mesh.num_triangles))
-    u_minus1 = PwcControl(mesh, rng.uniform(-1.0, 1.0, mesh.num_triangles))
+    u0 = rng.uniform(-1.0, 1.0, mesh.num_triangles)
+    u_minus1 = rng.uniform(-1.0, 1.0, mesh.num_triangles)
     for config in (BBConfig(), BBConfig(max_iter=1), BBConfig(max_iter=2), BBConfig(max_iter=3)):
         report = bb_projected_gradient(problem, grad, u0, u_minus1, config)
         assert _outcome(report) == _outcome(reference_bb(problem, grad, u0, u_minus1, config))
@@ -608,8 +633,8 @@ def test_residual_formed_without_stopping_is_exact(level3, max_iter):
     def grad(u):  # linear objective: unit fallback steps, so every gap after the first is 0
         return ones, ObjectivePair(0.0, 0.0)
 
-    u0 = PwcControl(mesh, np.zeros(mesh.num_triangles))
-    u_minus1 = PwcControl(mesh, np.full(mesh.num_triangles, 0.01))
+    u0 = np.zeros(mesh.num_triangles)
+    u_minus1 = np.full(mesh.num_triangles, 0.01)
     config = BBConfig(max_iter=max_iter)
     checks = []
     reference = reference_bb(problem, grad, u0, u_minus1, config, checks)
@@ -650,14 +675,13 @@ def _entry_case(draw):
 def test_entry_checks_reject_exactly_what_clip_and_compare_rejects(level3, case):
     problem, _, _ = level3
     bounds, v0, v1 = case
-    mesh = build_uniform_mesh(1)
     boxed = ProblemData(obs1=problem.obs1, y1=problem.y1, obs2=problem.obs2, y2=problem.y2,
                         lambda1=problem.lambda1, lambda2=problem.lambda2, bounds=bounds)
 
     def grad(u):
         return np.zeros_like(u), ObjectivePair(0.0, 0.0)
 
-    run = lambda: bb_projected_gradient(boxed, grad, PwcControl(mesh, v0), PwcControl(mesh, v1), BBConfig(max_iter=1))
+    run = lambda: bb_projected_gradient(boxed, grad, v0, v1, BBConfig(max_iter=1))
     if _old_entry_check_rejects(bounds, v0, v1):
         with pytest.raises(ValueError):
             run()
@@ -686,7 +710,7 @@ def test_starting_pair_matches_the_clip_and_where_construction(bench, system_for
         reference = reference_bb(bench, grad_evals[-1], *pair, BBConfig())
         if solve is solve_wsm:  # its evaluations skip the pair; the solver forms it from the final iterate
             assert reference.objectives is None
-            reference.objectives = eval_objectives(bench, greens, mesh.element_area, reference.control.values)[1]
+            reference.objectives = eval_objectives(bench, greens, mesh.element_area, reference.control)[1]
         assert _outcome(report) == _outcome(reference)
 
 
@@ -701,7 +725,7 @@ def test_report_pair_is_the_pair_of_its_control(bench, system_for, level):
     reports += [e.report for e in wsm_front(bench, system, 6).entries]
     reports += [e.report for e in wsm_front(bench, system, 3, config=BBConfig(max_iter=2)).entries]
     for report in reports:
-        assert report.objectives == eval_objectives(bench, greens, mesh.element_area, report.control.values)[1]
+        assert report.objectives == eval_objectives(bench, greens, mesh.element_area, report.control)[1]
 
 
 @pytest.mark.skipif(
