@@ -11,8 +11,6 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .control import BoxBounds, write_control
 from .experiments import (
     ExperimentConfig,
@@ -21,10 +19,11 @@ from .experiments import (
     run_convergence_wsm,
     run_front,
     shared_system,
+    solve_at_level,
 )
 from .fem import SolverError
 from .objective import ProblemData
-from .scalarize import BBConfig, ideal_vector, solve_rpm, solve_wsm
+from .scalarize import BBConfig, ideal_vector
 
 _DEFAULT_ALPHAS = "0.2,0.8;0.4,0.6;0.6,0.4;0.8,0.2"
 
@@ -86,23 +85,28 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve-wsm", help="solve one weighted-sum problem")
     p.add_argument("--alpha", required=True, help="weights a1,a2 (positive, summing to 1)")
+    p.set_defaults(run=_run_single, method="wsm")
     _add_shared_flags(p)
 
     p = sub.add_parser("solve-rpm", help="solve one reference-point problem")
     p.add_argument("--zeta", required=True, help="reference point z1,z2")
+    p.set_defaults(run=_run_single, method="rpm")
     _add_shared_flags(p)
 
     p = sub.add_parser("front", help="sweep a Pareto front at one level")
     p.add_argument("--method", choices=["wsm", "rpm"], required=True)
+    p.set_defaults(run=_run_front)
     _add_shared_flags(p)
 
     p = sub.add_parser("convergence", help="error table against the reference level")
     p.add_argument("--method", choices=["wsm", "rpm"], required=True)
     p.add_argument("--alphas", default=_DEFAULT_ALPHAS, help="weight pairs a1,a2;a1,a2;...")
     p.add_argument("--zetas", default=None, help="reference points z1,z2;...; default: reference sweep")
+    p.set_defaults(run=_run_convergence)
     _add_shared_flags(p)
 
     p = sub.add_parser("ideal-vector", help="componentwise objective minima")
+    p.set_defaults(run=_run_ideal)
     _add_shared_flags(p)
 
     return parser
@@ -150,11 +154,12 @@ def _problem_from_args(args) -> ProblemData:
     )
 
 
-def _experiment_config(args, problem: ProblemData, levels, reference_level) -> ExperimentConfig:
+def _experiment_config(args, levels, reference_level=None) -> ExperimentConfig:
+    """Every subcommand's problem, solver and sweep settings, checked before any solve."""
     if args.jobs < 1:
         raise ValueError("--jobs must be positive")
     return ExperimentConfig(
-        problem=problem,
+        problem=_problem_from_args(args),
         levels=levels,
         reference_level=reference_level,
         eps=args.eps,
@@ -167,10 +172,6 @@ def _experiment_config(args, problem: ProblemData, levels, reference_level) -> E
     )
 
 
-def _lambda_tag(problem: ProblemData) -> str:
-    return f"{problem.lambda1:g}_{problem.lambda2:g}"
-
-
 def _print_report(label: str, report) -> None:
     print(
         f"{label}: j1={report.objectives.j1:.9g} j2={report.objectives.j2:.9g} "
@@ -179,16 +180,11 @@ def _print_report(label: str, report) -> None:
     )
 
 
-def _run_single(args, method: str) -> int:
-    problem = _problem_from_args(args)
-    mesh, system = shared_system(args.level)
-    bb = BBConfig(tol=args.tol, max_iter=args.max_iter)
-    if method == "wsm":
-        parameter = _parse_pair(args.alpha, "--alpha")
-        report = solve_wsm(problem, system, parameter, bb)
-    else:
-        parameter = _parse_pair(args.zeta, "--zeta")
-        report = solve_rpm(problem, system, parameter, bb)
+def _run_single(args) -> int:
+    config = _experiment_config(args, (args.level,))
+    method = args.method
+    parameter = _parse_pair(args.alpha, "--alpha") if method == "wsm" else _parse_pair(args.zeta, "--zeta")
+    report = solve_at_level(config, method, parameter, args.level)
     _print_report(f"{method} level={args.level} param=({parameter[0]:g},{parameter[1]:g})", report)
     args.out.mkdir(parents=True, exist_ok=True)
     control_path = args.out / f"solution_{method}_{parameter[0]:g}_{parameter[1]:g}_L{args.level}.ctrl"
@@ -198,37 +194,25 @@ def _run_single(args, method: str) -> int:
 
 
 def _run_front(args) -> int:
-    problem = _problem_from_args(args)
     # a --ref-level at or below --level asks for no reference and no error series
     reference_level = args.ref_level if args.ref_level > args.level else None
-    config = _experiment_config(args, problem, (args.level,), reference_level)
+    config = _experiment_config(args, (args.level,), reference_level)
     fronts, errors = run_front(config, args.method)
     args.out.mkdir(parents=True, exist_ok=True)
-    tag = _lambda_tag(problem)
+    tag = f"{config.problem.lambda1:g}_{config.problem.lambda2:g}"
     front_path = args.out / f"front_{args.method}_{tag}.csv"
     export_csv(fronts[args.level], front_path)
     print(f"front ({len(fronts[args.level].entries)} points) written to {front_path}")
     if errors is not None:
         error_path = args.out / f"front_error_{args.method}_{tag}.csv"
-        _write_error_series(error_path, args.level, errors)
+        export_csv(dict(zip(config.levels, errors)), error_path)
         print(f"front errors written to {error_path}")
     return 0
 
 
-def _write_error_series(path: Path, level: int, errors: np.ndarray) -> None:
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", f"error_L{level}"])
-        for i, value in enumerate(errors[0]):
-            writer.writerow([str(i), format(float(value), ".9g")])
-
-
 def _run_convergence(args) -> int:
-    problem = _problem_from_args(args)
     levels = tuple(int(v) for v in args.levels.split(","))
-    config = _experiment_config(args, problem, levels, args.ref_level)
+    config = _experiment_config(args, levels, args.ref_level)
     if args.method == "wsm":
         table = run_convergence_wsm(config, _parse_pairs(args.alphas, "--alphas"))
     else:
@@ -244,9 +228,9 @@ def _run_convergence(args) -> int:
 
 
 def _run_ideal(args) -> int:
-    problem = _problem_from_args(args)
+    config = _experiment_config(args, (args.level,))
     mesh, system = shared_system(args.level)
-    vector = ideal_vector(problem, system, args.eps, BBConfig(tol=args.tol, max_iter=args.max_iter))
+    vector = ideal_vector(config.problem, system, config.eps, config.bb)
     print(f"ideal vector: ({vector[0]:.9g}, {vector[1]:.9g})")
     return 0
 
@@ -258,17 +242,7 @@ def main(argv=None) -> int:
         args, unknown = parser.parse_known_args(_splice_config_file(argv))
         if unknown:
             raise ValueError(f"unrecognized arguments: {' '.join(unknown)}")
-        if args.command == "solve-wsm":
-            return _run_single(args, "wsm")
-        if args.command == "solve-rpm":
-            return _run_single(args, "rpm")
-        if args.command == "front":
-            return _run_front(args)
-        if args.command == "convergence":
-            return _run_convergence(args)
-        if args.command == "ideal-vector":
-            return _run_ideal(args)
-        raise ValueError(f"unknown command {args.command!r}")  # pragma: no cover
+        return args.run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

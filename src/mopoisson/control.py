@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+import warnings
 from dataclasses import dataclass
 from tokenize import TokenError
 
@@ -120,8 +121,10 @@ def read_control(path, level: int) -> np.ndarray:
         try:
             if npy.read_magic(fh) != (1, 0):  # np.save's version for a 1-D float64 array
                 raise ValueError("not a version-1.0 .npy file")
-            shape, _, dtype = npy.read_array_header_1_0(fh)
-        # numpy's header parser lets the last four escape; UserWarning is its Python 2 header warning
+            with warnings.catch_warnings():  # numpy warns, then reads, a Python 2 header like "(8L,)"
+                warnings.simplefilter("error", UserWarning)
+                shape, _, dtype = npy.read_array_header_1_0(fh)
+        # besides ValueError, numpy's header parser lets SyntaxError, TokenError and TypeError escape
         except (ValueError, SyntaxError, TokenError, TypeError, UserWarning) as exc:
             raise ValueError(f"{path}: not a control file: {exc}") from exc
         if len(shape) != 1 or dtype.str != "<f8":

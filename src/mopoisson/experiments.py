@@ -9,6 +9,7 @@ swept controls measured against a fine reference level.
 from __future__ import annotations
 
 import functools
+import numbers
 import os
 import warnings
 from dataclasses import dataclass, field
@@ -30,6 +31,7 @@ __all__ = [
     "estimate_rate",
     "run_convergence_wsm",
     "run_convergence_rpm",
+    "solve_at_level",
     "compute_front",
     "run_front",
     "export_csv",
@@ -86,6 +88,8 @@ class ExperimentConfig:
     cold_start: bool = False
 
     def __post_init__(self):
+        if not all(isinstance(v, numbers.Integral) for v in (*self.levels, self.reference_level) if v is not None):
+            raise ValueError("study and reference levels must be integers")
         self.levels = tuple(int(v) for v in self.levels)
         self.output_dir = Path(self.output_dir)
         if not self.levels:
@@ -160,13 +164,14 @@ def _reference_level(config: ExperimentConfig) -> int:
     return config.reference_level
 
 
-def _solve_at_level(
-    config: ExperimentConfig, method: str, parameter, level: int
-) -> SolveReport:
+def solve_at_level(config: ExperimentConfig, method: str, parameter, level: int) -> SolveReport:
+    """Solve the ``method`` subproblem at ``parameter`` on one level with the configured BB settings."""
     mesh, system = shared_system(level)
     if method == "wsm":
         return solve_wsm(config.problem, system, parameter, config.bb)
-    return solve_rpm(config.problem, system, parameter, config.bb)
+    if method == "rpm":
+        return solve_rpm(config.problem, system, parameter, config.bb)
+    raise ValueError(f"unknown method {method!r}")
 
 
 def _reference_control(
@@ -186,7 +191,7 @@ def _reference_control(
             return read_control(path, level)
         except ValueError as exc:
             warnings.warn(f"ignoring unreadable reference cache file: {exc}", RuntimeWarning)
-    report = _solve_at_level(config, method, parameter, level)
+    report = solve_at_level(config, method, parameter, level)
     if not report.converged:
         return None
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
@@ -208,7 +213,7 @@ def _run_convergence(config: ExperimentConfig, method: str, parameters, labels) 
         if ref is None:
             continue
         for il, level in enumerate(config.levels):
-            report = _solve_at_level(config, method, parameter, level)
+            report = solve_at_level(config, method, parameter, level)
             if report.converged:
                 errors[il, ip] = l2_error(report.control, ref)
         del ref  # freed before the next reference solve
@@ -299,9 +304,7 @@ def run_front(config: ExperimentConfig, method: str) -> tuple[dict, np.ndarray |
 
 
 def _format_cell(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), _FLOAT_FMT)
-    return str(value)
+    return format(float(value), _FLOAT_FMT)
 
 
 def _front_rows(front: ParetoFront):
@@ -311,8 +314,8 @@ def _front_rows(front: ParetoFront):
         report = entry.report
         rows.append(
             [
-                _format_cell(float(entry.parameter[0])),
-                _format_cell(float(entry.parameter[1])),
+                _format_cell(entry.parameter[0]),
+                _format_cell(entry.parameter[1]),
                 _format_cell(report.objectives.j1),
                 _format_cell(report.objectives.j2),
                 str(report.iterations),
@@ -326,14 +329,21 @@ def _table_rows(table: ConvergenceTable):
     header = ["h"] + list(table.labels)
     rows = []
     for i, h in enumerate(table.hs):
-        rows.append([_format_cell(float(h))] + [_format_cell(e) for e in table.errors[i]])
+        rows.append([_format_cell(h)] + [_format_cell(e) for e in table.errors[i]])
     rows.append(["rate"] + [_format_cell(r) for r in table.rates])
     return header, rows
 
 
-def export_csv(data, path) -> None:
-    """Write a front or convergence table as deterministic RFC-4180 CSV.
+def _error_rows(errors: dict):
+    header = ["index"] + [f"error_L{level}" for level in errors]
+    return header, [[str(i)] + [_format_cell(e) for e in row] for i, row in enumerate(zip(*errors.values()))]
 
+
+def export_csv(data, path) -> None:
+    """Write a front, a convergence table or front errors as deterministic RFC-4180 CSV.
+
+    Front errors are a dict from level to its row of :func:`run_front`'s
+    errors: an ``index`` column, then one ``error_L<level>`` column each.
     A header row is followed by the data rows; floats carry 9 significant
     digits and identical inputs produce byte-identical files.
     """
@@ -343,6 +353,8 @@ def export_csv(data, path) -> None:
         header, rows = _front_rows(data)
     elif isinstance(data, ConvergenceTable):
         header, rows = _table_rows(data)
+    elif isinstance(data, dict) and all(isinstance(level, numbers.Integral) for level in data):
+        header, rows = _error_rows(data)
     else:
         raise TypeError(f"cannot export {type(data).__name__} as CSV")
     path = Path(path)

@@ -10,6 +10,7 @@ computed without any cross-mesh quadrature.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,6 +75,8 @@ def build_uniform_mesh(level: int) -> TriMesh:
     from ``(ih, jh)`` to ``((i+1)h, (j+1)h)``.  Meshes are immutable, so
     every caller of a level shares one.
     """
+    if not isinstance(level, numbers.Integral):
+        raise ValueError(f"level {level!r} is not an integer")
     level = int(level)
     if level < 0:
         raise ValueError("level must be nonnegative")

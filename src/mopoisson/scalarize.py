@@ -9,6 +9,7 @@ Pareto front by varying the weight or walking the reference point.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -48,7 +49,7 @@ __all__ = [
 _CURVATURE_TOL = 1e-14
 _FALLBACK_STEP = 1.0
 
-GradEval = Callable[[np.ndarray], tuple[np.ndarray, ObjectivePair | None]]
+GradEval = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass
@@ -59,8 +60,10 @@ class BBConfig:
     max_iter: int = 5000
 
     def __post_init__(self):
-        if not 0.0 < self.tol < np.inf or self.max_iter <= 0:
-            raise ValueError("tol must be positive and finite, max_iter positive")
+        if not 0.0 < self.tol < np.inf:
+            raise ValueError("tol must be positive and finite")
+        if not (isinstance(self.max_iter, numbers.Integral) and self.max_iter >= 1):
+            raise ValueError(f"max_iter must be an integer of at least 1, got {self.max_iter!r}")
         if not self.tol > LINEAR_TOL:
             raise ValueError("outer tolerance must exceed the linear-solver tolerance")
 
@@ -70,7 +73,7 @@ class SolveReport:
     """Converged (or last) control values with diagnostics of the run."""
 
     control: np.ndarray
-    objectives: ObjectivePair | None
+    objectives: ObjectivePair | None  # the pair of control; None from bb_projected_gradient
     iterations: int
     final_residual: float
     converged: bool
@@ -119,9 +122,7 @@ def bb_projected_gradient(
     """Box-projected Barzilai-Borwein iteration for a scalarized objective.
 
     ``grad_eval`` maps control values to the values of their gradient
-    representer and their objective pair, or ``None`` for a caller that
-    forms the pair itself; the report holds the pair of the last
-    evaluation.
+    representer; the report's ``objectives`` is None.
     Iterates follow ``u <- clip(u - (1/t) g)`` with the BB quotient ``t =
     |dg|^2 / (dg, du)``; the loop stops once the step-to-unit-step
     gap ``|u_next - clip(u - g)|`` and the fixed-point residual of the
@@ -153,8 +154,8 @@ def bb_projected_gradient(
     tol, max_iter = config.tol, config.max_iter
     u_prev, u = u_minus1, u0
     del u0, u_minus1
-    g_prev, _ = grad_eval(u_prev)
-    g, objectives = grad_eval(u)
+    g_prev = grad_eval(u_prev)
+    g = grad_eval(u)
 
     fallbacks = 0
     iterations = 0
@@ -198,12 +199,12 @@ def bb_projected_gradient(
         u_prev, g_prev = u, g
         u = u_next
         del fixed_point, du  # freed before the gradient allocates, whose arrays then reuse them
-        g, objectives = grad_eval(u)
+        g = grad_eval(u)
         iterations += 1
 
     return SolveReport(
         control=u,
-        objectives=objectives,
+        objectives=None,
         iterations=iterations,
         final_residual=fp_residual,
         converged=converged,
@@ -231,21 +232,23 @@ def _solve(
     system: StiffnessSystem,
     config: BBConfig | None,
     u_start: np.ndarray | None,
-    alpha: tuple[float, float] | None = None,
-    zeta: tuple[float, float] | None = None,
+    method: str,
+    parameter: tuple[float, float],
 ) -> SolveReport:
     """BB iteration from ``u_start`` (zero if absent) and a uniform in-box offset of it.
 
-    Minimizes ``alpha . j`` if ``alpha`` is given, else ``|j - zeta|^2 / 2``.
+    Minimizes ``alpha . j`` for ``method`` "wsm" with weights ``alpha =
+    parameter``, else ``|j - zeta|^2 / 2`` with ``zeta = parameter``.
     The problem's first solve at a mesh level computes the Green's function
     means there, one solve per observation point, and keeps them on the
     problem; those solves are the report's ``solve_count``, which is 0 for
     every later solve at that level.  Each evaluation forms the residuals
     ``r`` of the values ``u`` from the means ``G`` with one mat-vec and the
     gradient ``G^T (c r) + lam u`` with another.  The weighted-sum
-    coefficients are fixed, so those evaluations skip the objective pair,
-    which is formed once from the final iterate; the reference-point
-    coefficients ``j - zeta`` need it in every evaluation.
+    coefficients are fixed, so those evaluations skip the objective pair;
+    the reference-point coefficients ``j - zeta`` need it in every
+    evaluation.  For both, the report's pair is formed once, from the
+    returned control.
     """
     config = config or BBConfig()
     bounds = problem.bounds
@@ -258,18 +261,18 @@ def _solve(
     greens = problem._greens[mesh.level]
     area = mesh.element_area
 
-    if alpha is not None:
-        c, lam = _coefficients(problem, *alpha)
+    if method == "wsm":
+        c, lam = _coefficients(problem, *parameter)
 
         def evaluate_control(u: np.ndarray):
-            return _weighted_gradient(greens, _residuals(problem, greens, area, u), u, c, lam), None
+            return _weighted_gradient(greens, _residuals(problem, greens, area, u), u, c, lam)
 
     else:
-        z1, z2 = zeta
+        z1, z2 = parameter
 
         def evaluate_control(u: np.ndarray):
             r, j = eval_objectives(problem, greens, area, u)
-            return _weighted_gradient(greens, r, u, *_coefficients(problem, j.j1 - z1, j.j2 - z2)), j
+            return _weighted_gradient(greens, r, u, *_coefficients(problem, j.j1 - z1, j.j2 - z2))
 
     # Both starting controls are call temporaries with no name here, so the
     # loop can free them (see bb_projected_gradient); the start is clipped
@@ -281,8 +284,7 @@ def _solve(
         _offset_values(_start_values(mesh, bounds, u_start), bounds),
         config,
     )
-    if alpha is not None:
-        report.objectives = eval_objectives(problem, greens, area, report.control)[1]
+    report.objectives = eval_objectives(problem, greens, area, report.control)[1]
     report.solve_count = len(greens) if own else 0
     return report
 
@@ -295,7 +297,7 @@ def solve_wsm(
     u_start: np.ndarray | None = None,
 ) -> SolveReport:
     """Minimize the weighted sum of the two criteria over the box."""
-    return _solve(problem, system, config, u_start, alpha=_check_weights(alpha))
+    return _solve(problem, system, config, u_start, "wsm", _check_weights(alpha))
 
 
 def solve_rpm(
@@ -306,7 +308,7 @@ def solve_rpm(
     u_start: np.ndarray | None = None,
 ) -> SolveReport:
     """Minimize the squared distance of the objective pair to ``zeta``."""
-    return _solve(problem, system, config, u_start, zeta=_check_reference_point(zeta))
+    return _solve(problem, system, config, u_start, "rpm", _check_reference_point(zeta))
 
 
 def wsm_front(

@@ -258,21 +258,21 @@ def pde_grad_eval(problem, system, kind: str, parameter):
     """BB grad-eval of a scalarization through a state solve and two adjoint solves.
 
     Maps control values to the values of the gradient representer
-    ``sum_k c_k (m_k + lambda_k u)`` and the objective pair, like the
-    solver's own evaluator, which takes both from the Green's function means.
+    ``sum_k c_k (m_k + lambda_k u)``, like the solver's own evaluator,
+    which takes it from the Green's function means.
     The coefficients ``c`` are the weights (``wsm``) or ``j - zeta`` (``rpm``).
     """
 
     def grad_eval(u: np.ndarray):
         j, (m1, m2) = pde_objectives(problem, system, u)
         c1, c2 = parameter if kind == "wsm" else (j.j1 - parameter[0], j.j2 - parameter[1])
-        return c1 * (m1 + problem.lambda1 * u) + c2 * (m2 + problem.lambda2 * u), j
+        return c1 * (m1 + problem.lambda1 * u) + c2 * (m2 + problem.lambda2 * u)
 
     return grad_eval
 
 
 def scalarized_gradient(problem, system, u, kind: str, parameter) -> np.ndarray:
-    return pde_grad_eval(problem, system, kind, parameter)(u)[0]
+    return pde_grad_eval(problem, system, kind, parameter)(u)
 
 
 def central_difference(problem, system, u, w, kind: str, parameter, step: float = 1e-5) -> float:
@@ -429,8 +429,8 @@ def reference_bb(problem, grad_eval, u0, u_minus1, config, checks=None) -> Solve
     bounds = problem.bounds
     area = 1.0 / len(u0)
     u_prev, u = u_minus1, u0
-    g_prev, _ = grad_eval(u_prev)
-    g, objectives = grad_eval(u)
+    g_prev = grad_eval(u_prev)
+    g = grad_eval(u)
 
     fallbacks = 0
     iterations = 0
@@ -464,12 +464,12 @@ def reference_bb(problem, grad_eval, u0, u_minus1, config, checks=None) -> Solve
 
         u_prev, g_prev = u, g
         u = u_next
-        g, objectives = grad_eval(u)
+        g = grad_eval(u)
         iterations += 1
 
     return SolveReport(
         control=u,
-        objectives=objectives,
+        objectives=None,
         iterations=iterations,
         final_residual=float(fp_residual),
         converged=converged,

@@ -261,3 +261,52 @@ def test_config_file_matches_explicit_flags(tmp_path):
 
     config.write_text("level=2\ncold_start=false\n")
     assert main(["solve-wsm", "--alpha", "0.5,0.5", "--config", str(config), "--out", str(tmp_path)]) == 0
+
+
+def test_convergence_rpm_defaults_to_reference_sweep_zetas(tmp_path, capsys):
+    study = ["convergence", "--method", "rpm", "--levels", "2,3", "--ref-level", "4"]
+    assert main(study + ["--out", str(tmp_path / "full")]) == 0
+    with open(tmp_path / "full" / "convergence_rpm.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header[0] == "h" and len(header) == 5 and all(h.startswith("zeta=(") for h in header[1:])
+    assert len(rows) == 3
+    # five points reach only four reference points, and step 9 is needed
+    capsys.readouterr()
+    assert main(study + ["--points", "5", "--out", str(tmp_path / "short")]) == 2
+    assert "reference sweep produced only 4 points" in capsys.readouterr().err
+    assert not (tmp_path / "short").exists()
+
+
+@pytest.mark.parametrize("obs1, message", [
+    ("0.75,0.25", "--obs1 entries look like x,y=v"),
+    (" ; ", "--obs1 must contain at least one observation"),
+    ("0.75=6", "--obs1 expects two comma-separated values"),
+])
+def test_malformed_observations_exit_two(tmp_path, capsys, obs1, message):
+    assert main(["solve-wsm", "--alpha", "0.5,0.5", "--level", "2", "--obs1", obs1, "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_config_line_without_value_exits_two(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("# comment\nlevel 2\n")
+    assert main(["solve-wsm", "--alpha", "0.5,0.5", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    assert "config line 'level 2' is not key=value" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["solve-wsm", "--alpha", "0.5,0.5"],
+    ["solve-rpm", "--zeta", "16.5,1.5"],
+    ["front", "--method", "wsm"],
+    ["convergence", "--method", "wsm", "--levels", "2,3", "--ref-level", "4"],
+    ["ideal-vector"],
+])
+@pytest.mark.parametrize("flag, message", [(["--jobs", "0"], "--jobs must be positive"),
+                                           (["--points", "1"], "front sizes must be at least 2")])
+def test_jobs_and_points_are_checked_on_every_subcommand(tmp_path, capsys, solve_calls, command, flag, message):
+    assert main(command + ["--level", "2", *flag, "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not solve_calls
+    assert not list(tmp_path.iterdir())

@@ -1,5 +1,6 @@
 import io
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -219,6 +220,16 @@ def test_read_control_rejects_malformed(tmp_path):
         level = 0 if name.endswith(("nan", "inf")) else 1  # the two-value cases hold a level-0 count
         with pytest.raises(ValueError, match=f"bad-{name}.ctrl"):
             read_control(path, level)
+
+
+def test_python2_header_is_rejected_under_default_warning_filters(tmp_path):
+    """numpy warns about a Python 2 header, then reads it; that must not make it a control."""
+    path = tmp_path / "python2.ctrl"
+    path.write_bytes(npy_with_header(header_text(shape="(8L,)"), np.arange(8.0).tobytes()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("default")
+        with pytest.raises(ValueError, match="python2.ctrl: not a control file"):
+            read_control(path, 1)
 
 
 HEADER_ALPHABET = b" (){}[],:'-0123456789<>|fiOVLTrueFalsdcph"

@@ -18,7 +18,7 @@ from mopoisson import (
     run_front,
     write_control,
 )
-from mopoisson.experiments import ConvergenceTable, _cache_key
+from mopoisson.experiments import ConvergenceTable, _cache_key, compute_front, solve_at_level
 
 PUBLISHED_H = [2.0 ** -k for k in (2, 3, 4, 5)]
 PUBLISHED_WSM_ERRORS = [0.727125, 0.399550, 0.209558, 0.107604]
@@ -66,6 +66,12 @@ def test_config_validation(tmp_path):
         ExperimentConfig(problem=problem, levels=(2, 3, 2), output_dir=tmp_path)
     with pytest.raises(ValueError):
         ExperimentConfig(problem=problem, points=1, output_dir=tmp_path)
+    # int() truncated these: 2.7 to level 2, and a 4.5 reference solved at L4 but missed its cache on every rerun
+    for levels, reference_level in [((2.7,), 8), ((2, 3), 4.5), ((2.0, 3), 8), ((2, 3.5), None), (("2",), 8)]:
+        with pytest.raises(ValueError, match="levels must be integers"):
+            ExperimentConfig(problem=problem, levels=levels, reference_level=reference_level, output_dir=tmp_path)
+    config = ExperimentConfig(problem=problem, levels=(np.int64(2), 3), reference_level=np.int64(5))
+    assert config.levels == (2, 3) and type(config.levels[0]) is int
 
 
 def test_wsm_convergence_small_study(tmp_path):
@@ -135,14 +141,14 @@ def test_wrong_level_cache_file_is_rejected_from_its_header(tmp_path, monkeypatc
         with cache_file.open("wb") as fh:
             np.lib.format.write_array_header_1_0(fh, {"descr": "<f8", "fortran_order": False, "shape": (2 * 4 ** 14,)})
             fh.write(b"\0" * 16)
-    solve_at_level = mopoisson.experiments._solve_at_level
+    solve_at_level = mopoisson.experiments.solve_at_level
     peaks = []
 
     def recorded(config, method, parameter, level):
         peaks.append((level, tracemalloc.get_traced_memory()[1]))
         return solve_at_level(config, method, parameter, level)
 
-    monkeypatch.setattr(mopoisson.experiments, "_solve_at_level", recorded)
+    monkeypatch.setattr(mopoisson.experiments, "solve_at_level", recorded)
     tracemalloc.start()
     try:
         with pytest.warns(RuntimeWarning, match="unreadable reference cache"):
@@ -260,8 +266,8 @@ def test_study_solves_each_reference_before_its_cells(tmp_path, monkeypatch):
     config = small_config(benchmark_problem(), tmp_path)
     monkeypatch.setattr(experiments, "l2_error", recorded("error", experiments.l2_error))
     monkeypatch.setattr(experiments, "read_control", recorded("read", experiments.read_control))
-    monkeypatch.setattr(experiments, "_solve_at_level", recorded(
-        "reference", experiments._solve_at_level, lambda c, m, p, level: level == config.reference_level
+    monkeypatch.setattr(experiments, "solve_at_level", recorded(
+        "reference", experiments.solve_at_level, lambda c, m, p, level: level == config.reference_level
     ))
     alphas = [(0.3, 0.7), (0.7, 0.3)]
     for first in ("reference", "read"):  # cold pass, then cached pass
@@ -351,6 +357,12 @@ def test_export_csv_empty_front(tmp_path):
     assert rows == []
 
 
+def test_export_csv_front_errors(tmp_path):
+    path = tmp_path / "errors.csv"
+    export_csv({3: np.array([0.25, np.nan]), 4: np.array([1 / 3, 1e-10])}, path)
+    assert path.read_bytes() == b"index,error_L3,error_L4\r\n0,0.25,0.333333333\r\n1,nan,1e-10\r\n"
+
+
 def test_export_csv_rejects_other_types(tmp_path):
     with pytest.raises(TypeError):
         export_csv({"not": "supported"}, tmp_path / "x.csv")
@@ -361,6 +373,16 @@ def test_export_csv_bad_path_has_context():
                              errors=np.ones((2, 1)), rates=np.array([1.0]))
     with pytest.raises(OSError, match="no/such/dir"):
         export_csv(table, "no/such/dir/table.csv")
+    with pytest.raises(OSError, match="no/such/dir"):
+        export_csv({2: np.ones(3)}, "no/such/dir/errors.csv")
+
+
+def test_single_solves_and_fronts_reject_unknown_methods(tmp_path):
+    config = small_config(benchmark_problem(), tmp_path)
+    with pytest.raises(ValueError, match="unknown method 'nbi'"):
+        solve_at_level(config, "nbi", (0.5, 0.5), 2)
+    with pytest.raises(ValueError, match="unknown method 'nbi'"):
+        compute_front(config, "nbi", 2)
 
 
 def test_degenerate_single_row_table(tmp_path):

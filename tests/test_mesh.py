@@ -82,6 +82,10 @@ def test_level_bounds_rejected():
         build_uniform_mesh(-1)
     with pytest.raises(ValueError):
         build_uniform_mesh(MAX_LEVEL + 1)
+    for level in (2.7, "2"):  # int() truncated 2.7 to the level-2 mesh
+        with pytest.raises(ValueError, match="not an integer"):
+            build_uniform_mesh(level)
+    assert build_uniform_mesh(np.int64(2)) == build_uniform_mesh(2)
 
 
 def test_locate_grid_node_has_unit_bary():

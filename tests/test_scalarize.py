@@ -36,6 +36,7 @@ from oracles import (
     mutually_nondominated,
     pareto_ordered,
     pde_grad_eval,
+    pde_objectives,
     power_iteration_bound,
     reflect_problem,
     reference_bb,
@@ -76,6 +77,11 @@ def test_bbconfig_validation():
         BBConfig(tol=np.nan)
     with pytest.raises(ValueError):
         BBConfig(tol=np.inf)
+    # a fractional cap ran past it and reported an infinite residual; an infinite one never stopped
+    for max_iter in (2.5, np.inf, 4.0, np.nan, "5"):
+        with pytest.raises(ValueError, match="max_iter"):
+            BBConfig(max_iter=max_iter)
+    assert BBConfig(max_iter=np.int64(3)).max_iter == 3
 
 
 def test_immediate_convergence_at_stationary_start(level3):
@@ -93,7 +99,7 @@ def test_quadratic_surrogate_converges_in_three_iterations(level3):
     lam = 0.1
 
     def grad(u):
-        return lam * u, ObjectivePair(0.0, 0.0)
+        return lam * u
 
     u0 = np.full(mesh.num_triangles, 5.0)
     u_minus1 = np.full(mesh.num_triangles, 5.01)
@@ -242,7 +248,7 @@ def test_reports_are_bit_identical_across_runs(bench):
 def test_solver_requires_distinct_feasible_starts(level3):
     problem, mesh, system = level3
     u = clip(np.zeros(mesh.num_triangles), problem.bounds)
-    grad = lambda v: (v, ObjectivePair(0.0, 0.0))
+    grad = lambda v: v
     with pytest.raises(ValueError):
         bb_projected_gradient(problem, grad, u, u, BBConfig())
     outside = np.full(mesh.num_triangles, 100.0)
@@ -271,7 +277,7 @@ def test_constant_gradient_triggers_fallback(level3):
     ones = np.ones(mesh.num_triangles)
 
     def grad(u):
-        return ones, ObjectivePair(0.0, 0.0)
+        return ones
 
     u0 = clip(np.zeros(mesh.num_triangles), problem.bounds)
     u_minus1 = np.full(mesh.num_triangles, 0.01)
@@ -366,7 +372,7 @@ def test_reduced_route_matches_pde_route(bench, system_for, rng, level):
         pde = pde_grad_eval(problem, system, kind, parameter)
         for _ in range(3):
             u = rng.uniform(problem.bounds.ua, problem.bounds.ub, mesh.num_triangles)
-            g_pde, j_pde = pde(u)
+            g_pde, j_pde = pde(u), pde_objectives(problem, system, u)[0]
             r, j = eval_objectives(problem, greens, mesh.element_area, u)
             if kind == "wsm":
                 g = grad_wsm(problem, greens, r, u, parameter)
@@ -381,7 +387,8 @@ def test_reduced_route_matches_pde_route(bench, system_for, rng, level):
         oracle = bb_projected_gradient(problem, pde, u0, u0 + 1e-2, BBConfig())
         assert report.converged and oracle.converged
         assert (report.iterations, report.fallback_steps) == (oracle.iterations, oracle.fallback_steps)
-        assert report.objectives.as_array() == pytest.approx(oracle.objectives.as_array(), rel=1e-12, abs=0)
+        j_oracle = pde_objectives(problem, system, oracle.control)[0]
+        assert report.objectives.as_array() == pytest.approx(j_oracle.as_array(), rel=1e-12, abs=0)
 
 
 def test_wsm_converges_on_mesh_without_unknowns(bench):
@@ -593,9 +600,9 @@ def test_in_place_bb_loop_is_exact(bench, system_for, monkeypatch, level):
 
     def recording(problem, grad_eval, u0, u_minus1, config):
         def recorded(u):
-            g, j = grad_eval(u)
+            g = grad_eval(u)
             inputs.append((g, g.copy()))
-            return g, j
+            return g
 
         inputs.extend([(u0, u0.copy()), (u_minus1, u_minus1.copy())])
         return bb_projected_gradient(problem, recorded, u0, u_minus1, config)
@@ -614,7 +621,7 @@ def test_in_place_bb_loop_is_exact_through_fallbacks(level3, rng):
     target = rng.uniform(-3.0, 3.0, mesh.num_triangles)
 
     def grad(u):
-        return sign * (u - target), ObjectivePair(0.0, 0.0)
+        return sign * (u - target)
 
     u0 = rng.uniform(-1.0, 1.0, mesh.num_triangles)
     u_minus1 = rng.uniform(-1.0, 1.0, mesh.num_triangles)
@@ -631,7 +638,7 @@ def test_residual_formed_without_stopping_is_exact(level3, max_iter):
     ones = np.ones(mesh.num_triangles)
 
     def grad(u):  # linear objective: unit fallback steps, so every gap after the first is 0
-        return ones, ObjectivePair(0.0, 0.0)
+        return ones
 
     u0 = np.zeros(mesh.num_triangles)
     u_minus1 = np.full(mesh.num_triangles, 0.01)
@@ -679,7 +686,7 @@ def test_entry_checks_reject_exactly_what_clip_and_compare_rejects(level3, case)
                         lambda1=problem.lambda1, lambda2=problem.lambda2, bounds=bounds)
 
     def grad(u):
-        return np.zeros_like(u), ObjectivePair(0.0, 0.0)
+        return np.zeros_like(u)
 
     run = lambda: bb_projected_gradient(boxed, grad, v0, v1, BBConfig(max_iter=1))
     if _old_entry_check_rejects(bounds, v0, v1):
@@ -708,9 +715,8 @@ def test_starting_pair_matches_the_clip_and_where_construction(bench, system_for
         report = solve(bench, system, parameter, u_start=start)
         pair = clip_and_where_starting_pair(bench.bounds, mesh, start)
         reference = reference_bb(bench, grad_evals[-1], *pair, BBConfig())
-        if solve is solve_wsm:  # its evaluations skip the pair; the solver forms it from the final iterate
-            assert reference.objectives is None
-            reference.objectives = eval_objectives(bench, greens, mesh.element_area, reference.control)[1]
+        # the loop sees only gradients; the solver forms the pair from the returned control
+        reference.objectives = eval_objectives(bench, greens, mesh.element_area, reference.control)[1]
         assert _outcome(report) == _outcome(reference)
 
 
