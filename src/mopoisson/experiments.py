@@ -8,7 +8,6 @@ swept controls measured against a fine reference level.
 
 from __future__ import annotations
 
-import functools
 import numbers
 import os
 import warnings
@@ -21,7 +20,7 @@ from .control import BoxBounds, l2_error, read_control, write_control
 from .fem import assemble_stiffness
 from .mesh import MAX_LEVEL, build_uniform_mesh
 from .objective import ProblemData, _check_reference_point, _check_weights
-from .scalarize import BBConfig, ParetoFront, SolveReport, rpm_front, solve_rpm, solve_wsm, wsm_front
+from .scalarize import BBConfig, ParetoFront, SolveReport, _check_sweep, rpm_front, solve_rpm, solve_wsm, wsm_front
 
 __all__ = [
     "ExperimentConfig",
@@ -55,13 +54,12 @@ def benchmark_problem(lambda1: float = 0.1, lambda2: float = 0.1) -> ProblemData
     )
 
 
-@functools.lru_cache(maxsize=None)
 def shared_system(level: int) -> tuple:
-    """Process-wide (mesh, stiffness system) pair of a level, built once.
+    """A new (mesh, stiffness system) pair of a level.
 
-    Sharing one system per level lets every study and front reuse its
-    cached DST eigenvalues.  There is no lock: racing first calls build
-    equal systems, which costs microseconds and changes no result.
+    Nothing is kept between calls: the system computes its DST eigenvalues
+    only when a problem first builds its Green's function means at the
+    level, and those means are what later solves reuse.
     """
     mesh = build_uniform_mesh(level)
     return mesh, assemble_stiffness(mesh)
@@ -73,7 +71,8 @@ class ExperimentConfig:
 
     A ``reference_level`` of None sweeps fronts without an error series;
     convergence studies reject it.  ``points`` is the size of every front
-    sweep; None means 50 points for WSM and 12 for RPM.
+    sweep; None means 50 points for WSM and 12 for RPM.  The sweep settings
+    are checked here as the front drivers check them, before any solve.
     """
 
     problem: ProblemData
@@ -100,8 +99,7 @@ class ExperimentConfig:
             raise ValueError("study levels must be nonnegative")
         if self.reference_level is not None and not max(self.levels) < self.reference_level <= MAX_LEVEL:
             raise ValueError(f"reference level must exceed every study level and be at most {MAX_LEVEL}")
-        if self.points is not None and self.points < 2:
-            raise ValueError("front sizes must be at least 2")
+        _check_sweep(2 if self.points is None else self.points, self.eps, self.h_perp, self.h_par)
 
 
 @dataclass

@@ -9,7 +9,6 @@ computed without any cross-mesh quadrature.
 
 from __future__ import annotations
 
-import functools
 import numbers
 from dataclasses import dataclass
 
@@ -67,13 +66,12 @@ class TriMesh:
         return 2 * 4 ** self.level
 
 
-@functools.lru_cache(maxsize=MAX_LEVEL + 1)
 def build_uniform_mesh(level: int) -> TriMesh:
-    """The level-``level`` mesh of the family, once per level.
+    """The level-``level`` mesh of the family.
 
     Each grid square ``[ih,(i+1)h] x [jh,(j+1)h]`` is split by the diagonal
-    from ``(ih, jh)`` to ``((i+1)h, (j+1)h)``.  Meshes are immutable, so
-    every caller of a level shares one.
+    from ``(ih, jh)`` to ``((i+1)h, (j+1)h)``.  A mesh is two numbers, so
+    it is built on every call; meshes of one level compare equal.
     """
     if not isinstance(level, numbers.Integral):
         raise ValueError(f"level {level!r} is not an integer")

@@ -106,6 +106,15 @@ def _check_eps(eps: float) -> None:
         raise ValueError("eps must lie in (0, 0.5)")
 
 
+def _check_sweep(l_max, eps: float, *offsets: float) -> None:
+    """An integer sweep size of at least 2, :func:`_check_eps`, and positive finite reference-point offsets."""
+    if not (isinstance(l_max, numbers.Integral) and l_max >= 2):
+        raise ValueError(f"front sizes must be at least 2 and an integer, got {l_max!r}")
+    if not all(0.0 < h < np.inf for h in offsets):
+        raise ValueError("scaling parameters must be positive and finite")
+    _check_eps(eps)
+
+
 def _require_feasible(u: np.ndarray, bounds: BoxBounds, name: str) -> None:
     # min and max are NaN if a value is, and then both comparisons fail
     if not (bounds.ua <= u.min() and u.max() <= bounds.ub):
@@ -326,9 +335,7 @@ def wsm_front(
     previous solution unless ``cold_start`` is set; non-converged entries
     are recorded and the sweep continues.
     """
-    if l_max < 2:
-        raise ValueError("a sweep needs at least two points")
-    _check_eps(eps)
+    _check_sweep(l_max, eps)
     entries = []
     warm = None
     for ell in range(1, l_max + 1):
@@ -376,11 +383,7 @@ def rpm_front(
     passes the ending objective value or ``l_max - 1`` points were placed.
     Entries are ordered along the sweep with both endpoints included.
     """
-    if l_max < 2:
-        raise ValueError("a sweep needs at least two points")
-    if not (0.0 < h_perp < np.inf and 0.0 < h_par < np.inf):
-        raise ValueError("scaling parameters must be positive and finite")
-    _check_eps(eps)
+    _check_sweep(l_max, eps, h_perp, h_par)
     report_init = solve_wsm(problem, system, (1.0 - eps, eps), config)
     report_end = solve_wsm(problem, system, (eps, 1.0 - eps), config)
     j_end_1 = report_end.objectives.j1

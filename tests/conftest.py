@@ -21,7 +21,7 @@ def bench():
 
 @pytest.fixture(scope="session")
 def system_for():
-    """Level -> (mesh, stiffness system), shared across the session."""
+    """Level -> a new (mesh, stiffness system) pair of that level."""
     return shared_system
 
 

@@ -53,9 +53,9 @@ def test_src_imports_only_stdlib_and_numpy():
     assert [re.match(r"[A-Za-z0-9_.-]+", d).group() for d in dependencies] == ["numpy"]
 
 
-# functools memoization keeps every result for the whole process: one mesh and
-# one stiffness system per level are small, a per-pair or per-call array is not.
-MEMOIZED = ["experiments.shared_system", "mesh.build_uniform_mesh"]
+# functools memoization keeps every result for the whole process; a mesh and a
+# stiffness system are cheap to build, so nothing in the package is memoized.
+MEMOIZED = []
 
 
 def test_only_the_per_level_builders_are_memoized():

@@ -1,10 +1,17 @@
 import csv
+import dataclasses
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from mopoisson import ParetoFront, experiments, read_control
-from mopoisson.cli import main
+import mopoisson
+from mopoisson import ExperimentConfig, ParetoFront, benchmark_problem, experiments, read_control
+from mopoisson.cli import _build_parser, _experiment_config, main
 
 
 def test_solve_wsm_writes_control_and_reports(tmp_path, capsys):
@@ -302,11 +309,50 @@ def test_config_line_without_value_exits_two(tmp_path, capsys):
     ["front", "--method", "wsm"],
     ["convergence", "--method", "wsm", "--levels", "2,3", "--ref-level", "4"],
     ["ideal-vector"],
+    ["convergence", "--method", "rpm", "--levels", "2,3", "--ref-level", "4", "--zetas", "17,2"],
 ])
 @pytest.mark.parametrize("flag, message", [(["--jobs", "0"], "--jobs must be positive"),
-                                           (["--points", "1"], "front sizes must be at least 2")])
+                                           (["--points", "1"], "front sizes must be at least 2"),
+                                           (["--eps", "0.7"], "eps must lie in (0, 0.5)"),
+                                           (["--h-perp", "-1"], "scaling parameters must be positive"),
+                                           (["--h-par", "nan"], "scaling parameters must be positive")])
 def test_jobs_and_points_are_checked_on_every_subcommand(tmp_path, capsys, solve_calls, command, flag, message):
     assert main(command + ["--level", "2", *flag, "--out", str(tmp_path)]) == 2
     assert message in capsys.readouterr().err
     assert not solve_calls
     assert not list(tmp_path.iterdir())
+
+
+def test_cli_defaults_match_the_library_defaults():
+    args = _build_parser().parse_args(["convergence", "--method", "wsm"])
+    cli = _experiment_config(args, tuple(int(v) for v in args.levels.split(",")), args.ref_level)
+    library = ExperimentConfig(problem=benchmark_problem())
+    for field in dataclasses.fields(ExperimentConfig):
+        if field.name != "problem":
+            assert getattr(cli, field.name) == getattr(library, field.name), field.name
+    for field in dataclasses.fields(mopoisson.ProblemData):
+        if field.init:
+            ours, theirs = getattr(cli.problem, field.name), getattr(library.problem, field.name)
+            assert np.array_equal(ours, theirs) if isinstance(ours, np.ndarray) else ours == theirs, field.name
+
+
+def test_repeated_studies_in_one_process_match_a_fresh_process(tmp_path):
+    """Nothing a run leaves in the process changes the next run's files."""
+    study = ["convergence", "--method", "wsm", "--levels", "2,3", "--ref-level", "4"]
+    for name in ("first", "second"):
+        assert main(study + ["--out", str(tmp_path / name)]) == 0
+    src = Path(mopoisson.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-m", "mopoisson.cli", *study, "--out", str(tmp_path / "fresh")],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+
+    def outputs(name):
+        root = tmp_path / name
+        return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.suffix in (".csv", ".ctrl")}
+
+    first = outputs("first")
+    # the table and one reference control for each of the four default weight pairs
+    assert "convergence_wsm.csv" in first and len(first) == 5
+    assert outputs("second") == first
+    assert outputs("fresh") == first

@@ -64,8 +64,13 @@ def test_config_validation(tmp_path):
         ExperimentConfig(problem=problem, levels=(), output_dir=tmp_path)
     with pytest.raises(ValueError):
         ExperimentConfig(problem=problem, levels=(2, 3, 2), output_dir=tmp_path)
-    with pytest.raises(ValueError):
-        ExperimentConfig(problem=problem, points=1, output_dir=tmp_path)
+    for points in [1, 2.5, np.float64(4.0)]:
+        with pytest.raises(ValueError, match="front sizes"):
+            ExperimentConfig(problem=problem, points=points, output_dir=tmp_path)
+    assert ExperimentConfig(problem=problem, points=np.int64(2)).points == 2
+    for bad in [{"eps": 0.7}, {"eps": np.nan}, {"h_perp": -1.0}, {"h_par": np.nan}, {"h_par": np.inf}]:
+        with pytest.raises(ValueError):
+            ExperimentConfig(problem=problem, output_dir=tmp_path, **bad)
     # int() truncated these: 2.7 to level 2, and a 4.5 reference solved at L4 but missed its cache on every rerun
     for levels, reference_level in [((2.7,), 8), ((2, 3), 4.5), ((2.0, 3), 8), ((2, 3.5), None), (("2",), 8)]:
         with pytest.raises(ValueError, match="levels must be integers"):
@@ -222,7 +227,6 @@ def test_text_era_cache_file_is_never_read_or_removed(tmp_path):
 def test_shared_system_under_concurrent_first_calls(race, rng):
     from mopoisson import assemble_stiffness, build_uniform_mesh, shared_system, solve_spd
 
-    shared_system.cache_clear()
     rhss = rng.normal(size=(8, (2 ** 6 - 1) ** 2))
     results = [None] * 8
 

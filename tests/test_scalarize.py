@@ -435,8 +435,9 @@ def test_wsm_front_cold_start_matches_standalone(bench):
 
 def test_wsm_front_validation(level3):
     problem, mesh, system = level3
-    with pytest.raises(ValueError):
-        wsm_front(problem, system, 1)
+    for l_max in [1, 3.5, np.float64(4.0), "4"]:  # range() raised TypeError on the fractional sizes
+        with pytest.raises(ValueError, match="front sizes"):
+            wsm_front(problem, system, l_max)
     with pytest.raises(ValueError):
         wsm_front(problem, system, 5, eps=0.7)
 
@@ -509,8 +510,10 @@ def test_rpm_front_entries_dominate_their_reference(bench):
 
 def test_rpm_front_validation(level3):
     problem, mesh, system = level3
-    with pytest.raises(ValueError):
-        rpm_front(problem, system, 1, 0.2, 0.2)
+    # the loop bound ell <= l_max - 1 admitted 4 entries for 3.5 and 5 for 4.0
+    for l_max in [1, 3.5, np.float64(4.0), "4"]:
+        with pytest.raises(ValueError, match="front sizes"):
+            rpm_front(problem, system, l_max, 0.2, 0.2)
     for h_perp, h_par in [(-0.1, 0.2), (np.nan, 0.2), (0.2, np.nan), (np.inf, 0.2)]:
         with pytest.raises(ValueError):
             rpm_front(problem, system, 5, h_perp, h_par)
