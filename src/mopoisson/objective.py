@@ -10,6 +10,7 @@ control-cost term.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -24,6 +25,7 @@ __all__ = [
     "solve_adjoints",
     "greens_function_means",
     "eval_objectives",
+    "gradient_map",
     "grad_wsm",
     "grad_rpm",
 ]
@@ -196,15 +198,39 @@ def _weighted_gradient(greens: np.ndarray, r: np.ndarray, u: np.ndarray, c: np.n
     return np.add(g, lam * u, out=g)
 
 
-def grad_wsm(problem: ProblemData, greens: np.ndarray, r: np.ndarray, u: np.ndarray, alpha) -> np.ndarray:
-    """Gradient representer of the weighted-sum objective: coefficients ``alpha``."""
-    return _weighted_gradient(greens, r, u, *_coefficients(problem, *_check_weights(alpha)))
+def gradient_map(
+    problem: ProblemData, greens: np.ndarray, area: float, method: str, parameter
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The map ``u -> G^T (c r) + lam u`` of the scalarization ``method`` at ``parameter``.
+
+    ``method`` "wsm" takes the weights ``alpha = parameter`` as coefficients,
+    fixed here, so its evaluations form only the residuals and the gradient;
+    otherwise ``zeta = parameter`` and the coefficients ``j - zeta`` come from
+    :func:`eval_objectives` in every evaluation.  ``parameter`` is taken as
+    checked.  The BB loop of every solve and :func:`grad_wsm`/:func:`grad_rpm`
+    run this one map.
+    """
+    if method == "wsm":
+        c, lam = _coefficients(problem, *parameter)
+
+        def evaluate_control(u: np.ndarray):
+            return _weighted_gradient(greens, _residuals(problem, greens, area, u), u, c, lam)
+
+    else:
+        z1, z2 = parameter
+
+        def evaluate_control(u: np.ndarray):
+            r, j = eval_objectives(problem, greens, area, u)
+            return _weighted_gradient(greens, r, u, *_coefficients(problem, j.j1 - z1, j.j2 - z2))
+
+    return evaluate_control
 
 
-def grad_rpm(
-    problem: ProblemData, greens: np.ndarray, r: np.ndarray, u: np.ndarray, zeta, j: ObjectivePair
-) -> np.ndarray:
-    """Gradient representer of the reference-point distance: coefficients ``j - zeta``."""
-    return _weighted_gradient(
-        greens, r, u, *_coefficients(problem, j.j1 - float(zeta[0]), j.j2 - float(zeta[1]))
-    )
+def grad_wsm(problem: ProblemData, greens: np.ndarray, area: float, u: np.ndarray, alpha) -> np.ndarray:
+    """Gradient representer of the weighted-sum objective at ``u``: coefficients ``alpha``."""
+    return gradient_map(problem, greens, area, "wsm", _check_weights(alpha))(u)
+
+
+def grad_rpm(problem: ProblemData, greens: np.ndarray, area: float, u: np.ndarray, zeta) -> np.ndarray:
+    """Gradient representer of the reference-point distance at ``u``: coefficients ``j(u) - zeta``."""
+    return gradient_map(problem, greens, area, "rpm", _check_reference_point(zeta))(u)

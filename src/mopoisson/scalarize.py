@@ -23,10 +23,8 @@ from .objective import (
     ProblemData,
     _check_reference_point,
     _check_weights,
-    _coefficients,
-    _residuals,
-    _weighted_gradient,
     eval_objectives,
+    gradient_map,
     greens_function_means,
 )
 
@@ -229,11 +227,10 @@ def _start_values(mesh: TriMesh, bounds: BoxBounds, u_start: np.ndarray | None) 
     return np.clip(values, bounds.ua, bounds.ub)
 
 
-def _offset_values(values: np.ndarray, bounds: BoxBounds) -> np.ndarray:
-    """``values`` moved up by a uniform in-box ``delta``, or down where up leaves the box."""
-    delta = 1e-2 * min(1.0, bounds.ub - bounds.ua)
+def _offset_values(values: np.ndarray, delta: float, ub: float) -> np.ndarray:
+    """``values`` moved up by ``delta``, or down where up passes ``ub``."""
     offset = values + delta
-    return np.subtract(values, delta, out=offset, where=offset > bounds.ub)
+    return np.subtract(values, delta, out=offset, where=offset > ub)
 
 
 def _solve(
@@ -251,18 +248,19 @@ def _solve(
     The problem's first solve at a mesh level computes the Green's function
     means there, one solve per observation point, and keeps them on the
     problem; those solves are the report's ``solve_count``, which is 0 for
-    every later solve at that level.  Each evaluation forms the residuals
-    ``r`` of the values ``u`` from the means ``G`` with one mat-vec and the
-    gradient ``G^T (c r) + lam u`` with another.  The weighted-sum
-    coefficients are fixed, so those evaluations skip the objective pair;
-    the reference-point coefficients ``j - zeta`` need it in every
-    evaluation.  For both, the report's pair is formed once, from the
-    returned control.
+    every later solve at that level.  The BB loop runs the
+    :func:`~mopoisson.objective.gradient_map` of the means; the report's
+    pair is formed once, from the returned control.  The offset is a
+    hundredth of the box width, at most 1e-2, and at least four float
+    spacings of the bounds, so it moves every value in the box; a box
+    narrower than two offsets is refused.
     """
     config = config or BBConfig()
     bounds = problem.bounds
-    if not bounds.ub > bounds.ua:
-        raise ValueError("box bounds must have a nonempty interior")
+    ua, ub = bounds.ua, bounds.ub
+    delta = max(1e-2 * min(1.0, ub - ua), 4.0 * float(np.spacing(max(abs(ua), abs(ub)))))
+    if not ub - ua >= 2.0 * delta:
+        raise ValueError(f"box bounds {ua!r},{ub!r} are too narrow to hold two distinct starting controls")
     mesh = system.mesh
     own = mesh.level not in problem._greens
     if own:
@@ -270,27 +268,14 @@ def _solve(
     greens = problem._greens[mesh.level]
     area = mesh.element_area
 
-    if method == "wsm":
-        c, lam = _coefficients(problem, *parameter)
-
-        def evaluate_control(u: np.ndarray):
-            return _weighted_gradient(greens, _residuals(problem, greens, area, u), u, c, lam)
-
-    else:
-        z1, z2 = parameter
-
-        def evaluate_control(u: np.ndarray):
-            r, j = eval_objectives(problem, greens, area, u)
-            return _weighted_gradient(greens, r, u, *_coefficients(problem, j.j1 - z1, j.j2 - z2))
-
     # Both starting controls are call temporaries with no name here, so the
     # loop can free them (see bb_projected_gradient); the start is clipped
     # twice rather than kept alive for the offset.
     report = bb_projected_gradient(
         problem,
-        evaluate_control,
+        gradient_map(problem, greens, area, method, parameter),
         _start_values(mesh, bounds, u_start),
-        _offset_values(_start_values(mesh, bounds, u_start), bounds),
+        _offset_values(_start_values(mesh, bounds, u_start), delta, ub),
         config,
     )
     report.objectives = eval_objectives(problem, greens, area, report.control)[1]

@@ -13,18 +13,11 @@ import math
 
 import numpy as np
 
-from mopoisson import (
-    ObjectivePair,
-    SolveReport,
-    assemble_load_pwc,
-    assemble_point_load,
-    evaluate,
-    pi0_project,
-    solve_adjoints,
-    solve_spd,
-    solve_state,
-)
+from mopoisson.control import pi0_project
+from mopoisson.fem import assemble_load_pwc, assemble_point_load, evaluate, solve_spd
 from mopoisson.mesh import locate_point
+from mopoisson.objective import ObjectivePair, solve_adjoints, solve_state
+from mopoisson.scalarize import SolveReport
 
 # 3-point interior Gauss rule on the triangle, exact for quadratics.
 _GAUSS_BARY = np.array([
@@ -411,9 +404,9 @@ def mutually_nondominated(objectives: np.ndarray, slack: float = 1e-8) -> bool:
 def clip_and_where_starting_pair(bounds, mesh, u_start):
     """The solver's starting pair built with fresh arrays: ``u_start`` (zero if
     absent) clipped to the box, and that moved up by ``delta``, or down where
-    up leaves the box."""
+    up leaves the box; ``delta`` is at least four float spacings of the bounds."""
     u0 = clip(np.zeros(mesh.num_triangles) if u_start is None else u_start, bounds)
-    delta = 1e-2 * min(1.0, bounds.ub - bounds.ua)
+    delta = max(1e-2 * min(1.0, bounds.ub - bounds.ua), 4 * np.spacing(max(abs(bounds.ua), abs(bounds.ub))))
     return u0, np.where(u0 + delta <= bounds.ub, u0 + delta, u0 - delta)
 
 

@@ -14,10 +14,7 @@ import pytest
 
 from mopoisson import (
     ExperimentConfig,
-    assemble_stiffness,
     benchmark_problem,
-    build_uniform_mesh,
-    l2_error,
     run_convergence_rpm,
     run_convergence_wsm,
     rpm_front,
@@ -26,6 +23,9 @@ from mopoisson import (
     solve_wsm,
     wsm_front,
 )
+from mopoisson.control import l2_error
+from mopoisson.fem import assemble_stiffness
+from mopoisson.mesh import build_uniform_mesh
 from oracles import (
     central_difference,
     clip,

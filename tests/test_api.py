@@ -3,6 +3,7 @@ import importlib
 import pkgutil
 import re
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -12,8 +13,16 @@ import mopoisson
 ORACLES = Path(__file__).resolve().parent / "oracles.py"
 # The solver's evaluation formulas; the oracles recompute all of them by the PDE route.
 SOLVER_FORMULAS = {
-    "eval_objectives", "grad_wsm", "grad_rpm", "greens_function_means",
+    "eval_objectives", "gradient_map", "grad_wsm", "grad_rpm", "greens_function_means",
     "_residuals", "_coefficients", "_weighted_gradient",
+}
+# The study API the package exports: entry points, the inputs a caller builds
+# and the error a caller catches.  Layer functions are imported from their modules.
+PACKAGE_API = {
+    "BBConfig", "BoxBounds", "ExperimentConfig", "ProblemData", "SolverError",
+    "benchmark_problem", "export_csv", "ideal_vector", "read_control", "rpm_front",
+    "run_convergence_rpm", "run_convergence_wsm", "run_front", "shared_system",
+    "solve_rpm", "solve_wsm", "wsm_front", "write_control",
 }
 
 
@@ -26,6 +35,11 @@ def test_oracles_share_no_formula_with_the_solver():
         elif isinstance(node, ast.Attribute):
             used.add(node.attr)
     assert not used & SOLVER_FORMULAS
+
+
+def test_package_exports_only_the_study_api():
+    exported = {n for n, v in vars(mopoisson).items() if not n.startswith("_") and not isinstance(v, types.ModuleType)}
+    assert exported == PACKAGE_API
 
 
 @pytest.mark.parametrize("name", [m.name for m in pkgutil.iter_modules(mopoisson.__path__)])

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 import mopoisson
-from mopoisson import ExperimentConfig, ParetoFront, benchmark_problem, experiments, read_control
+from mopoisson import ExperimentConfig, benchmark_problem, experiments, read_control
 from mopoisson.cli import _build_parser, _experiment_config, main
+from mopoisson.scalarize import ParetoFront
 
 
 def test_solve_wsm_writes_control_and_reports(tmp_path, capsys):
@@ -108,6 +109,26 @@ def test_overflow_scale_input_exits_two_without_warning(tmp_path, capsys, args):
         assert main(args + ["--level", "3", "--out", str(tmp_path)]) == 2
     assert "at most 1e+100" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("args, code", [
+    (["solve-wsm", "--alpha", "0.5,0.5", "--bounds=1e15,2e15"], 0),
+    (["solve-wsm", "--alpha", "0.5,0.5", "--bounds=-2e15,-1e15"], 0),
+    (["solve-rpm", "--zeta", "1,1", "--bounds=1e16,1e17"], 0),
+    # no float lies strictly between these bounds, so no second starting control fits
+    (["solve-wsm", "--alpha", "0.5,0.5", "--bounds=1,1.0000000000000002"], 2),
+])
+def test_box_away_from_zero_is_solved_or_refused_as_too_narrow(tmp_path, capsys, args, code):
+    assert main(args + ["--level", "3", "--out", str(tmp_path)]) == code
+    captured = capsys.readouterr()
+    if code == 0:
+        assert "converged=True" in captured.out
+        ua, ub = (float(b) for b in args[-1].split("=")[1].split(","))
+        values = read_control(next(tmp_path.glob("*.ctrl")), 3)
+        assert ua <= values.min() and values.max() <= ub
+    else:
+        assert "box bounds 1.0,1.0000000000000002 are too narrow" in captured.err
+        assert not list(tmp_path.iterdir())
 
 
 def test_unknown_subcommand_exits_two():

@@ -7,15 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mopoisson import (
-    BoxBounds,
-    build_uniform_mesh,
-    l2_error,
-    pi0_project,
-    prolong,
-    read_control,
-    write_control,
-)
+from mopoisson import BoxBounds, read_control, write_control
+from mopoisson.control import l2_error, pi0_project, prolong
+from mopoisson.mesh import build_uniform_mesh
 from oracles import l2_inner, l2_norm, mesh_nodes, mesh_triangles
 
 

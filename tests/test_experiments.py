@@ -7,10 +7,7 @@ import pytest
 from mopoisson import (
     BBConfig,
     ExperimentConfig,
-    ParetoFront,
     benchmark_problem,
-    build_uniform_mesh,
-    estimate_rate,
     export_csv,
     read_control,
     run_convergence_rpm,
@@ -18,7 +15,9 @@ from mopoisson import (
     run_front,
     write_control,
 )
-from mopoisson.experiments import ConvergenceTable, _cache_key, compute_front, solve_at_level
+from mopoisson.experiments import ConvergenceTable, _cache_key, compute_front, estimate_rate, solve_at_level
+from mopoisson.mesh import build_uniform_mesh
+from mopoisson.scalarize import ParetoFront
 
 PUBLISHED_H = [2.0 ** -k for k in (2, 3, 4, 5)]
 PUBLISHED_WSM_ERRORS = [0.727125, 0.399550, 0.209558, 0.107604]
@@ -97,7 +96,7 @@ def test_reference_cache_round_trip(tmp_path):
     cache_files[0].unlink()
     table_second = run_convergence_wsm(config, [(0.5, 0.5)])
     recomputed = read_control(sorted((tmp_path / "cache").glob("wsm_*.ctrl"))[0], 4)
-    from mopoisson import l2_error
+    from mopoisson.control import l2_error
 
     assert l2_error(cached, recomputed) <= 1e-10
     assert np.allclose(table_first.errors, table_second.errors, atol=1e-10)
@@ -225,7 +224,9 @@ def test_text_era_cache_file_is_never_read_or_removed(tmp_path):
 
 
 def test_shared_system_under_concurrent_first_calls(race, rng):
-    from mopoisson import assemble_stiffness, build_uniform_mesh, shared_system, solve_spd
+    from mopoisson import shared_system
+    from mopoisson.fem import assemble_stiffness, solve_spd
+    from mopoisson.mesh import build_uniform_mesh
 
     rhss = rng.normal(size=(8, (2 ** 6 - 1) ** 2))
     results = [None] * 8

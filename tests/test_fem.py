@@ -6,16 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mopoisson import (
-    SolverError,
-    assemble_load_pwc,
-    assemble_point_load,
-    assemble_stiffness,
-    build_uniform_mesh,
-    evaluate,
-    pi0_project,
-    solve_spd,
-)
+from mopoisson import SolverError
+from mopoisson.control import pi0_project
+from mopoisson.fem import assemble_load_pwc, assemble_point_load, assemble_stiffness, evaluate, solve_spd
+from mopoisson.mesh import build_uniform_mesh
 from oracles import (
     dense_stiffness_full,
     dense_stiffness_interior,

@@ -13,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mopoisson
-from mopoisson import MAX_LEVEL, build_uniform_mesh, l2_error, prolong, write_control
-from mopoisson.mesh import locate_point, mesh_of, triangle_nodes
+from mopoisson import write_control
+from mopoisson.control import l2_error, prolong
+from mopoisson.mesh import MAX_LEVEL, build_uniform_mesh, locate_point, mesh_of, triangle_nodes
 from oracles import (
     brute_force_locate,
     interior_mask,
@@ -259,7 +260,8 @@ def test_fine_mesh_and_control_read_stay_small(tmp_path):
     write_control(np.zeros(2 * 4 ** 9), path)
     code = (
         "import resource, sys\n"
-        "from mopoisson import build_uniform_mesh, read_control\n"
+        "from mopoisson import read_control\n"
+        "from mopoisson.mesh import build_uniform_mesh\n"
         "base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
         "build_uniform_mesh(10)\n"
         "assert read_control(sys.argv[1], 9).shape == (2 * 4 ** 9,)\n"

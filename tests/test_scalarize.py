@@ -11,19 +11,18 @@ from mopoisson import (
     BoxBounds,
     ProblemData,
     SolverError,
-    assemble_stiffness,
-    bb_projected_gradient,
     benchmark_problem,
-    build_uniform_mesh,
     ideal_vector,
-    l2_error,
-    next_reference_point,
     rpm_front,
     solve_rpm,
     solve_wsm,
     wsm_front,
 )
+from mopoisson.control import l2_error
+from mopoisson.fem import assemble_stiffness
+from mopoisson.mesh import build_uniform_mesh
 from mopoisson.objective import ObjectivePair, eval_objectives, grad_rpm, grad_wsm, greens_function_means
+from mopoisson.scalarize import bb_projected_gradient, next_reference_point
 from oracles import (
     MESH_SYMMETRIES,
     clip,
@@ -373,11 +372,8 @@ def test_reduced_route_matches_pde_route(bench, system_for, rng, level):
         for _ in range(3):
             u = rng.uniform(problem.bounds.ua, problem.bounds.ub, mesh.num_triangles)
             g_pde, j_pde = pde(u), pde_objectives(problem, system, u)[0]
-            r, j = eval_objectives(problem, greens, mesh.element_area, u)
-            if kind == "wsm":
-                g = grad_wsm(problem, greens, r, u, parameter)
-            else:
-                g = grad_rpm(problem, greens, r, u, parameter, j)
+            j = eval_objectives(problem, greens, mesh.element_area, u)[1]
+            g = (grad_wsm if kind == "wsm" else grad_rpm)(problem, greens, mesh.element_area, u, parameter)
             assert j.as_array() == pytest.approx(j_pde.as_array(), rel=1e-12, abs=0)
             assert np.abs(g - g_pde).max() <= 1e-12 * np.abs(g_pde).max()
         # the solver's BB run against BB on the PDE route from the solver's starts
