@@ -12,7 +12,7 @@ import numpy as np
 from numpy.lib import format as npy
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .mesh import TriMesh, mesh_of
+from .mesh import TriMesh, build_uniform_mesh, mesh_of
 
 __all__ = [
     "BoxBounds",
@@ -114,9 +114,10 @@ def read_control(path, level: int) -> np.ndarray:
 
     The header, including that the count is that level's, is checked
     before any value is read; nothing is ever unpickled or memory-mapped.
-    Every fault of the file raises :class:`ValueError`.
+    Every fault of the file, and a level that no mesh has, raises
+    :class:`ValueError`.
     """
-    count = 2 * 4 ** level
+    count = build_uniform_mesh(level).num_triangles
     with open(path, "rb") as fh:
         try:
             if npy.read_magic(fh) != (1, 0):  # np.save's version for a 1-D float64 array

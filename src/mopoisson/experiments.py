@@ -181,9 +181,7 @@ def _reference_control(
     a control of another level, is a miss that is recomputed and overwritten.
     """
     level = _reference_level(config)
-    cache_dir = config.output_dir / "cache"
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    path = cache_dir / f"{method}_{_cache_key(config, method, parameter, level)}.ctrl"
+    path = config.output_dir / "cache" / f"{method}_{_cache_key(config, method, parameter, level)}.ctrl"
     if path.exists():
         try:
             return read_control(path, level)
@@ -192,6 +190,7 @@ def _reference_control(
     report = solve_at_level(config, method, parameter, level)
     if not report.converged:
         return None
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         write_control(report.control, tmp)

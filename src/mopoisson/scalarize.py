@@ -17,7 +17,7 @@ import numpy as np
 
 from .control import BoxBounds
 from .fem import LINEAR_TOL, SolverError, StiffnessSystem
-from .mesh import TriMesh, mesh_of
+from .mesh import TriMesh
 from .objective import (
     ObjectivePair,
     ProblemData,
@@ -113,23 +113,23 @@ def _check_sweep(l_max, eps: float, *offsets: float) -> None:
     _check_eps(eps)
 
 
-def _require_feasible(u: np.ndarray, bounds: BoxBounds, name: str) -> None:
-    # min and max are NaN if a value is, and then both comparisons fail
-    if not (bounds.ua <= u.min() and u.max() <= bounds.ub):
-        raise ValueError(f"{name} must lie within the box bounds")
-
-
 def bb_projected_gradient(
-    problem: ProblemData,
     grad_eval: GradEval,
-    u0: np.ndarray,
-    u_minus1: np.ndarray,
+    mesh: TriMesh,
+    bounds: BoxBounds,
     config: BBConfig,
+    u_start: np.ndarray | None = None,
 ) -> SolveReport:
     """Box-projected Barzilai-Borwein iteration for a scalarized objective.
 
-    ``grad_eval`` maps control values to the values of their gradient
-    representer; the report's ``objectives`` is None.
+    ``grad_eval`` maps control values on ``mesh`` to the values of their
+    gradient representer; the report's ``objectives`` is None.
+    The two-point iteration starts from ``u_start`` (zero if absent)
+    clipped to ``bounds``, and from that start moved up by ``delta``, or
+    down where up passes ``ub``; a start holding a NaN is refused.  The
+    offset ``delta`` is a hundredth of the box width, at most 1e-2, and at
+    least four float spacings of the bounds, so it moves every value in the
+    box; a box narrower than two offsets is refused.
     Iterates follow ``u <- clip(u - (1/t) g)`` with the BB quotient ``t =
     |dg|^2 / (dg, du)``; the loop stops once the step-to-unit-step
     gap ``|u_next - clip(u - g)|`` and the fixed-point residual of the
@@ -139,28 +139,27 @@ def bb_projected_gradient(
     ``tol``, and in the last pass, whose residual the report of an
     exhausted loop holds.
     Degenerate or nonpositive curvature denominators fall back to a unit
-    step and are counted in the report.  The starting values and the
-    gradients of ``grad_eval`` are never written.
+    step and are counted in the report.  ``u_start`` and the gradients of
+    ``grad_eval`` are never written.
 
-    The loop drops its references to ``u0`` and ``u_minus1`` once it has
-    read them, and each previous iterate and gradient
-    right after their last read: at most six N-vectors are alive.  On
-    CPython >= 3.11 a Python-to-Python call hands the caller's argument
-    references to the callee, so starting controls that the caller built
-    as call temporaries are freed two iterations in; on 3.10 the caller's
-    evaluation stack keeps them alive for the whole call.
+    The loop owns both starting arrays and drops each previous iterate and
+    gradient right after their last read: at most six N-vectors are alive.
     """
-    bounds = problem.bounds
-    _require_feasible(u0, bounds, "u0")
-    _require_feasible(u_minus1, bounds, "u_minus1")
-    if np.array_equal(u0, u_minus1):
-        raise ValueError("the two starting iterates must differ")
-
-    area = mesh_of(u0).element_area
     ua, ub = bounds.ua, bounds.ub
+    delta = max(1e-2 * min(1.0, ub - ua), 4.0 * float(np.spacing(max(abs(ua), abs(ub)))))
+    if not ub - ua >= 2.0 * delta:
+        raise ValueError(f"box bounds {ua!r},{ub!r} are too narrow to hold two distinct starting controls")
+    u = np.broadcast_to(0.0, mesh.num_triangles) if u_start is None else u_start
+    if np.shape(u) != (mesh.num_triangles,):
+        raise ValueError(f"u_start of shape {np.shape(u)} is no control of level {mesh.level}")
+    u = np.clip(u, ua, ub)
+    if math.isnan(u.min()):  # min is NaN if a value is
+        raise ValueError("u_start holds a NaN value")
+    u_prev = u + delta
+    np.subtract(u, delta, out=u_prev, where=u_prev > ub)
+
+    area = mesh.element_area
     tol, max_iter = config.tol, config.max_iter
-    u_prev, u = u_minus1, u0
-    del u0, u_minus1
     g_prev = grad_eval(u_prev)
     g = grad_eval(u)
 
@@ -219,20 +218,6 @@ def bb_projected_gradient(
     )
 
 
-def _start_values(mesh: TriMesh, bounds: BoxBounds, u_start: np.ndarray | None) -> np.ndarray:
-    """Fresh values of ``u_start`` clipped to the box; zero if absent."""
-    values = np.broadcast_to(0.0, mesh.num_triangles) if u_start is None else u_start
-    if np.shape(values) != (mesh.num_triangles,):
-        raise ValueError(f"u_start of shape {np.shape(values)} is no control of level {mesh.level}")
-    return np.clip(values, bounds.ua, bounds.ub)
-
-
-def _offset_values(values: np.ndarray, delta: float, ub: float) -> np.ndarray:
-    """``values`` moved up by ``delta``, or down where up passes ``ub``."""
-    offset = values + delta
-    return np.subtract(values, delta, out=offset, where=offset > ub)
-
-
 def _solve(
     problem: ProblemData,
     system: StiffnessSystem,
@@ -241,7 +226,7 @@ def _solve(
     method: str,
     parameter: tuple[float, float],
 ) -> SolveReport:
-    """BB iteration from ``u_start`` (zero if absent) and a uniform in-box offset of it.
+    """BB iteration of :func:`bb_projected_gradient` from ``u_start``.
 
     Minimizes ``alpha . j`` for ``method`` "wsm" with weights ``alpha =
     parameter``, else ``|j - zeta|^2 / 2`` with ``zeta = parameter``.
@@ -250,33 +235,16 @@ def _solve(
     problem; those solves are the report's ``solve_count``, which is 0 for
     every later solve at that level.  The BB loop runs the
     :func:`~mopoisson.objective.gradient_map` of the means; the report's
-    pair is formed once, from the returned control.  The offset is a
-    hundredth of the box width, at most 1e-2, and at least four float
-    spacings of the bounds, so it moves every value in the box; a box
-    narrower than two offsets is refused.
+    pair is formed once, from the returned control.
     """
-    config = config or BBConfig()
-    bounds = problem.bounds
-    ua, ub = bounds.ua, bounds.ub
-    delta = max(1e-2 * min(1.0, ub - ua), 4.0 * float(np.spacing(max(abs(ua), abs(ub)))))
-    if not ub - ua >= 2.0 * delta:
-        raise ValueError(f"box bounds {ua!r},{ub!r} are too narrow to hold two distinct starting controls")
     mesh = system.mesh
     own = mesh.level not in problem._greens
     if own:
         problem._greens[mesh.level] = greens_function_means(problem, system)
     greens = problem._greens[mesh.level]
     area = mesh.element_area
-
-    # Both starting controls are call temporaries with no name here, so the
-    # loop can free them (see bb_projected_gradient); the start is clipped
-    # twice rather than kept alive for the offset.
     report = bb_projected_gradient(
-        problem,
-        gradient_map(problem, greens, area, method, parameter),
-        _start_values(mesh, bounds, u_start),
-        _offset_values(_start_values(mesh, bounds, u_start), delta, ub),
-        config,
+        gradient_map(problem, greens, area, method, parameter), mesh, problem.bounds, config or BBConfig(), u_start
     )
     report.objectives = eval_objectives(problem, greens, area, report.control)[1]
     report.solve_count = len(greens) if own else 0

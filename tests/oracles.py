@@ -410,16 +410,16 @@ def clip_and_where_starting_pair(bounds, mesh, u_start):
     return u0, np.where(u0 + delta <= bounds.ub, u0 + delta, u0 - delta)
 
 
-def reference_bb(problem, grad_eval, u0, u_minus1, config, checks=None) -> SolveReport:
+def reference_bb(bounds, grad_eval, u0, u_minus1, config, checks=None) -> SolveReport:
     """The projected BB loop of ``bb_projected_gradient``, one fresh array per operation.
 
     Same iterates, step rule, fallback and stopping test, written without
     any in-place update and forming the fixed-point residual in every pass,
     so the solver's buffer reuse and its residual skipping are checked
-    against it.  ``checks``, if given, receives the ``(step_gap,
-    fp_residual)`` pair of every stopping test.
+    against it.  It runs from the explicit pair ``u0``, ``u_minus1``, such as
+    that of :func:`clip_and_where_starting_pair`.  ``checks``, if given,
+    receives the ``(step_gap, fp_residual)`` pair of every stopping test.
     """
-    bounds = problem.bounds
     area = 1.0 / len(u0)
     u_prev, u = u_minus1, u0
     g_prev = grad_eval(u_prev)

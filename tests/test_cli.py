@@ -41,6 +41,9 @@ def test_invalid_arguments_exit_two(tmp_path, capsys):
     assert main(["solve-wsm", "--alpha", "0.5,0.5", "--bounds", "5,1", "--out", str(tmp_path)]) == 2
     # equal bounds pass the box check but leave no interior to iterate in
     assert main(["solve-wsm", "--alpha", "0.5,0.5", "--bounds=1,1", "--level", "2", "--out", str(tmp_path)]) == 2
+    # a study refused by its first reference solve makes no cache directory
+    study = ["convergence", "--method", "wsm", "--levels", "2,3", "--ref-level", "4"]
+    assert main(study + ["--bounds=1,1", "--out", str(tmp_path / "o")]) == 2
     # eps >= 0.5 would swap the sweep endpoints
     for command in (["front", "--method", "rpm", "--ref-level", "2"], ["ideal-vector"]):
         assert main(command + ["--eps", "0.7", "--level", "2", "--out", str(tmp_path)]) == 2

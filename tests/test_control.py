@@ -214,6 +214,12 @@ def test_read_control_rejects_malformed(tmp_path):
         level = 0 if name.endswith(("nan", "inf")) else 1  # the two-value cases hold a level-0 count
         with pytest.raises(ValueError, match=f"bad-{name}.ctrl"):
             read_control(path, level)
+    good = tmp_path / "good.ctrl"
+    good.write_bytes(complete)
+    for level, message in [(np.float64(1.0), "not an integer"), (2.5, "not an integer"), (-1, "nonnegative"),
+                           (15, "exceeds the supported cap")]:
+        with pytest.raises(ValueError, match=message):
+            read_control(good, level)
 
 
 def test_python2_header_is_rejected_under_default_warning_filters(tmp_path):

@@ -78,6 +78,13 @@ def test_config_validation(tmp_path):
     assert config.levels == (2, 3) and type(config.levels[0]) is int
 
 
+def test_convergence_study_without_reference_level_is_refused(tmp_path):
+    config = small_config(benchmark_problem(), tmp_path, reference_level=None)
+    with pytest.raises(ValueError, match="needs a reference level"):
+        run_convergence_wsm(config, [(0.5, 0.5)])
+    assert not list(tmp_path.iterdir())
+
+
 def test_wsm_convergence_small_study(tmp_path):
     config = small_config(benchmark_problem(), tmp_path)
     table = run_convergence_wsm(config, [(0.5, 0.5)])

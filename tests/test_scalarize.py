@@ -100,9 +100,8 @@ def test_quadratic_surrogate_converges_in_three_iterations(level3):
     def grad(u):
         return lam * u
 
-    u0 = np.full(mesh.num_triangles, 5.0)
-    u_minus1 = np.full(mesh.num_triangles, 5.01)
-    report = bb_projected_gradient(problem, grad, u0, u_minus1, BBConfig())
+    # the loop's second start is 5.01: the box -7 <= u <= 15 gives the offset 1e-2
+    report = bb_projected_gradient(grad, mesh, problem.bounds, BBConfig(), np.full(mesh.num_triangles, 5.0))
     assert report.converged
     assert report.iterations <= 3
     assert np.abs(report.control).max() <= 1e-10
@@ -244,15 +243,42 @@ def test_reports_are_bit_identical_across_runs(bench):
     assert (a.iterations, a.fallback_steps) == (b.iterations, b.fallback_steps)
 
 
-def test_solver_requires_distinct_feasible_starts(level3):
+def test_nan_start_is_refused_and_infinite_values_are_clipped(level3):
     problem, mesh, system = level3
-    u = clip(np.zeros(mesh.num_triangles), problem.bounds)
-    grad = lambda v: v
-    with pytest.raises(ValueError):
-        bb_projected_gradient(problem, grad, u, u, BBConfig())
-    outside = np.full(mesh.num_triangles, 100.0)
-    with pytest.raises(ValueError):
-        bb_projected_gradient(problem, grad, outside, u, BBConfig())
+    bounds = problem.bounds
+    start = np.zeros(mesh.num_triangles)
+    start[5] = np.nan
+    with pytest.raises(ValueError, match="u_start"):
+        bb_projected_gradient(lambda u: u, mesh, bounds, BBConfig(), start)
+    start[5], start[6] = np.inf, -np.inf
+    clipped = start.copy()
+    clipped[5], clipped[6] = bounds.ub, bounds.ua
+    for solve, parameter in [(solve_wsm, (0.5, 0.5)), (solve_rpm, (16.5, 1.5))]:
+        start[7] = np.nan
+        with pytest.raises(ValueError, match="u_start"):
+            solve(problem, system, parameter, u_start=start)
+        start[7] = 0.0
+        assert _outcome(solve(problem, system, parameter, u_start=start)) == _outcome(
+            solve(problem, system, parameter, u_start=clipped))
+        assert start[5] == np.inf and start[6] == -np.inf  # the start is never written
+
+
+def test_solves_at_a_level_with_means_build_no_mesh(bench, system_for, monkeypatch):
+    mesh, system = system_for(4)
+    warm = solve_wsm(bench, system, (0.6, 0.4)).control  # the problem now holds the Green's means
+    calls = []
+
+    def counted(level):
+        calls.append(level)
+        return build_uniform_mesh(level)
+
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "mopoisson"]:
+        if getattr(module, "build_uniform_mesh", None) is build_uniform_mesh:
+            monkeypatch.setattr(module, "build_uniform_mesh", counted)
+    for solve, parameter in [(solve_wsm, (0.3, 0.7)), (solve_rpm, (16.5, 1.5))]:
+        for start in (None, warm):
+            assert solve(bench, system, parameter, u_start=start).converged
+    assert calls == []
 
 
 def test_warm_start_from_another_level_is_rejected(level3):
@@ -278,9 +304,7 @@ def test_constant_gradient_triggers_fallback(level3):
     def grad(u):
         return ones
 
-    u0 = clip(np.zeros(mesh.num_triangles), problem.bounds)
-    u_minus1 = np.full(mesh.num_triangles, 0.01)
-    report = bb_projected_gradient(problem, grad, u0, u_minus1, BBConfig(max_iter=50))
+    report = bb_projected_gradient(grad, mesh, problem.bounds, BBConfig(max_iter=50))
     assert report.fallback_steps >= 1
     assert report.converged
     assert np.all(report.control == problem.bounds.ua)
@@ -379,8 +403,7 @@ def test_reduced_route_matches_pde_route(bench, system_for, rng, level):
         # the solver's BB run against BB on the PDE route from the solver's starts
         solve = solve_wsm if kind == "wsm" else solve_rpm
         report = solve(problem, system, parameter)
-        u0 = np.zeros(mesh.num_triangles)
-        oracle = bb_projected_gradient(problem, pde, u0, u0 + 1e-2, BBConfig())
+        oracle = bb_projected_gradient(pde, mesh, problem.bounds, BBConfig())
         assert report.converged and oracle.converged
         assert (report.iterations, report.fallback_steps) == (oracle.iterations, oracle.fallback_steps)
         j_oracle = pde_objectives(problem, system, oracle.control)[0]
@@ -586,6 +609,11 @@ def _outcome(report):
             report.final_residual, report.converged)
 
 
+def _reference_from_start(grad_eval, mesh, bounds, config, u_start=None):
+    """``reference_bb`` from the pair of ``clip_and_where_starting_pair``, in the loop's signature."""
+    return reference_bb(bounds, grad_eval, *clip_and_where_starting_pair(bounds, mesh, u_start), config)
+
+
 @pytest.mark.parametrize("level", [3, 5])
 def test_in_place_bb_loop_is_exact(bench, system_for, monkeypatch, level):
     """Solver and allocate-per-operation reference agree bit for bit; no input array is written."""
@@ -597,19 +625,20 @@ def test_in_place_bb_loop_is_exact(bench, system_for, monkeypatch, level):
              for start in (None, warm)]
     inputs = []
 
-    def recording(problem, grad_eval, u0, u_minus1, config):
+    def recording(grad_eval, mesh, bounds, config, u_start=None):
         def recorded(u):
             g = grad_eval(u)
             inputs.append((g, g.copy()))
             return g
 
-        inputs.extend([(u0, u0.copy()), (u_minus1, u_minus1.copy())])
-        return bb_projected_gradient(problem, recorded, u0, u_minus1, config)
+        if u_start is not None:
+            inputs.append((u_start, u_start.copy()))
+        return bb_projected_gradient(recorded, mesh, bounds, config, u_start)
 
     monkeypatch.setattr(mopoisson.scalarize, "bb_projected_gradient", recording)
     solver = [_outcome(solve(bench, system, p, u_start=start)) for solve, p, start in cases]
     assert inputs and all(np.array_equal(array, copy) for array, copy in inputs)
-    monkeypatch.setattr(mopoisson.scalarize, "bb_projected_gradient", reference_bb)
+    monkeypatch.setattr(mopoisson.scalarize, "bb_projected_gradient", _reference_from_start)
     assert solver == [_outcome(solve(bench, system, p, u_start=start)) for solve, p, start in cases]
 
 
@@ -622,11 +651,10 @@ def test_in_place_bb_loop_is_exact_through_fallbacks(level3, rng):
     def grad(u):
         return sign * (u - target)
 
-    u0 = rng.uniform(-1.0, 1.0, mesh.num_triangles)
-    u_minus1 = rng.uniform(-1.0, 1.0, mesh.num_triangles)
+    start = rng.uniform(-1.0, 1.0, mesh.num_triangles)
     for config in (BBConfig(), BBConfig(max_iter=1), BBConfig(max_iter=2), BBConfig(max_iter=3)):
-        report = bb_projected_gradient(problem, grad, u0, u_minus1, config)
-        assert _outcome(report) == _outcome(reference_bb(problem, grad, u0, u_minus1, config))
+        report = bb_projected_gradient(grad, mesh, problem.bounds, config, start)
+        assert _outcome(report) == _outcome(_reference_from_start(grad, mesh, problem.bounds, config, start))
         assert report.fallback_steps >= (config.max_iter >= 3)  # the first fallback comes in the third pass
 
 
@@ -639,60 +667,12 @@ def test_residual_formed_without_stopping_is_exact(level3, max_iter):
     def grad(u):  # linear objective: unit fallback steps, so every gap after the first is 0
         return ones
 
-    u0 = np.zeros(mesh.num_triangles)
-    u_minus1 = np.full(mesh.num_triangles, 0.01)
     config = BBConfig(max_iter=max_iter)
     checks = []
-    reference = reference_bb(problem, grad, u0, u_minus1, config, checks)
+    reference = reference_bb(problem.bounds, grad, *clip_and_where_starting_pair(problem.bounds, mesh, None),
+                             config, checks)
     assert any(gap <= config.tol < residual for gap, residual in checks[:-1])
-    assert _outcome(bb_projected_gradient(problem, grad, u0, u_minus1, config)) == _outcome(reference)
-
-
-def _old_entry_check_rejects(bounds, v0, v1):
-    """The entry rule before the min/max form: clip and compare, then the equal-pair test."""
-    def infeasible(v):
-        return not np.array_equal(np.clip(v, bounds.ua, bounds.ub), v)
-
-    return infeasible(v0) or infeasible(v1) or np.array_equal(v0, v1)
-
-
-@st.composite
-def _entry_values(draw, ua, ub):
-    """Eight in-box values, in-box edges included, with at most one value injected from
-    NaN, signed zeros, infinities and the floats one ulp outside the box."""
-    edges = [v for v in (ua, ub, np.nextafter(ua, np.inf), np.nextafter(ub, -np.inf)) if ua <= v <= ub]
-    values = draw(st.lists(st.one_of(st.sampled_from(edges), st.floats(ua, ub)), min_size=8, max_size=8))
-    injected = [np.nan, 0.0, -0.0, np.inf, -np.inf, np.nextafter(ua, -np.inf), np.nextafter(ub, np.inf)]
-    if draw(st.booleans()):
-        values[draw(st.integers(0, 7))] = draw(st.sampled_from(injected))
-    return np.array(values)
-
-
-@st.composite
-def _entry_case(draw):
-    ua, ub = draw(st.sampled_from([(0.0, 1.0), (-1.0, 0.0), (-0.0, 0.0), (-7.0, 15.0), (0.5, 0.5)]))
-    v0 = draw(_entry_values(ua, ub))
-    v1 = v0.copy() if draw(st.integers(0, 3)) == 0 else draw(_entry_values(ua, ub))
-    return BoxBounds(ua, ub), v0, v1
-
-
-@settings(deadline=None, max_examples=200)
-@given(_entry_case())
-def test_entry_checks_reject_exactly_what_clip_and_compare_rejects(level3, case):
-    problem, _, _ = level3
-    bounds, v0, v1 = case
-    boxed = ProblemData(obs1=problem.obs1, y1=problem.y1, obs2=problem.obs2, y2=problem.y2,
-                        lambda1=problem.lambda1, lambda2=problem.lambda2, bounds=bounds)
-
-    def grad(u):
-        return np.zeros_like(u)
-
-    run = lambda: bb_projected_gradient(boxed, grad, v0, v1, BBConfig(max_iter=1))
-    if _old_entry_check_rejects(bounds, v0, v1):
-        with pytest.raises(ValueError):
-            run()
-    else:
-        run()
+    assert _outcome(bb_projected_gradient(grad, mesh, problem.bounds, config)) == _outcome(reference)
 
 
 @pytest.mark.parametrize("solve, parameter", [(solve_wsm, (0.3, 0.7)), (solve_rpm, (16.5, 1.5))])
@@ -704,16 +684,16 @@ def test_starting_pair_matches_the_clip_and_where_construction(bench, system_for
     warm = solve_wsm(bench, system, (0.6, 0.4)).control
     grad_evals = []
 
-    def recording(problem, grad_eval, u0, u_minus1, config):
+    def recording(grad_eval, mesh, bounds, config, u_start=None):
         grad_evals.append(grad_eval)
-        return bb_projected_gradient(problem, grad_eval, u0, u_minus1, config)
+        return bb_projected_gradient(grad_eval, mesh, bounds, config, u_start)
 
     monkeypatch.setattr(mopoisson.scalarize, "bb_projected_gradient", recording)
     greens = greens_function_means(bench, system)
     for start in (None, warm):
         report = solve(bench, system, parameter, u_start=start)
         pair = clip_and_where_starting_pair(bench.bounds, mesh, start)
-        reference = reference_bb(bench, grad_evals[-1], *pair, BBConfig())
+        reference = reference_bb(bench.bounds, grad_evals[-1], *pair, BBConfig())
         # the loop sees only gradients; the solver forms the pair from the returned control
         reference.objectives = eval_objectives(bench, greens, mesh.element_area, reference.control)[1]
         assert _outcome(report) == _outcome(reference)
@@ -733,10 +713,6 @@ def test_report_pair_is_the_pair_of_its_control(bench, system_for, level):
         assert report.objectives == eval_objectives(bench, greens, mesh.element_area, report.control)[1]
 
 
-@pytest.mark.skipif(
-    sys.version_info < (3, 11),
-    reason="before CPython 3.11 the caller's evaluation stack keeps the starting pair alive for the whole call",
-)
 def test_solve_peak_stays_within_six_control_vectors(bench, system_for):
     mesh, system = system_for(7)
     warm = solve_wsm(bench, system, (0.6, 0.4)).control  # the problem now holds the Green's means
