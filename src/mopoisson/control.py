@@ -12,7 +12,7 @@ import numpy as np
 from numpy.lib import format as npy
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .mesh import TriMesh, build_uniform_mesh, mesh_of
+from .mesh import MAX_LEVEL, TriMesh, build_uniform_mesh, level_of
 
 __all__ = [
     "BoxBounds",
@@ -44,12 +44,12 @@ class BoxBounds:
             raise ValueError("lower bound exceeds upper bound")
 
 
-def prolong(u: np.ndarray, fine: TriMesh) -> np.ndarray:
-    """Exact injection to a finer mesh of the family.
+def prolong(u: np.ndarray, level: int) -> np.ndarray:
+    """Exact injection to the mesh of level ``level``, at least that of ``u``.
 
     Each fine triangle inherits the value of its coarse ancestor, so the
     function is preserved pointwise and the L2 norm exactly.  With
-    ``s = 2**(fine.level - coarse.level)`` the fine values are viewed as
+    ``s = 2**(level - coarse level)`` the fine values are viewed as
     ``(nc, s, nc, s, 2)``: coarse row, row offset ``b``, coarse column,
     column offset ``a``, fine kind.  A fine triangle lies in the upper
     coarse triangle when ``b > a``, or when ``b == a`` and it is an upper
@@ -57,13 +57,13 @@ def prolong(u: np.ndarray, fine: TriMesh) -> np.ndarray:
     row ``b`` of a coarse cell thus reads ``2b`` upper values, one lower,
     one upper, then lower ones: the window at ``2(s - 1 - b)`` of one
     ``(4s - 2)``-long sequence per coarse cell.  The prolongation is one
-    strided copy of those windows; no index map is built or kept, and the
-    sequences take ``(2s - 1) / s**2`` of the fine vector.
+    strided copy of those windows; no index map or mesh is built or kept,
+    and the sequences take ``(2s - 1) / s**2`` of the fine vector.
     """
-    coarse = mesh_of(u)
-    if coarse.level > fine.level:
-        raise ValueError("coarse mesh must not be finer than the fine mesh")
-    nc, s = coarse.cells_per_side, 2 ** (fine.level - coarse.level)
+    coarse = level_of(u)
+    if not coarse <= level <= MAX_LEVEL:
+        raise ValueError(f"level {level!r} is not from the level {coarse} of the values to {MAX_LEVEL}")
+    nc, s = 2 ** coarse, 2 ** (level - coarse)
     lower, upper = u.reshape(nc, nc, 2, 1).transpose(2, 0, 1, 3)
     seq = np.empty((nc, nc, 4 * s - 2))
     seq[..., :2 * s] = upper
@@ -75,11 +75,10 @@ def prolong(u: np.ndarray, fine: TriMesh) -> np.ndarray:
 
 
 def l2_error(u_coarse: np.ndarray, u_ref: np.ndarray) -> float:
-    """L2 distance after prolonging the coarse control to the reference mesh."""
-    fine = mesh_of(u_ref)
-    diff = prolong(u_coarse, fine)  # a fresh gather, so subtract in place
+    """L2 distance after prolonging the coarse control to the reference mesh; both levels come from the lengths."""
+    diff = prolong(u_coarse, level_of(u_ref))  # a fresh gather, so subtract in place
     diff -= u_ref
-    return math.sqrt(fine.element_area * float(diff @ diff))
+    return math.sqrt(float(diff @ diff) / len(u_ref))  # |T| = 1 / len
 
 
 def pi0_project(mesh: TriMesh, nodal) -> np.ndarray:

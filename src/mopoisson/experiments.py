@@ -37,8 +37,9 @@ __all__ = [
 ]
 
 _FLOAT_FMT = ".9g"
-# Part of every cache key, so files of an older control format are misses.
-_CACHE_FORMAT = "npy1"
+# Part of every cache key, so files of an older control format, or from an
+# older solver whose controls differ in their last bits, are misses.
+_CACHE_FORMAT = "npy2"
 
 
 def benchmark_problem(lambda1: float = 0.1, lambda2: float = 0.1) -> ProblemData:

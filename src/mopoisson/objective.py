@@ -25,7 +25,8 @@ __all__ = [
     "solve_adjoints",
     "greens_function_means",
     "eval_objectives",
-    "gradient_map",
+    "gram_matrix",
+    "coefficient_map",
     "grad_wsm",
     "grad_rpm",
 ]
@@ -44,9 +45,9 @@ class ProblemData:
     control-cost weights of the two criteria.  These values and the box
     bounds are at most :data:`MAX_MAGNITUDE` in magnitude.  Instances
     are immutable (the arrays are read-only copies), so the Green's function
-    means of a mesh level, kept in ``_greens`` by the solver's first solve at
-    that level, stay valid for every later solve.  Racing first solves at
-    one level store equal means.  ``y`` stacks ``y1``, then ``y2``, in the
+    means of a mesh level and their Gram matrix, kept as a pair in
+    ``_greens`` by the solver's first solve at that level, stay valid for
+    every later solve.  Racing first solves at one level store equal pairs.  ``y`` stacks ``y1``, then ``y2``, in the
     row order of those means, and ``_point_set`` holds each row's criterion
     index (0 or 1).
     """
@@ -139,9 +140,13 @@ def greens_function_means(problem: ProblemData, system: StiffnessSystem) -> np.n
                      for x in points])
 
 
-def _residuals(problem: ProblemData, greens: np.ndarray, area: float, u: np.ndarray) -> np.ndarray:
-    """``r = |T| G u - y``: the state of ``u`` at ``obs1``, then ``obs2``, minus the desired values."""
-    return area * (greens @ u) - problem.y
+def _pair(problem: ProblemData, area: float, Gu: np.ndarray, uu: float) -> tuple:
+    """Residuals ``r = |T| Gu - y`` and the criteria ``j_k = |r_k|^2 / 2 + lambda_k |T| uu / 2`` from ``G u`` and ``u.u``."""
+    n1 = problem.y1.shape[0]
+    r = area * Gu - problem.y
+    r1, r2 = r[:n1], r[n1:]
+    un2 = area * uu
+    return r, 0.5 * r1.dot(r1) + 0.5 * problem.lambda1 * un2, 0.5 * r2.dot(r2) + 0.5 * problem.lambda2 * un2
 
 
 def eval_objectives(
@@ -153,14 +158,8 @@ def eval_objectives(
     the element area ``|T|``; ``r`` stacks the residuals at ``obs1``, then
     ``obs2``.  No solve happens here, keeping solve counts auditable.
     """
-    n1 = problem.y1.shape[0]
-    r = _residuals(problem, greens, area, u)
-    r1, r2 = r[:n1], r[n1:]
-    un2 = area * float(u @ u)
-    return r, ObjectivePair(
-        j1=0.5 * float(r1 @ r1) + 0.5 * problem.lambda1 * un2,
-        j2=0.5 * float(r2 @ r2) + 0.5 * problem.lambda2 * un2,
-    )
+    r, j1, j2 = _pair(problem, area, greens.dot(u), u.dot(u))
+    return r, ObjectivePair(j1=float(j1), j2=float(j2))
 
 
 def _check_weights(alpha) -> tuple[float, float]:
@@ -179,58 +178,48 @@ def _check_reference_point(zeta) -> tuple[float, float]:
     return z1, z2
 
 
-def _coefficients(problem: ProblemData, c1: float, c2: float) -> tuple[np.ndarray, float]:
-    """Per-point coefficients ``c`` of ``c1 j1 + c2 j2`` and its control-cost weight ``lam``."""
-    return np.array((c1, c2))[problem._point_set], c1 * problem.lambda1 + c2 * problem.lambda2
+def gram_matrix(greens: np.ndarray) -> np.ndarray:
+    """``M = G G^T``, the Gram matrix of the Green's means (``|G^T w|^2 = w.M w``), one gemv per row:
+    a level-3 product made OpenBLAS touch its GEMM buffer, 128 KiB more resident at level 5."""
+    return np.array([greens.dot(row) for row in greens])
 
 
-def _weighted_gradient(greens: np.ndarray, r: np.ndarray, u: np.ndarray, c: np.ndarray, lam: float) -> np.ndarray:
-    """Control-space gradient representer of ``c1 j1 + c2 j2``: ``G^T (c r) + lam u``.
+def coefficient_map(problem: ProblemData, area: float, method: str, parameter) -> tuple[Callable, bool]:
+    """The map ``(G u, u.u) -> (w, lam)`` of ``method`` at the checked ``parameter``, and whether ``lam`` moves.
 
-    Per triangle: ``sum_k c_k (mean_T(p_k) + lambda_k u_T)``, the unique
-    piecewise-constant function realizing the derivative against
-    piecewise-constant variations.  ``c`` and ``lam`` come from
-    :func:`_coefficients`; the adjoint means of both criteria come from one
-    mat-vec.
+    The gradient representer of ``c1 j1 + c2 j2`` at ``u``, per triangle
+    ``sum_k c_k (mean_T(p_k) + lambda_k u_T)``, is ``G^T w + lam u`` with
+    ``w = c r``, the residuals ``r = |T| G u - y``, ``c`` repeating ``(c1,
+    c2)`` over the two point sets and ``lam = c1 lambda1 + c2 lambda2``.
+    "wsm" takes the weights ``alpha = parameter``, so ``lam`` is fixed and
+    ``u.u`` unread; otherwise ``zeta = parameter`` and ``c = j - zeta``.  The
+    BB loop of every solve and :func:`grad_wsm`/:func:`grad_rpm` run this map.
     """
-    # G^T (c r) as np.dot(c r, G): one gemv on the row-major G
-    g = np.dot(r * c, greens)
-    return np.add(g, lam * u, out=g)
-
-
-def gradient_map(
-    problem: ProblemData, greens: np.ndarray, area: float, method: str, parameter
-) -> Callable[[np.ndarray], np.ndarray]:
-    """The map ``u -> G^T (c r) + lam u`` of the scalarization ``method`` at ``parameter``.
-
-    ``method`` "wsm" takes the weights ``alpha = parameter`` as coefficients,
-    fixed here, so its evaluations form only the residuals and the gradient;
-    otherwise ``zeta = parameter`` and the coefficients ``j - zeta`` come from
-    :func:`eval_objectives` in every evaluation.  ``parameter`` is taken as
-    checked.  The BB loop of every solve and :func:`grad_wsm`/:func:`grad_rpm`
-    run this one map.
-    """
+    point_set = problem._point_set
     if method == "wsm":
-        c, lam = _coefficients(problem, *parameter)
+        c, y = np.array(parameter)[point_set], problem.y
+        lam = parameter[0] * problem.lambda1 + parameter[1] * problem.lambda2
+        return (lambda Gu, uu: (c * (area * Gu - y), lam)), False
+    z1, z2 = parameter
 
-        def evaluate_control(u: np.ndarray):
-            return _weighted_gradient(greens, _residuals(problem, greens, area, u), u, c, lam)
+    def rpm(Gu: np.ndarray, uu: float) -> tuple:
+        r, j1, j2 = _pair(problem, area, Gu, uu)
+        c1, c2 = j1 - z1, j2 - z2
+        return np.array((c1, c2))[point_set] * r, c1 * problem.lambda1 + c2 * problem.lambda2
 
-    else:
-        z1, z2 = parameter
+    return rpm, True
 
-        def evaluate_control(u: np.ndarray):
-            r, j = eval_objectives(problem, greens, area, u)
-            return _weighted_gradient(greens, r, u, *_coefficients(problem, j.j1 - z1, j.j2 - z2))
 
-    return evaluate_control
+def _gradient(problem: ProblemData, greens: np.ndarray, area: float, u: np.ndarray, method: str, parameter):
+    w, lam = coefficient_map(problem, area, method, parameter)[0](greens.dot(u), u.dot(u))
+    return np.dot(w, greens) + lam * u
 
 
 def grad_wsm(problem: ProblemData, greens: np.ndarray, area: float, u: np.ndarray, alpha) -> np.ndarray:
     """Gradient representer of the weighted-sum objective at ``u``: coefficients ``alpha``."""
-    return gradient_map(problem, greens, area, "wsm", _check_weights(alpha))(u)
+    return _gradient(problem, greens, area, u, "wsm", _check_weights(alpha))
 
 
 def grad_rpm(problem: ProblemData, greens: np.ndarray, area: float, u: np.ndarray, zeta) -> np.ndarray:
     """Gradient representer of the reference-point distance at ``u``: coefficients ``j(u) - zeta``."""
-    return gradient_map(problem, greens, area, "rpm", _check_reference_point(zeta))(u)
+    return _gradient(problem, greens, area, u, "rpm", _check_reference_point(zeta))

@@ -23,8 +23,9 @@ from .objective import (
     ProblemData,
     _check_reference_point,
     _check_weights,
+    coefficient_map,
     eval_objectives,
-    gradient_map,
+    gram_matrix,
     greens_function_means,
 )
 
@@ -42,12 +43,8 @@ __all__ = [
     "ideal_vector",
 ]
 
-# Relative threshold below which the BB curvature denominator counts as
-# degenerate and the fallback step length ``1/t`` is used instead.
+# Relative BB curvature ``(dg, du) / (|dg| |du|)`` below which the unit step is taken instead.
 _CURVATURE_TOL = 1e-14
-_FALLBACK_STEP = 1.0
-
-GradEval = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass
@@ -114,42 +111,55 @@ def _check_sweep(l_max, eps: float, *offsets: float) -> None:
 
 
 def bb_projected_gradient(
-    grad_eval: GradEval,
+    greens: np.ndarray,
+    gram: np.ndarray,
+    coefficients: tuple[Callable, bool],
     mesh: TriMesh,
     bounds: BoxBounds,
     config: BBConfig,
     u_start: np.ndarray | None = None,
 ) -> SolveReport:
-    """Box-projected Barzilai-Borwein iteration for a scalarized objective.
+    """Box-projected Barzilai-Borwein iteration in adjoint form; the report's ``objectives`` is None.
 
-    ``grad_eval`` maps control values on ``mesh`` to the values of their
-    gradient representer; the report's ``objectives`` is None.
+    The gradient at ``u`` is ``g = G^T w + lam u``, where ``G`` is
+    ``greens``, ``gram`` is ``M = G G^T`` and ``coefficients`` is a map
+    ``(G u, u.u) -> (w, lam)`` with a flag that says whether ``lam`` moves
+    with ``u``; ``u.u`` is formed only then, and None is passed otherwise.
     The two-point iteration starts from ``u_start`` (zero if absent)
     clipped to ``bounds``, and from that start moved up by ``delta``, or
     down where up passes ``ub``; a start holding a NaN is refused.  The
     offset ``delta`` is a hundredth of the box width, at most 1e-2, and at
     least four float spacings of the bounds, so it moves every value in the
     box; a box narrower than two offsets is refused.
-    Iterates follow ``u <- clip(u - (1/t) g)`` with the BB quotient ``t =
-    |dg|^2 / (dg, du)``; the loop stops once the step-to-unit-step
-    gap ``|u_next - clip(u - g)|`` and the fixed-point residual of the
-    accepted iterate both fall below ``config.tol``.  Exhausting
-    ``max_iter`` returns a non-converged report instead of raising.  The
-    residual is formed only where it counts: in passes whose gap is below
-    ``tol``, and in the last pass, whose residual the report of an
-    exhausted loop holds.
-    Degenerate or nonpositive curvature denominators fall back to a unit
-    step and are counted in the report.  ``u_start`` and the gradients of
-    ``grad_eval`` are never written.
+    Iterates follow ``u <- clip(u - s g)`` with the BB step ``s = (dg, du)
+    / |dg|^2``, formed as ``clip((1 - s lam) u - s v)`` from ``v = G^T w``;
+    ``g`` is never formed.  The loop stops once the gap ``|u_next - clip((1
+    - lam) u - v)|`` to the unit step and the fixed-point residual of the
+    accepted iterate both fall below ``config.tol``; it forms the residual
+    only in passes whose gap is below ``tol`` and in the last pass, whose
+    residual the report of an exhausted loop holds.  Exhausting
+    ``max_iter`` returns a non-converged report instead of raising.
+    With ``du = u - u_prev``, ``Gdu = G u - G u_prev``, ``dw`` and
+    ``dlam``, ``dg = G^T dw + lam du + dlam u_prev``, so one ``N``-pass
+    gives ``du.du``, plus ``du.u_prev`` where ``lam`` changed, and the rest
+    is ``n_obs`` algebra::
 
-    The loop owns both starting arrays and drops each previous iterate and
-    gradient right after their last read: at most six N-vectors are alive.
+        (dg, du) = dw.Gdu + lam |du|^2 + dlam du.u_prev
+        |dg|^2   = dw.M dw + 2 dw.(lam Gdu + dlam G u_prev)
+                   + lam^2 |du|^2 + 2 lam dlam du.u_prev + dlam^2 |u_prev|^2
+
+    For fixed weights ``dlam`` is 0 and every term is nonnegative; where
+    ``lam`` moves (reference points) the ``dlam`` terms can cancel the
+    others.  A ``|dg|^2`` at or below 0, or a curvature ``(dg, du)`` below
+    ``1e-14 |dg| |du|``, takes a unit step, counted in the report.  The loop
+    owns four ``N``-vectors, the iterate, the previous one, ``v`` and a
+    spare, and writes every pass into them; ``u_start`` is never written.
     """
     ua, ub = bounds.ua, bounds.ub
     delta = max(1e-2 * min(1.0, ub - ua), 4.0 * float(np.spacing(max(abs(ua), abs(ub)))))
     if not ub - ua >= 2.0 * delta:
         raise ValueError(f"box bounds {ua!r},{ub!r} are too narrow to hold two distinct starting controls")
-    u = np.broadcast_to(0.0, mesh.num_triangles) if u_start is None else u_start
+    u = np.zeros(mesh.num_triangles) if u_start is None else u_start
     if np.shape(u) != (mesh.num_triangles,):
         raise ValueError(f"u_start of shape {np.shape(u)} is no control of level {mesh.level}")
     u = np.clip(u, ua, ub)
@@ -158,64 +168,62 @@ def bb_projected_gradient(
     u_prev = u + delta
     np.subtract(u, delta, out=u_prev, where=u_prev > ub)
 
-    area = mesh.element_area
-    tol, max_iter = config.tol, config.max_iter
-    g_prev = grad_eval(u_prev)
-    g = grad_eval(u)
+    rule, varying = coefficients
 
-    fallbacks = 0
-    iterations = 0
-    step_gap = math.inf
+    def evaluate(x: np.ndarray) -> tuple:  # G x, x.x (None for a fixed lam), w and lam
+        Gx, xx = greens.dot(x), x.dot(x) if varying else None
+        return (Gx, xx, *rule(Gx, xx))
+
+    lo, hi = np.array(ua), np.array(ub)
+    area, tol, max_iter = mesh.element_area, config.tol, config.max_iter
+    Gu_prev, uu_prev, w_prev, lam_prev = evaluate(u_prev)
+    Gu, uu, w, lam = evaluate(u)
+    v = w.dot(greens)
+    spare = np.empty_like(u)
+
+    fallbacks = iterations = 0
+    step_gap = fp_residual = math.inf
     converged = False
-    fp_residual = math.inf
-
     while iterations < max_iter:
-        # Three fresh arrays, reused in place: dg -> u_next, fixed_point -> step gap, du -> u - u_prev.
-        # dg comes first: formed after du, glibc trimmed and refaulted the heap top in most
-        # iterations of a cold L8 front (123k instead of 43k minor faults).
-        dg = np.subtract(g, g_prev)
-        del g_prev
-        fixed_point = np.subtract(u, g)
-        fixed_point.clip(ua, ub, out=fixed_point)
+        du = np.subtract(u, u_prev, out=spare)
+        du_sq = du.dot(du)
+        dw, dlam = w - w_prev, lam - lam_prev
+        dw_Gdu = dw.dot(Gu - Gu_prev)
+        curvature = dw_Gdu + lam * du_sq
+        dg_sq = dw.dot(gram.dot(dw)) + 2.0 * lam * dw_Gdu + lam * lam * du_sq
+        if dlam:
+            du_up = du.dot(u_prev)
+            curvature += dlam * du_up
+            dg_sq += 2.0 * dlam * (dw.dot(Gu_prev) + lam * du_up) + dlam * dlam * uu_prev
+        fixed_point = np.multiply(u, 1.0 - lam, out=u_prev)  # u_prev is spent
+        fixed_point -= v
+        fixed_point.clip(lo, hi, out=fixed_point)
         if step_gap <= tol or iterations + 1 == max_iter:
-            du = np.subtract(u, fixed_point)
-            fp_residual = math.sqrt(area * float(np.square(du, out=du).sum()))
+            np.subtract(u, fixed_point, out=du)
+            fp_residual = math.sqrt(area * du.dot(du))
             if step_gap <= tol and fp_residual <= tol:
                 converged = True
                 break
-            np.subtract(u, u_prev, out=du)
-        else:
-            du = np.subtract(u, u_prev)
-        del u_prev
-        dg_sq = area * float(dg @ dg)
-        curvature = area * float(dg @ du)
-        du_sq = area * float(du @ du)
-        if dg_sq == 0.0 or curvature <= _CURVATURE_TOL * math.sqrt(dg_sq * du_sq):
-            step = _FALLBACK_STEP
+        if dg_sq <= 0.0 or curvature <= _CURVATURE_TOL * math.sqrt(dg_sq * du_sq):
+            step = 1.0
             fallbacks += 1
         else:
-            step = curvature / dg_sq  # 1 / t_l
+            step = curvature / dg_sq
 
-        u_next = np.multiply(g, step, out=dg)
-        np.subtract(u, u_next, out=u_next)
-        u_next.clip(ua, ub, out=u_next)
-        np.subtract(u_next, fixed_point, out=fixed_point)
-        step_gap = math.sqrt(area * float(fixed_point @ fixed_point))
+        u_next = np.multiply(u, 1.0 - step * lam, out=du)
+        v *= step
+        u_next -= v
+        u_next.clip(lo, hi, out=u_next)
+        spare = np.subtract(u_next, fixed_point, out=fixed_point)
+        step_gap = math.sqrt(area * spare.dot(spare))
 
-        u_prev, g_prev = u, g
-        u = u_next
-        del fixed_point, du  # freed before the gradient allocates, whose arrays then reuse them
-        g = grad_eval(u)
+        u_prev, Gu_prev, uu_prev, w_prev, lam_prev = u, Gu, uu, w, lam
+        u, (Gu, uu, w, lam) = u_next, evaluate(u_next)
+        w.dot(greens, out=v)
         iterations += 1
 
-    return SolveReport(
-        control=u,
-        objectives=None,
-        iterations=iterations,
-        final_residual=fp_residual,
-        converged=converged,
-        fallback_steps=fallbacks,
-    )
+    return SolveReport(control=u, objectives=None, iterations=iterations, final_residual=fp_residual,
+                       converged=converged, fallback_steps=fallbacks)
 
 
 def _solve(
@@ -231,21 +239,22 @@ def _solve(
     Minimizes ``alpha . j`` for ``method`` "wsm" with weights ``alpha =
     parameter``, else ``|j - zeta|^2 / 2`` with ``zeta = parameter``.
     The problem's first solve at a mesh level computes the Green's function
-    means there, one solve per observation point, and keeps them on the
-    problem; those solves are the report's ``solve_count``, which is 0 for
-    every later solve at that level.  The BB loop runs the
-    :func:`~mopoisson.objective.gradient_map` of the means; the report's
-    pair is formed once, from the returned control.
+    means there, one solve per observation point, and their Gram matrix,
+    and keeps both on the problem; those solves are the report's
+    ``solve_count``, which is 0 for every later solve at that level.  The BB
+    loop runs on the means, their Gram matrix and the
+    :func:`~mopoisson.objective.coefficient_map` of the scalarization; the
+    report's pair is formed once, from the returned control.
     """
     mesh = system.mesh
     own = mesh.level not in problem._greens
     if own:
-        problem._greens[mesh.level] = greens_function_means(problem, system)
-    greens = problem._greens[mesh.level]
+        greens = greens_function_means(problem, system)
+        problem._greens[mesh.level] = greens, gram_matrix(greens)
+    greens, gram = problem._greens[mesh.level]
     area = mesh.element_area
-    report = bb_projected_gradient(
-        gradient_map(problem, greens, area, method, parameter), mesh, problem.bounds, config or BBConfig(), u_start
-    )
+    rule = coefficient_map(problem, area, method, parameter)
+    report = bb_projected_gradient(greens, gram, rule, mesh, problem.bounds, config or BBConfig(), u_start)
     report.objectives = eval_objectives(problem, greens, area, report.control)[1]
     report.solve_count = len(greens) if own else 0
     return report

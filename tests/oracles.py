@@ -4,7 +4,8 @@ Everything here recomputes quantities through a different route than the
 implementation: explicit node and triangle arrays, dense assembly from
 basis-coefficient solves, numerical quadrature, finite differences,
 brute-force searches, centroid tests, a fixed-step projected-gradient
-optimizer, and the BB loop with one fresh array per operation.
+optimizer, and the BB loop with one fresh array per operation, both on
+explicit gradients and in the solver's adjoint form.
 """
 
 from __future__ import annotations
@@ -411,14 +412,16 @@ def clip_and_where_starting_pair(bounds, mesh, u_start):
 
 
 def reference_bb(bounds, grad_eval, u0, u_minus1, config, checks=None) -> SolveReport:
-    """The projected BB loop of ``bb_projected_gradient``, one fresh array per operation.
+    """The projected BB loop on explicit gradients, one fresh array per operation.
 
-    Same iterates, step rule, fallback and stopping test, written without
-    any in-place update and forming the fixed-point residual in every pass,
-    so the solver's buffer reuse and its residual skipping are checked
-    against it.  It runs from the explicit pair ``u0``, ``u_minus1``, such as
-    that of :func:`clip_and_where_starting_pair`.  ``checks``, if given,
-    receives the ``(step_gap, fp_residual)`` pair of every stopping test.
+    Same iterates as ``bb_projected_gradient`` up to rounding, with the same
+    step rule, fallback and stopping test, but it forms ``g``, ``dg`` and
+    ``du`` as arrays and takes the BB quotient from their dot products, so
+    the solver's adjoint-form quotient is checked against it.  It forms the
+    fixed-point residual in every pass, without any in-place update, and
+    runs from the explicit pair ``u0``, ``u_minus1``, such as that of
+    :func:`clip_and_where_starting_pair`.  ``checks``, if given, receives
+    the ``(step_gap, fp_residual)`` pair of every stopping test.
     """
     area = 1.0 / len(u0)
     u_prev, u = u_minus1, u0
@@ -458,6 +461,118 @@ def reference_bb(bounds, grad_eval, u0, u_minus1, config, checks=None) -> SolveR
         u_prev, g_prev = u, g
         u = u_next
         g = grad_eval(u)
+        iterations += 1
+
+    return SolveReport(
+        control=u,
+        objectives=None,
+        iterations=iterations,
+        final_residual=float(fp_residual),
+        converged=converged,
+        fallback_steps=fallbacks,
+    )
+
+
+def oracle_coefficients(problem, area: float, kind: str, parameter):
+    """The solver's coefficient rule ``(G u, u.u) -> (w, lam)``, written out again.
+
+    ``w = c r`` with the residuals ``r = |T| G u - y`` and ``lam = c1
+    lambda1 + c2 lambda2``, where ``c`` repeats ``(c1, c2)`` over the two
+    point sets: the weights (``wsm``) or ``j - zeta`` (``rpm``), with ``j_k
+    = |r_k|^2 / 2 + lambda_k |T| u.u / 2``.
+    """
+    n1 = len(problem.y1)
+    y = np.concatenate((problem.y1, problem.y2))
+    sets = np.repeat([0, 1], [n1, len(problem.y2)])
+
+    def rule(Gu, uu):
+        r = area * Gu - y
+        if kind == "wsm":
+            c1, c2 = parameter
+        else:
+            un2 = area * uu
+            c1 = 0.5 * np.dot(r[:n1], r[:n1]) + 0.5 * problem.lambda1 * un2 - parameter[0]
+            c2 = 0.5 * np.dot(r[n1:], r[n1:]) + 0.5 * problem.lambda2 * un2 - parameter[1]
+        return np.array([c1, c2])[sets] * r, c1 * problem.lambda1 + c2 * problem.lambda2
+
+    return rule
+
+
+def rule_gradient(greens, rule):
+    """The explicit gradient ``u -> G^T w + lam u`` of a coefficient rule, for :func:`reference_bb`."""
+
+    def grad_eval(u):
+        w, lam = rule(np.dot(greens, u), np.dot(u, u))
+        return np.dot(w, greens) + lam * u
+
+    return grad_eval
+
+
+def reference_adjoint_bb(bounds, greens, rule, u0, u_minus1, config, checks=None) -> SolveReport:
+    """The solver's adjoint-form BB loop, one fresh array per operation.
+
+    The gradient ``G^T w + lam u`` of the rule ``(G u, u.u) -> (w, lam)`` is
+    never formed: the iterates are ``clip((1 - s lam) u - s v)`` with ``v =
+    G^T w``, and the BB quotient comes from ``du = u - u_prev`` and the
+    ``n_obs`` quantities ``G du``, ``dw`` and ``dlam`` through the Gram
+    matrix ``G G^T``, term for term as the solver sums them.  Every
+    operation allocates its result, ``u.u`` is formed at every iterate and
+    the fixed-point residual in every pass, so the solver's buffer reuse,
+    its skipped ``u.u`` for fixed weights and its residual skipping are
+    checked bit for bit.  It runs from the explicit pair ``u0``,
+    ``u_minus1``; ``checks`` is as in :func:`reference_bb`.
+    """
+    area = 1.0 / len(u0)
+    gram = np.array([np.dot(greens, row) for row in greens])
+    u_prev, u = u_minus1, u0
+    Gu_prev, uu_prev = np.dot(greens, u_prev), np.dot(u_prev, u_prev)
+    w_prev, lam_prev = rule(Gu_prev, uu_prev)
+    Gu, uu = np.dot(greens, u), np.dot(u, u)
+    w, lam = rule(Gu, uu)
+    v = np.dot(w, greens)
+
+    fallbacks = 0
+    iterations = 0
+    step_gap = np.inf
+    converged = False
+    fp_residual = np.inf
+
+    while iterations < config.max_iter:
+        fixed_point = np.clip((1.0 - lam) * u - v, bounds.ua, bounds.ub)
+        residual = u - fixed_point
+        fp_residual = np.sqrt(area * np.dot(residual, residual))
+        if checks is not None:
+            checks.append((step_gap, fp_residual))
+        if step_gap <= config.tol and fp_residual <= config.tol:
+            converged = True
+            break
+
+        du = u - u_prev
+        du_sq = np.dot(du, du)
+        dw = w - w_prev
+        dlam = lam - lam_prev
+        dw_Gdu = np.dot(dw, Gu - Gu_prev)
+        curvature = dw_Gdu + lam * du_sq
+        dg_sq = np.dot(dw, np.dot(gram, dw)) + 2.0 * lam * dw_Gdu + lam * lam * du_sq
+        if dlam != 0.0:
+            du_up = np.dot(du, u_prev)
+            curvature = curvature + dlam * du_up
+            dg_sq = dg_sq + (2.0 * dlam * (np.dot(dw, Gu_prev) + lam * du_up) + dlam * dlam * uu_prev)
+        if dg_sq <= 0.0 or curvature <= 1e-14 * np.sqrt(dg_sq * du_sq):
+            step = 1.0
+            fallbacks += 1
+        else:
+            step = curvature / dg_sq
+
+        u_next = np.clip((1.0 - step * lam) * u - step * v, bounds.ua, bounds.ub)
+        gap = u_next - fixed_point
+        step_gap = np.sqrt(area * np.dot(gap, gap))
+
+        u_prev, Gu_prev, uu_prev, w_prev, lam_prev = u, Gu, uu, w, lam
+        u = u_next
+        Gu, uu = np.dot(greens, u), np.dot(u, u)
+        w, lam = rule(Gu, uu)
+        v = np.dot(w, greens)
         iterations += 1
 
     return SolveReport(

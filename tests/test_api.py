@@ -13,8 +13,8 @@ import mopoisson
 ORACLES = Path(__file__).resolve().parent / "oracles.py"
 # The solver's evaluation formulas; the oracles recompute all of them by the PDE route.
 SOLVER_FORMULAS = {
-    "eval_objectives", "gradient_map", "grad_wsm", "grad_rpm", "greens_function_means",
-    "_residuals", "_coefficients", "_weighted_gradient",
+    "eval_objectives", "coefficient_map", "gram_matrix", "grad_wsm", "grad_rpm", "greens_function_means",
+    "_pair", "_gradient",
 }
 # The study API the package exports: entry points, the inputs a caller builds
 # and the error a caller catches.  Layer functions are imported from their modules.

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from mopoisson import BoxBounds, read_control, write_control
 from mopoisson.control import l2_error, pi0_project, prolong
-from mopoisson.mesh import build_uniform_mesh
+from mopoisson.mesh import MAX_LEVEL, build_uniform_mesh
 from oracles import l2_inner, l2_norm, mesh_nodes, mesh_triangles
 
 
@@ -56,10 +56,10 @@ def test_norm_examples(rng):
 def test_prolong_identity_and_constant():
     mesh = build_uniform_mesh(2)
     u = np.arange(mesh.num_triangles, dtype=float)
-    same = prolong(u, mesh)
+    same = prolong(u, mesh.level)
     assert np.array_equal(same, u)
     fine = build_uniform_mesh(4)
-    c = prolong(np.full(mesh.num_triangles, 3.25), fine)
+    c = prolong(np.full(mesh.num_triangles, 3.25), fine.level)
     assert c.shape == (fine.num_triangles,)
     assert np.all(c == 3.25)
     assert l2_norm(c) == pytest.approx(3.25, abs=1e-14)
@@ -69,14 +69,16 @@ def test_prolong_is_isometry(rng):
     coarse = build_uniform_mesh(2)
     fine = build_uniform_mesh(4)
     u = rng.normal(size=coarse.num_triangles)
-    assert l2_norm(prolong(u, fine)) == pytest.approx(l2_norm(u), abs=1e-14)
-    assert l2_error(u, prolong(u, fine)) == 0.0
+    assert l2_norm(prolong(u, fine.level)) == pytest.approx(l2_norm(u), abs=1e-14)
+    assert l2_error(u, prolong(u, fine.level)) == 0.0
 
 
 def test_prolong_rejects_coarsening():
     fine = build_uniform_mesh(3)
     with pytest.raises(ValueError):
-        prolong(np.zeros(fine.num_triangles), build_uniform_mesh(2))
+        prolong(np.zeros(fine.num_triangles), 2)
+    with pytest.raises(ValueError):  # no mesh has it: refused before any allocation
+        prolong(np.zeros(fine.num_triangles), MAX_LEVEL + 1)
 
 
 def test_l2_error_trivial_cases():
@@ -86,14 +88,14 @@ def test_l2_error_trivial_cases():
     ref = np.ones(mesh3.num_triangles)
     assert l2_error(u, ref) == pytest.approx(1.0, abs=1e-14)
     same = np.arange(mesh2.num_triangles, dtype=float)
-    assert l2_error(same, prolong(same, mesh3)) == 0.0
+    assert l2_error(same, prolong(same, mesh3.level)) == 0.0
 
 
 def test_l2_error_single_element_perturbation(rng):
     coarse = build_uniform_mesh(2)
     fine = build_uniform_mesh(3)
     u = rng.normal(size=coarse.num_triangles)
-    ref = prolong(u, fine)
+    ref = prolong(u, fine.level)
     delta = 0.7
     ref[17] += delta
     err = l2_error(u, ref)

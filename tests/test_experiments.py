@@ -112,8 +112,34 @@ def test_reference_cache_round_trip(tmp_path):
 def test_cache_key_is_pinned():
     # existing cache files stay hits only while the key of a fixed config is unchanged
     config = ExperimentConfig(problem=benchmark_problem(), levels=(2, 3), reference_level=6)
-    assert _cache_key(config, "wsm", (0.5, 0.5), 6) == "718d8f53d3ed9ccc"
-    assert _cache_key(config, "rpm", (17.88, 1.71), 6) == "c0f24c31c0f1450f"
+    assert _cache_key(config, "wsm", (0.5, 0.5), 6) == "6cfac0fb7d3cf500"
+    assert _cache_key(config, "rpm", (17.88, 1.71), 6) == "310ea11ea6740ba1"
+
+
+def test_previous_format_cache_file_is_a_miss(tmp_path, monkeypatch):
+    """A control stored under the npy1 key, before the adjoint-form solver, is neither read nor removed."""
+    import mopoisson.experiments
+
+    config = small_config(benchmark_problem(), tmp_path)
+    fresh = run_convergence_wsm(small_config(benchmark_problem(), tmp_path / "fresh"), [(0.5, 0.5)])
+    with monkeypatch.context() as patch:
+        patch.setattr(mopoisson.experiments, "_CACHE_FORMAT", "npy1")
+        old_key = _cache_key(config, "wsm", (0.5, 0.5), 4)
+    assert old_key != _cache_key(config, "wsm", (0.5, 0.5), 4)
+    previous = tmp_path / "cache" / f"wsm_{old_key}.ctrl"
+    previous.parent.mkdir()
+    write_control(np.ones(2 * 4 ** 4), previous)  # a valid level-4 control, far from the solution
+    before = previous.read_bytes()
+    reads, solves = [], []
+    monkeypatch.setattr(mopoisson.experiments, "read_control", lambda *a: reads.append(a) or read_control(*a))
+    monkeypatch.setattr(mopoisson.experiments, "solve_at_level",
+                        lambda config, *a: solves.append(a) or solve_at_level(config, *a))
+    table = run_convergence_wsm(config, [(0.5, 0.5)])
+    assert reads == [] and ("wsm", (0.5, 0.5), 4) in solves  # a miss: solved at the reference level
+    assert np.array_equal(table.errors, fresh.errors)
+    assert previous.read_bytes() == before
+    assert sorted(p.name for p in previous.parent.glob("wsm_*.ctrl")) == sorted(
+        [previous.name, f"wsm_{_cache_key(config, 'wsm', (0.5, 0.5), 4)}.ctrl"])
 
 
 @pytest.mark.parametrize("damage", ["truncated", "nan", "level-3", "level-5"])

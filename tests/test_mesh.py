@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import mopoisson
 from mopoisson import write_control
 from mopoisson.control import l2_error, prolong
-from mopoisson.mesh import MAX_LEVEL, build_uniform_mesh, locate_point, mesh_of, triangle_nodes
+from mopoisson.mesh import MAX_LEVEL, build_uniform_mesh, level_of, locate_point, triangle_nodes
 from oracles import (
     brute_force_locate,
     interior_mask,
@@ -160,7 +160,7 @@ def test_locate_matches_brute_force_on_edges_and_vertices(rng):
 
 def ancestors(fine, coarse):
     """Coarse ancestor of every fine triangle, read off the prolonged triangle indices."""
-    return prolong(np.arange(coarse.num_triangles, dtype=float), fine).astype(np.int64)
+    return prolong(np.arange(coarse.num_triangles, dtype=float), fine.level).astype(np.int64)
 
 
 def test_nested_map_identity():
@@ -202,7 +202,7 @@ def test_prolong_equals_the_oracle_gather(fine_level, rng):
     for coarse_level in range(fine_level + 1):
         u = rng.normal(size=2 * 4 ** coarse_level)
         gathered = u.take(parent_elements_closed_form(fine_level, coarse_level))
-        assert np.array_equal(prolong(u, fine), gathered)
+        assert np.array_equal(prolong(u, fine.level), gathered)
         # l2_error's own order: a fresh prolongation, an in-place subtract, one dot
         gathered -= ref
         assert l2_error(u, ref) == math.sqrt(fine.element_area * float(gathered @ gathered))
@@ -217,16 +217,16 @@ CONTROL_LENGTHS = [2 * 4 ** level for level in range(MAX_LEVEL + 1)]
         [n + d for n in CONTROL_LENGTHS for d in (-1, 1)] + [4 * CONTROL_LENGTHS[-1]])),
     st.sampled_from(["1-D", "2-D", "0-D"]),
 )
-def test_mesh_of_accepts_exactly_the_control_lengths(n, rank):
+def test_level_of_accepts_exactly_the_control_lengths(n, rank):
     """Zero-stride views up to one past the finest control, and the next level's length: nothing is allocated."""
     values = {"1-D": np.broadcast_to(0.0, n), "2-D": np.broadcast_to(0.0, (1, n)), "0-D": np.float64(n)}[rank]
     tracemalloc.start()
     try:
         if rank == "1-D" and n in CONTROL_LENGTHS:
-            assert mesh_of(values) == build_uniform_mesh(CONTROL_LENGTHS.index(n))
+            assert level_of(values) == CONTROL_LENGTHS.index(n)
         else:
             with pytest.raises(ValueError):
-                mesh_of(values)
+                level_of(values)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
