@@ -221,6 +221,8 @@ def _run_convergence(args) -> int:
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / f"convergence_{args.method}.csv"
     export_csv(table, path)
+    for note in table.notes:
+        print(f"note: {note}", file=sys.stderr)
     for label, rate in zip(table.labels, table.rates):
         print(f"{label}: rate={rate:.3g}")
     print(f"table written to {path}")

@@ -18,7 +18,7 @@ import numpy as np
 
 from .control import BoxBounds, l2_error, read_control, write_control
 from .fem import assemble_stiffness
-from .mesh import MAX_LEVEL, build_uniform_mesh
+from .mesh import MAX_LEVEL, build_uniform_mesh, level_of
 from .objective import ProblemData, _check_reference_point, _check_weights
 from .scalarize import BBConfig, ParetoFront, SolveReport, _check_sweep, rpm_front, solve_rpm, solve_wsm, wsm_front
 
@@ -105,12 +105,13 @@ class ExperimentConfig:
 
 @dataclass
 class ConvergenceTable:
-    """Per-level approximation errors and fitted rates, one column per parameter."""
+    """Per-level errors and fitted rates, one column per parameter; ``notes`` names each unconverged solve."""
 
     hs: np.ndarray
     labels: list
     errors: np.ndarray
     rates: np.ndarray
+    notes: list = field(default_factory=list)
 
 
 def estimate_rate(hs, errors) -> float:
@@ -140,7 +141,8 @@ def _problem_fingerprint(problem: ProblemData) -> str:
     return "|".join(parts)
 
 
-def _cache_key(config: ExperimentConfig, method: str, parameter, level: int) -> str:
+def _cache_key(config: ExperimentConfig, method: str, parameter, level: int, start: str) -> str:
+    """Key of a reference solve; ``start`` is "cold" or the level of the study control it started from."""
     import hashlib  # loads OpenSSL; only convergence studies need it
 
     payload = "|".join(
@@ -149,6 +151,7 @@ def _cache_key(config: ExperimentConfig, method: str, parameter, level: int) -> 
             method,
             ",".join(format(float(v), ".17g") for v in parameter),
             str(level),
+            start,
             _problem_fingerprint(config.problem),
             format(config.bb.tol, ".17g"),
             str(config.bb.max_iter),
@@ -163,32 +166,33 @@ def _reference_level(config: ExperimentConfig) -> int:
     return config.reference_level
 
 
-def solve_at_level(config: ExperimentConfig, method: str, parameter, level: int) -> SolveReport:
-    """Solve the ``method`` subproblem at ``parameter`` on one level with the configured BB settings."""
+def solve_at_level(config: ExperimentConfig, method: str, parameter, level: int, u_start=None) -> SolveReport:
+    """Solve the ``method`` subproblem at ``parameter`` on one level, from ``u_start`` of it or a coarser level."""
     mesh, system = shared_system(level)
     if method == "wsm":
-        return solve_wsm(config.problem, system, parameter, config.bb)
+        return solve_wsm(config.problem, system, parameter, config.bb, u_start)
     if method == "rpm":
-        return solve_rpm(config.problem, system, parameter, config.bb)
+        return solve_rpm(config.problem, system, parameter, config.bb, u_start)
     raise ValueError(f"unknown method {method!r}")
 
 
 def _reference_control(
-    config: ExperimentConfig, method: str, parameter
+    config: ExperimentConfig, method: str, parameter, u_start: np.ndarray | None
 ) -> np.ndarray | None:
-    """Reference-level solve, cached on disk keyed by data and parameter.
+    """Reference-level solve from ``u_start``, cached on disk keyed by data, parameter and start level.
 
     Cache files are replaced atomically; an unreadable one, or one holding
     a control of another level, is a miss that is recomputed and overwritten.
     """
     level = _reference_level(config)
-    path = config.output_dir / "cache" / f"{method}_{_cache_key(config, method, parameter, level)}.ctrl"
+    start = "cold" if u_start is None else str(level_of(u_start))
+    path = config.output_dir / "cache" / f"{method}_{_cache_key(config, method, parameter, level, start)}.ctrl"
     if path.exists():
         try:
             return read_control(path, level)
         except ValueError as exc:
             warnings.warn(f"ignoring unreadable reference cache file: {exc}", RuntimeWarning)
-    report = solve_at_level(config, method, parameter, level)
+    report = solve_at_level(config, method, parameter, level, u_start)
     if not report.converged:
         return None
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -203,30 +207,41 @@ def _reference_control(
 
 
 def _run_convergence(config: ExperimentConfig, method: str, parameters, labels) -> ConvergenceTable:
+    """Each column's study levels, coarse to fine, then its reference from the finest converged one."""
     if not parameters:
         raise ValueError("a convergence study needs at least one parameter")
+    ref_level = _reference_level(config)
     errors = np.full((len(config.levels), len(parameters)), np.nan)
+    notes = []
     for ip, parameter in enumerate(parameters):
-        ref = _reference_control(config, method, parameter)
-        if ref is None:
-            continue
-        for il, level in enumerate(config.levels):
+        controls = {}
+        for level in sorted(config.levels):
             report = solve_at_level(config, method, parameter, level)
             if report.converged:
-                errors[il, ip] = l2_error(report.control, ref)
+                controls[level] = report.control
+            else:
+                notes.append(f"{labels[ip]}: level {level} did not converge")
+        ref = _reference_control(config, method, parameter, controls[max(controls)] if controls else None)
+        if ref is None:
+            notes.append(f"{labels[ip]}: reference at level {ref_level} did not converge")
+            continue
+        for il, level in enumerate(config.levels):
+            if level in controls:
+                errors[il, ip] = l2_error(controls[level], ref)
         del ref  # freed before the next reference solve
     hs = np.array([2.0 ** -level for level in config.levels])
     rates = np.array([estimate_rate(hs, errors[:, ip]) for ip in range(len(parameters))])
-    return ConvergenceTable(hs=hs, labels=list(labels), errors=errors, rates=rates)
+    return ConvergenceTable(hs=hs, labels=list(labels), errors=errors, rates=rates, notes=notes)
 
 
 def run_convergence_wsm(config: ExperimentConfig, alphas) -> ConvergenceTable:
     """Approximation errors of the weighted-sum controls against the reference.
 
-    Each weight pair is solved once on the reference level (cached to disk)
-    and then on every study level; non-converged solves mark their cell NaN
-    and the table is still emitted.  Every weight pair is checked before
-    the first solve.
+    Each weight pair is solved on every study level and then once on the
+    reference level (cached to disk), started from the finest converged
+    study control; non-converged solves mark their cells NaN, with a note
+    in the table, and the table is still emitted.  Every weight pair is
+    checked before the first solve.
     """
     alphas = [_check_weights(a) for a in alphas]
     labels = [f"alpha=({a[0]:g},{a[1]:g})" for a in alphas]

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .control import BoxBounds
+from .control import BoxBounds, prolong
 from .fem import LINEAR_TOL, SolverError, StiffnessSystem
 from .mesh import TriMesh
 from .objective import (
@@ -127,10 +127,12 @@ def bb_projected_gradient(
     with ``u``; ``u.u`` is formed only then, and None is passed otherwise.
     The two-point iteration starts from ``u_start`` (zero if absent)
     clipped to ``bounds``, and from that start moved up by ``delta``, or
-    down where up passes ``ub``; a start holding a NaN is refused.  The
-    offset ``delta`` is a hundredth of the box width, at most 1e-2, and at
-    least four float spacings of the bounds, so it moves every value in the
-    box; a box narrower than two offsets is refused.
+    down where up passes ``ub``; a start holding a NaN is refused.  A
+    ``u_start`` of a coarser level, read from its length, is prolonged into
+    the iterate and clipped there.  The offset ``delta`` is a hundredth of
+    the box width, at most 1e-2, and at least four float spacings of the
+    bounds, so it moves every value in the box; a box narrower than two
+    offsets is refused.
     Iterates follow ``u <- clip(u - s g)`` with the BB step ``s = (dg, du)
     / |dg|^2``, formed as ``clip((1 - s lam) u - s v)`` from ``v = G^T w``;
     ``g`` is never formed.  The loop stops once the gap ``|u_next - clip((1
@@ -160,9 +162,14 @@ def bb_projected_gradient(
     if not ub - ua >= 2.0 * delta:
         raise ValueError(f"box bounds {ua!r},{ub!r} are too narrow to hold two distinct starting controls")
     u = np.zeros(mesh.num_triangles) if u_start is None else u_start
-    if np.shape(u) != (mesh.num_triangles,):
-        raise ValueError(f"u_start of shape {np.shape(u)} is no control of level {mesh.level}")
-    u = np.clip(u, ua, ub)
+    if np.shape(u) == (mesh.num_triangles,):
+        u = np.clip(u, ua, ub)
+    else:
+        try:  # a coarser start: prolong returns a fresh array, the iterate
+            u = prolong(np.asarray(u, dtype=np.float64), mesh.level)
+        except ValueError:
+            raise ValueError(f"u_start of shape {np.shape(u)} is no control of a level up to {mesh.level}") from None
+        np.clip(u, ua, ub, out=u)
     if math.isnan(u.min()):  # min is NaN if a value is
         raise ValueError("u_start holds a NaN value")
     u_prev = u + delta

@@ -210,6 +210,21 @@ def test_convergence_subcommand(tmp_path, capsys):
     assert errors[0] > errors[1]
 
 
+def test_unconverged_solves_are_noted_on_stderr(tmp_path, capsys):
+    """An all-NaN table says why: one note per failed solve; stdout, CSV and exit code as before."""
+    study = ["convergence", "--method", "rpm", "--levels", "1,2", "--ref-level", "3", "--max-iter", "2"]
+    assert main(study + ["--out", str(tmp_path)]) == 0
+    out, err = capsys.readouterr()
+    zetas = ["zeta=(16.9702,2.58753)", "zeta=(17.1124,2.21412)", "zeta=(17.5581,1.82113)", "zeta=(17.9446,1.71698)"]
+    assert err.splitlines() == [f"note: {z}: {solve} did not converge"
+                                for z in zetas for solve in ("level 2", "reference at level 3")]
+    assert out.splitlines() == [f"{z}: rate=nan" for z in zetas] + [
+        f"table written to {tmp_path / 'convergence_rpm.csv'}"]
+    assert (tmp_path / "convergence_rpm.csv").read_bytes() == "\r\n".join([
+        "h," + ",".join(f'"{z}"' for z in zetas), "0.5,nan,nan,nan,nan", "0.25,nan,nan,nan,nan",
+        "rate,nan,nan,nan,nan", ""]).encode()
+
+
 def test_unparsable_cache_header_is_warned_recomputed_and_restored(tmp_path, capsys):
     """numpy's header parser raises tokenize.TokenError on unbalanced parentheses."""
     study = ["convergence", "--method", "wsm", "--levels", "2,3", "--ref-level", "5",

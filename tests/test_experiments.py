@@ -112,20 +112,64 @@ def test_reference_cache_round_trip(tmp_path):
 def test_cache_key_is_pinned():
     # existing cache files stay hits only while the key of a fixed config is unchanged
     config = ExperimentConfig(problem=benchmark_problem(), levels=(2, 3), reference_level=6)
-    assert _cache_key(config, "wsm", (0.5, 0.5), 6) == "6cfac0fb7d3cf500"
-    assert _cache_key(config, "rpm", (17.88, 1.71), 6) == "310ea11ea6740ba1"
+    assert _cache_key(config, "wsm", (0.5, 0.5), 6, "cold") == "bfbab21870f7c3d2"
+    assert _cache_key(config, "rpm", (17.88, 1.71), 6, "cold") == "ccdc05e0a00683cd"
+    assert _cache_key(config, "wsm", (0.5, 0.5), 6, "3") == "7b9fb36c3793e552"
+
+
+@pytest.mark.parametrize("method, parameters, bound", [
+    ("wsm", [(0.2, 0.8), (0.5, 0.5), (0.8, 0.2)], 2.3e-10),
+    ("rpm", [(16.89, 2.58), (17.04, 2.21), (17.49, 1.82), (17.88, 1.71)], 4 * BBConfig().tol),
+])
+def test_nested_and_cold_references_agree(tmp_path, method, parameters, bound):
+    """Measured at levels 2, 3 against 4 to 8: up to 2.27e-10 (WSM) and 3.64 tol (RPM) in L2."""
+    from mopoisson.control import l2_error
+
+    config = small_config(benchmark_problem(), tmp_path, reference_level=5)
+    (run_convergence_wsm if method == "wsm" else run_convergence_rpm)(config, parameters)
+    for parameter in parameters:
+        nested = read_control(tmp_path / "cache" / f"{method}_{_cache_key(config, method, parameter, 5, '3')}.ctrl", 5)
+        cold = solve_at_level(config, method, parameter, 5)
+        assert cold.converged and l2_error(nested, cold.control) <= bound
+
+
+def test_another_finest_study_level_is_a_cache_miss(tmp_path, monkeypatch):
+    import mopoisson.experiments
+
+    config = small_config(benchmark_problem(), tmp_path)
+    keys = {_cache_key(config, "wsm", (0.5, 0.5), 4, start) for start in ("cold", "0", "1", "2", "3")}
+    assert len(keys) == 5
+    run_convergence_wsm(config, [(0.5, 0.5)])
+    reads, solves = [], []
+    monkeypatch.setattr(mopoisson.experiments, "read_control", lambda *a: reads.append(a) or read_control(*a))
+    monkeypatch.setattr(mopoisson.experiments, "solve_at_level",
+                        lambda config, *a: solves.append(a[:3]) or solve_at_level(config, *a))
+    run_convergence_wsm(small_config(benchmark_problem(), tmp_path, levels=(2,)), [(0.5, 0.5)])
+    assert reads == [] and solves == [("wsm", (0.5, 0.5), 2), ("wsm", (0.5, 0.5), 4)]
+    assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == sorted(
+        f"wsm_{_cache_key(config, 'wsm', (0.5, 0.5), 4, start)}.ctrl" for start in ("2", "3"))
+
+
+def _parent_key(config, method, parameter, level):
+    """The key of a reference solve before the start level joined it: every reference started cold."""
+    import hashlib
+
+    from mopoisson.experiments import _problem_fingerprint
+
+    payload = "|".join(["npy2", method, ",".join(format(float(v), ".17g") for v in parameter), str(level),
+                        _problem_fingerprint(config.problem), format(config.bb.tol, ".17g"), str(config.bb.max_iter)])
+    return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 def test_previous_format_cache_file_is_a_miss(tmp_path, monkeypatch):
-    """A control stored under the npy1 key, before the adjoint-form solver, is neither read nor removed."""
+    """A control stored under the key without a start level, from cold reference solves, is neither
+    read nor removed."""
     import mopoisson.experiments
 
     config = small_config(benchmark_problem(), tmp_path)
     fresh = run_convergence_wsm(small_config(benchmark_problem(), tmp_path / "fresh"), [(0.5, 0.5)])
-    with monkeypatch.context() as patch:
-        patch.setattr(mopoisson.experiments, "_CACHE_FORMAT", "npy1")
-        old_key = _cache_key(config, "wsm", (0.5, 0.5), 4)
-    assert old_key != _cache_key(config, "wsm", (0.5, 0.5), 4)
+    old_key = _parent_key(config, "wsm", (0.5, 0.5), 4)
+    assert old_key not in {_cache_key(config, "wsm", (0.5, 0.5), 4, start) for start in ("cold", "2", "3")}
     previous = tmp_path / "cache" / f"wsm_{old_key}.ctrl"
     previous.parent.mkdir()
     write_control(np.ones(2 * 4 ** 4), previous)  # a valid level-4 control, far from the solution
@@ -133,13 +177,13 @@ def test_previous_format_cache_file_is_a_miss(tmp_path, monkeypatch):
     reads, solves = [], []
     monkeypatch.setattr(mopoisson.experiments, "read_control", lambda *a: reads.append(a) or read_control(*a))
     monkeypatch.setattr(mopoisson.experiments, "solve_at_level",
-                        lambda config, *a: solves.append(a) or solve_at_level(config, *a))
+                        lambda config, *a: solves.append(a[:3]) or solve_at_level(config, *a))
     table = run_convergence_wsm(config, [(0.5, 0.5)])
     assert reads == [] and ("wsm", (0.5, 0.5), 4) in solves  # a miss: solved at the reference level
     assert np.array_equal(table.errors, fresh.errors)
     assert previous.read_bytes() == before
     assert sorted(p.name for p in previous.parent.glob("wsm_*.ctrl")) == sorted(
-        [previous.name, f"wsm_{_cache_key(config, 'wsm', (0.5, 0.5), 4)}.ctrl"])
+        [previous.name, f"wsm_{_cache_key(config, 'wsm', (0.5, 0.5), 4, '3')}.ctrl"])
 
 
 @pytest.mark.parametrize("damage", ["truncated", "nan", "level-3", "level-5"])
@@ -181,9 +225,9 @@ def test_wrong_level_cache_file_is_rejected_from_its_header(tmp_path, monkeypatc
     solve_at_level = mopoisson.experiments.solve_at_level
     peaks = []
 
-    def recorded(config, method, parameter, level):
+    def recorded(config, method, parameter, level, u_start=None):
         peaks.append((level, tracemalloc.get_traced_memory()[1]))
-        return solve_at_level(config, method, parameter, level)
+        return solve_at_level(config, method, parameter, level, u_start)
 
     monkeypatch.setattr(mopoisson.experiments, "solve_at_level", recorded)
     tracemalloc.start()
@@ -192,10 +236,12 @@ def test_wrong_level_cache_file_is_rejected_from_its_header(tmp_path, monkeypatc
             table_second = run_convergence_wsm(config, [(0.5, 0.5)])
     finally:
         tracemalloc.stop()
-    level, peak = peaks[0]  # up to the recompute of the reference
+    # the study levels 2 and 3 come first; the peak is taken up to the recompute of the reference
+    assert [level for level, _ in peaks] == [2, 3, 6]
+    peak = peaks[2][1]
     l7_vector = 2 * 4 ** 7 * np.dtype(np.float64).itemsize
     # below one L7 vector, and for the 2 GiB header below one L6 vector
-    assert level == 6 and peak < (l7_vector if slot == "level-7" else l7_vector / 4), peak / l7_vector
+    assert peak < (l7_vector if slot == "level-7" else l7_vector / 4), peak / l7_vector
     assert cache_file.read_bytes() == complete
     assert np.array_equal(table_first.errors, table_second.errors)
 
@@ -221,18 +267,42 @@ def test_unconverged_reference_leaves_its_column_nan_and_no_cache_file(tmp_path,
     full = run_convergence_wsm(small_config(benchmark_problem(), tmp_path / "full"), alphas)
     solve_wsm = mopoisson.experiments.solve_wsm
 
-    def capped_reference(problem, system, alpha, config):
+    def capped_reference(problem, system, alpha, config, u_start):
         if system.mesh.level == 4 and alpha == alphas[0]:
             config = BBConfig(max_iter=1)
-        return solve_wsm(problem, system, alpha, config)
+        return solve_wsm(problem, system, alpha, config, u_start)
 
     monkeypatch.setattr(mopoisson.experiments, "solve_wsm", capped_reference)
     config = small_config(benchmark_problem(), tmp_path / "capped")
     table = run_convergence_wsm(config, alphas)
     assert np.all(np.isnan(table.errors[:, 0])) and np.isnan(table.rates[0])
     assert np.array_equal(table.errors[:, 1], full.errors[:, 1]) and table.rates[1] == full.rates[1]
+    assert table.notes == ["alpha=(0.5,0.5): reference at level 4 did not converge"] and full.notes == []
     cached = [p.name for p in (config.output_dir / "cache").iterdir()]
-    assert cached == [f"wsm_{_cache_key(config, 'wsm', alphas[1], 4)}.ctrl"]
+    assert cached == [f"wsm_{_cache_key(config, 'wsm', alphas[1], 4, '3')}.ctrl"]
+
+
+def test_unconverged_study_level_is_noted_and_the_reference_starts_below_it(tmp_path, monkeypatch):
+    import mopoisson.experiments
+
+    solve_at_level = mopoisson.experiments.solve_at_level
+    starts = []
+
+    def capped_level_3(config, method, parameter, level, u_start=None):
+        if level == 3:
+            config = small_config(config.problem, config.output_dir, bb=BBConfig(max_iter=1))
+        starts.append(None if u_start is None else len(u_start))
+        return solve_at_level(config, method, parameter, level, u_start)
+
+    full = run_convergence_wsm(small_config(benchmark_problem(), tmp_path / "full"), [(0.5, 0.5)])
+    monkeypatch.setattr(mopoisson.experiments, "solve_at_level", capped_level_3)
+    config = small_config(benchmark_problem(), tmp_path / "capped")
+    table = run_convergence_wsm(config, [(0.5, 0.5)])
+    assert starts == [None, None, 2 * 4 ** 2]  # the reference starts from level 2
+    assert table.notes == ["alpha=(0.5,0.5): level 3 did not converge"]
+    assert np.isnan(table.errors[1, 0]) and abs(table.errors[0, 0] - full.errors[0, 0]) <= 1e-9
+    cached = [p.name for p in (config.output_dir / "cache").iterdir()]
+    assert cached == [f"wsm_{_cache_key(config, 'wsm', (0.5, 0.5), 4, '2')}.ctrl"]
 
 
 def test_text_era_cache_file_is_never_read_or_removed(tmp_path):
@@ -288,7 +358,7 @@ def test_study_computes_greens_means_once_per_level(tmp_path, solve_calls, n_wei
     assert len(solve_calls) == 4
 
 
-def test_study_solves_each_reference_before_its_cells(tmp_path, monkeypatch):
+def test_study_solves_each_column_before_its_reference(tmp_path, monkeypatch):
     from mopoisson import experiments
 
     calls = []
@@ -305,13 +375,16 @@ def test_study_solves_each_reference_before_its_cells(tmp_path, monkeypatch):
     monkeypatch.setattr(experiments, "l2_error", recorded("error", experiments.l2_error))
     monkeypatch.setattr(experiments, "read_control", recorded("read", experiments.read_control))
     monkeypatch.setattr(experiments, "solve_at_level", recorded(
-        "reference", experiments.solve_at_level, lambda c, m, p, level: level == config.reference_level
+        "cell", experiments.solve_at_level, lambda c, m, p, level, u_start=None: level < config.reference_level
+    ))
+    monkeypatch.setattr(experiments, "solve_at_level", recorded(
+        "reference", experiments.solve_at_level, lambda c, m, p, level, u_start=None: level == config.reference_level
     ))
     alphas = [(0.3, 0.7), (0.7, 0.3)]
-    for first in ("reference", "read"):  # cold pass, then cached pass
+    for reference in ("reference", "read"):  # cold pass, then cached pass
         calls.clear()
         run_convergence_wsm(config, alphas)
-        assert calls == [first, "error", "error"] * 2
+        assert calls == ["cell", "cell", reference, "error", "error"] * 2
 
 
 def test_rpm_convergence_with_explicit_zetas(tmp_path):

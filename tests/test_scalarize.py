@@ -18,7 +18,7 @@ from mopoisson import (
     solve_wsm,
     wsm_front,
 )
-from mopoisson.control import l2_error
+from mopoisson.control import l2_error, prolong
 from mopoisson.fem import assemble_stiffness
 from mopoisson.mesh import build_uniform_mesh
 from mopoisson.objective import (
@@ -297,11 +297,47 @@ def test_solves_at_a_level_with_means_build_no_mesh(bench, system_for, monkeypat
 
 
 def test_warm_start_from_another_level_is_rejected(level3):
+    """Finer, 2-D and wrong-length starts; a coarser one is prolonged (see below)."""
     problem, mesh, system = level3
-    for start in (np.zeros(2 * 4 ** 2), np.zeros(2 * 4 ** 4), np.zeros((mesh.num_triangles, 1)), [0.0] * 8):
+    for start in (np.zeros(2 * 4 ** 4), np.zeros((mesh.num_triangles, 1)), np.zeros(100), [0.0] * 9):
         for solve, parameter in [(solve_wsm, (0.5, 0.5)), (solve_rpm, (16.5, 1.5))]:
             with pytest.raises(ValueError, match="u_start"):
                 solve(problem, system, parameter, u_start=start)
+
+
+@pytest.mark.parametrize("coarse_level", [1, 3])
+def test_coarse_start_is_its_prolongation_bit_for_bit(bench, system_for, coarse_level):
+    """A level-k start of a level-5 solve runs as ``prolong(start, 5)`` does and is never written."""
+    _, coarse_system = system_for(coarse_level)
+    mesh, system = system_for(5)
+    coarse = solve_wsm(bench, coarse_system, (0.6, 0.4)).control
+    coarse[:4] = [40.0, -40.0, np.inf, -np.inf]  # clipped inside the loop
+    before = coarse.copy()
+    for solve, parameter in [(solve_wsm, (0.3, 0.7)), (solve_rpm, (16.5, 1.5))]:
+        report = solve(bench, system, parameter, u_start=coarse)
+        assert _outcome(report) == _outcome(solve(bench, system, parameter, u_start=prolong(coarse, 5)))
+        assert report.converged and np.array_equal(coarse, before)
+    assert _outcome(solve_wsm(bench, system, (0.5, 0.5), u_start=list(coarse))) == _outcome(
+        solve_wsm(bench, system, (0.5, 0.5), u_start=coarse))
+
+
+def test_cold_start_is_zero_clipped_into_the_box(level3):
+    problem, mesh, system = level3
+    for bounds in (BoxBounds(1.0, 2.0), BoxBounds(-2.0, -1.0)):  # boxes without 0
+        boxed = ProblemData(obs1=problem.obs1, y1=problem.y1, obs2=problem.obs2, y2=problem.y2,
+                            lambda1=problem.lambda1, lambda2=problem.lambda2, bounds=bounds)
+        for solve, parameter in [(solve_wsm, (0.5, 0.5)), (solve_rpm, (16.5, 1.5))]:
+            assert _outcome(solve(boxed, system, parameter)) == _outcome(
+                solve(boxed, system, parameter, u_start=np.full(mesh.num_triangles, np.clip(0.0, bounds.ua, bounds.ub))))
+
+
+def test_nan_in_a_coarse_start_is_refused(level3):
+    problem, mesh, system = level3
+    start = np.zeros(2 * 4 ** 2)
+    start[5] = np.nan
+    for solve, parameter in [(solve_wsm, (0.5, 0.5)), (solve_rpm, (16.5, 1.5))]:
+        with pytest.raises(ValueError, match="u_start holds a NaN"):
+            solve(problem, system, parameter, u_start=start)
 
 
 def test_max_iter_returns_unconverged_report(level3):
@@ -768,13 +804,14 @@ def test_report_pair_is_the_pair_of_its_control(bench, system_for, level):
 def test_solve_peak_stays_within_five_control_vectors(bench, system_for):
     mesh, system = system_for(7)
     warm = solve_wsm(bench, system, (0.6, 0.4)).control  # the problem now holds the Green's means
+    coarse = solve_wsm(bench, system_for(6)[1], (0.6, 0.4)).control  # prolonged inside the loop
     vector = mesh.num_triangles * np.dtype(np.float64).itemsize
     for solve, parameter in [(solve_wsm, (0.3, 0.7)), (solve_rpm, (16.5, 1.5))]:
-        for start in (None, warm):
+        for start in (None, warm, coarse):
             tracemalloc.start()
             try:
                 solve(bench, system, parameter, u_start=start)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= 5 * vector, (solve.__name__, start is None, peak / vector)
+            assert peak <= 5 * vector, (solve.__name__, None if start is None else len(start), peak / vector)
