@@ -14,8 +14,7 @@ from .experiments import (
     ExperimentConfig,
     benchmark_problem,
     export_csv,
-    run_convergence_rpm,
-    run_convergence_wsm,
+    run_convergence,
     run_front,
     shared_system,
 )

@@ -12,20 +12,10 @@ import sys
 from pathlib import Path
 
 from .control import BoxBounds, write_control
-from .experiments import (
-    ExperimentConfig,
-    export_csv,
-    run_convergence_rpm,
-    run_convergence_wsm,
-    run_front,
-    shared_system,
-    solve_at_level,
-)
+from .experiments import ExperimentConfig, export_csv, run_convergence, run_front, shared_system, solve_at_level
 from .fem import SolverError
-from .objective import ProblemData
+from .objective import ProblemData, check_parameter
 from .scalarize import BBConfig, ideal_vector
-
-_DEFAULT_ALPHAS = "0.2,0.8;0.4,0.6;0.6,0.4;0.8,0.2"
 
 
 def _parse_pair(text: str, name: str) -> tuple[float, float]:
@@ -100,8 +90,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("convergence", help="error table against the reference level")
     p.add_argument("--method", choices=["wsm", "rpm"], required=True)
-    p.add_argument("--alphas", default=_DEFAULT_ALPHAS, help="weight pairs a1,a2;a1,a2;...")
-    p.add_argument("--zetas", default=None, help="reference points z1,z2;...; default: reference sweep")
+    p.add_argument("--alphas", help="weight pairs a1,a2;...; default: run_convergence's experiments.DEFAULT_WEIGHTS")
+    p.add_argument("--zetas", help="reference points z1,z2;...; default: run_convergence's reference sweep")
     p.set_defaults(run=_run_convergence)
     _add_shared_flags(p)
 
@@ -213,11 +203,11 @@ def _run_front(args) -> int:
 def _run_convergence(args) -> int:
     levels = tuple(int(v) for v in args.levels.split(","))
     config = _experiment_config(args, levels, args.ref_level)
-    if args.method == "wsm":
-        table = run_convergence_wsm(config, _parse_pairs(args.alphas, "--alphas"))
-    else:
-        zetas = _parse_pairs(args.zetas, "--zetas") if args.zetas else None
-        table = run_convergence_rpm(config, zetas)
+    given = {}  # every given list is checked, also the one of the other method
+    for method, flag, text in (("wsm", "--alphas", args.alphas), ("rpm", "--zetas", args.zetas)):
+        if text is not None:
+            given[method] = [check_parameter(method, p) for p in _parse_pairs(text, flag)]
+    table = run_convergence(config, args.method, given.get(args.method))
     args.out.mkdir(parents=True, exist_ok=True)
     path = args.out / f"convergence_{args.method}.csv"
     export_csv(table, path)

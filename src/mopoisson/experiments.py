@@ -19,8 +19,8 @@ import numpy as np
 from .control import BoxBounds, l2_error, read_control, write_control
 from .fem import assemble_stiffness
 from .mesh import MAX_LEVEL, build_uniform_mesh, level_of
-from .objective import ProblemData, _check_reference_point, _check_weights
-from .scalarize import BBConfig, ParetoFront, SolveReport, _check_sweep, rpm_front, solve_rpm, solve_wsm, wsm_front
+from .objective import ProblemData, check_parameter
+from .scalarize import BBConfig, ParetoFront, SolveReport, check_sweep, rpm_front, solve_rpm, solve_wsm, wsm_front
 
 __all__ = [
     "ExperimentConfig",
@@ -28,8 +28,8 @@ __all__ = [
     "benchmark_problem",
     "shared_system",
     "estimate_rate",
-    "run_convergence_wsm",
-    "run_convergence_rpm",
+    "DEFAULT_WEIGHTS",
+    "run_convergence",
     "solve_at_level",
     "compute_front",
     "run_front",
@@ -37,6 +37,8 @@ __all__ = [
 ]
 
 _FLOAT_FMT = ".9g"
+# Weight pairs of a WSM convergence study that names none.
+DEFAULT_WEIGHTS = ((0.2, 0.8), (0.4, 0.6), (0.6, 0.4), (0.8, 0.2))
 # Part of every cache key, so files of an older control format, or from an
 # older solver whose controls differ in their last bits, are misses.
 _CACHE_FORMAT = "npy2"
@@ -100,7 +102,7 @@ class ExperimentConfig:
             raise ValueError("study levels must be nonnegative")
         if self.reference_level is not None and not max(self.levels) < self.reference_level <= MAX_LEVEL:
             raise ValueError(f"reference level must exceed every study level and be at most {MAX_LEVEL}")
-        _check_sweep(2 if self.points is None else self.points, self.eps, self.h_perp, self.h_par)
+        check_sweep(2 if self.points is None else self.points, self.eps, self.h_perp, self.h_par)
 
 
 @dataclass
@@ -168,12 +170,10 @@ def _reference_level(config: ExperimentConfig) -> int:
 
 def solve_at_level(config: ExperimentConfig, method: str, parameter, level: int, u_start=None) -> SolveReport:
     """Solve the ``method`` subproblem at ``parameter`` on one level, from ``u_start`` of it or a coarser level."""
+    parameter = check_parameter(method, parameter)
     mesh, system = shared_system(level)
-    if method == "wsm":
-        return solve_wsm(config.problem, system, parameter, config.bb, u_start)
-    if method == "rpm":
-        return solve_rpm(config.problem, system, parameter, config.bb, u_start)
-    raise ValueError(f"unknown method {method!r}")
+    solve = solve_wsm if method == "wsm" else solve_rpm
+    return solve(config.problem, system, parameter, config.bb, u_start)
 
 
 def _reference_control(
@@ -206,10 +206,25 @@ def _reference_control(
     return report.control
 
 
-def _run_convergence(config: ExperimentConfig, method: str, parameters, labels) -> ConvergenceTable:
-    """Each column's study levels, coarse to fine, then its reference from the finest converged one."""
+def run_convergence(config: ExperimentConfig, method: str, parameters=None) -> ConvergenceTable:
+    """Approximation errors of the ``method`` controls against the reference, one column per parameter.
+
+    ``parameters`` defaults to :data:`DEFAULT_WEIGHTS` for "wsm" and to the
+    points of :func:`reference_sweep_zetas` for "rpm"; every one is checked
+    before the first solve.  Reference points stay fixed across levels, so
+    study and reference solves approximate the same problem.  Each column
+    solves its study levels, coarse to fine and each from a cold start, then
+    its reference level (cached to disk), started from the finest converged
+    study control.  A solve that does not converge leaves its cells NaN and
+    adds a note to the table, which is still emitted.
+    """
+    if parameters is None:
+        parameters = reference_sweep_zetas(config) if method == "rpm" else DEFAULT_WEIGHTS
+    parameters = [check_parameter(method, p) for p in parameters]
     if not parameters:
         raise ValueError("a convergence study needs at least one parameter")
+    name = "alpha" if method == "wsm" else "zeta"
+    labels = [f"{name}=({p[0]:g},{p[1]:g})" for p in parameters]
     ref_level = _reference_level(config)
     errors = np.full((len(config.levels), len(parameters)), np.nan)
     notes = []
@@ -231,36 +246,7 @@ def _run_convergence(config: ExperimentConfig, method: str, parameters, labels) 
         del ref  # freed before the next reference solve
     hs = np.array([2.0 ** -level for level in config.levels])
     rates = np.array([estimate_rate(hs, errors[:, ip]) for ip in range(len(parameters))])
-    return ConvergenceTable(hs=hs, labels=list(labels), errors=errors, rates=rates, notes=notes)
-
-
-def run_convergence_wsm(config: ExperimentConfig, alphas) -> ConvergenceTable:
-    """Approximation errors of the weighted-sum controls against the reference.
-
-    Each weight pair is solved on every study level and then once on the
-    reference level (cached to disk), started from the finest converged
-    study control; non-converged solves mark their cells NaN, with a note
-    in the table, and the table is still emitted.  Every weight pair is
-    checked before the first solve.
-    """
-    alphas = [_check_weights(a) for a in alphas]
-    labels = [f"alpha=({a[0]:g},{a[1]:g})" for a in alphas]
-    return _run_convergence(config, "wsm", alphas, labels)
-
-
-def run_convergence_rpm(config: ExperimentConfig, zetas=None) -> ConvergenceTable:
-    """Approximation errors of the reference-point controls.
-
-    The reference points stay fixed across levels so coarse and reference
-    solves approximate the same problem; by default they are those of
-    :func:`reference_sweep_zetas`.  Explicit points are checked before the
-    first solve.
-    """
-    if zetas is None:
-        zetas = reference_sweep_zetas(config)
-    zetas = [_check_reference_point(z) for z in zetas]
-    labels = [f"zeta=({z[0]:g},{z[1]:g})" for z in zetas]
-    return _run_convergence(config, "rpm", zetas, labels)
+    return ConvergenceTable(hs=hs, labels=labels, errors=errors, rates=rates, notes=notes)
 
 
 def reference_sweep_zetas(config: ExperimentConfig) -> list:

@@ -26,6 +26,8 @@ __all__ = [
     "greens_function_means",
     "eval_objectives",
     "gram_matrix",
+    "level_operators",
+    "check_parameter",
     "coefficient_map",
     "grad_wsm",
     "grad_rpm",
@@ -44,12 +46,11 @@ class ProblemData:
     desired values ``y1``/``y2``; ``lambda1``/``lambda2`` are the positive
     control-cost weights of the two criteria.  These values and the box
     bounds are at most :data:`MAX_MAGNITUDE` in magnitude.  Instances
-    are immutable (the arrays are read-only copies), so the Green's function
-    means of a mesh level and their Gram matrix, kept as a pair in
-    ``_greens`` by the solver's first solve at that level, stay valid for
-    every later solve.  Racing first solves at one level store equal pairs.  ``y`` stacks ``y1``, then ``y2``, in the
-    row order of those means, and ``_point_set`` holds each row's criterion
-    index (0 or 1).
+    are immutable (the arrays are read-only copies), so the operators of a
+    mesh level, which :func:`level_operators` builds once and keeps in
+    ``_greens``, stay valid for every later solve.  ``y`` stacks ``y1``, then
+    ``y2``, in the row order of the Green's function means, and
+    ``_point_set`` holds each row's criterion index (0 or 1).
     """
 
     obs1: np.ndarray
@@ -162,20 +163,24 @@ def eval_objectives(
     return r, ObjectivePair(j1=float(j1), j2=float(j2))
 
 
-def _check_weights(alpha) -> tuple[float, float]:
-    a1, a2 = float(alpha[0]), float(alpha[1])
-    if not (a1 > 0.0 and a2 > 0.0):
+def check_parameter(method: str, parameter) -> tuple[float, float]:
+    """The ``parameter`` of ``method`` as a float pair, refused unless it is valid.
+
+    "wsm" takes strictly positive weights summing to one, "rpm" a reference
+    point of at most :data:`MAX_MAGNITUDE` in magnitude; any other method is
+    refused.
+    """
+    if method not in ("wsm", "rpm"):
+        raise ValueError(f"unknown method {method!r}")
+    p1, p2 = float(parameter[0]), float(parameter[1])
+    if method == "rpm":
+        if not (abs(p1) <= MAX_MAGNITUDE and abs(p2) <= MAX_MAGNITUDE):
+            raise ValueError(f"reference point must be at most {MAX_MAGNITUDE:g} in magnitude")
+    elif not (p1 > 0.0 and p2 > 0.0):
         raise ValueError("weights must be strictly positive")
-    if not abs(a1 + a2 - 1.0) <= 1e-9:
+    elif not abs(p1 + p2 - 1.0) <= 1e-9:
         raise ValueError("weights must sum to one")
-    return a1, a2
-
-
-def _check_reference_point(zeta) -> tuple[float, float]:
-    z1, z2 = float(zeta[0]), float(zeta[1])
-    if not (abs(z1) <= MAX_MAGNITUDE and abs(z2) <= MAX_MAGNITUDE):
-        raise ValueError(f"reference point must be at most {MAX_MAGNITUDE:g} in magnitude")
-    return z1, z2
+    return p1, p2
 
 
 def gram_matrix(greens: np.ndarray) -> np.ndarray:
@@ -184,17 +189,35 @@ def gram_matrix(greens: np.ndarray) -> np.ndarray:
     return np.array([greens.dot(row) for row in greens])
 
 
+def level_operators(problem: ProblemData, system: StiffnessSystem) -> tuple:
+    """``(G, M, solves)``: the Green's function means of ``system``'s level, their Gram matrix, and the solves made.
+
+    The problem's first call at a level builds both, one linear solve per
+    observation point, and keeps them on the problem; ``solves`` is that
+    count, and 0 for every later call at the level.  Racing first calls at
+    one level store equal pairs.
+    """
+    level = system.mesh.level
+    if level in problem._greens:
+        return (*problem._greens[level], 0)
+    greens = greens_function_means(problem, system)
+    problem._greens[level] = greens, gram_matrix(greens)
+    return (*problem._greens[level], len(greens))
+
+
 def coefficient_map(problem: ProblemData, area: float, method: str, parameter) -> tuple[Callable, bool]:
-    """The map ``(G u, u.u) -> (w, lam)`` of ``method`` at the checked ``parameter``, and whether ``lam`` moves.
+    """The map ``(G u, u.u) -> (w, lam)`` of ``method`` at ``parameter``, and whether ``lam`` moves.
 
     The gradient representer of ``c1 j1 + c2 j2`` at ``u``, per triangle
     ``sum_k c_k (mean_T(p_k) + lambda_k u_T)``, is ``G^T w + lam u`` with
     ``w = c r``, the residuals ``r = |T| G u - y``, ``c`` repeating ``(c1,
     c2)`` over the two point sets and ``lam = c1 lambda1 + c2 lambda2``.
     "wsm" takes the weights ``alpha = parameter``, so ``lam`` is fixed and
-    ``u.u`` unread; otherwise ``zeta = parameter`` and ``c = j - zeta``.  The
+    ``u.u`` unread; "rpm" takes ``zeta = parameter`` and ``c = j - zeta``.
+    :func:`check_parameter` refuses any other method or a bad parameter.  The
     BB loop of every solve and :func:`grad_wsm`/:func:`grad_rpm` run this map.
     """
+    parameter = check_parameter(method, parameter)
     point_set = problem._point_set
     if method == "wsm":
         c, y = np.array(parameter)[point_set], problem.y
@@ -217,9 +240,9 @@ def _gradient(problem: ProblemData, greens: np.ndarray, area: float, u: np.ndarr
 
 def grad_wsm(problem: ProblemData, greens: np.ndarray, area: float, u: np.ndarray, alpha) -> np.ndarray:
     """Gradient representer of the weighted-sum objective at ``u``: coefficients ``alpha``."""
-    return _gradient(problem, greens, area, u, "wsm", _check_weights(alpha))
+    return _gradient(problem, greens, area, u, "wsm", alpha)
 
 
 def grad_rpm(problem: ProblemData, greens: np.ndarray, area: float, u: np.ndarray, zeta) -> np.ndarray:
     """Gradient representer of the reference-point distance at ``u``: coefficients ``j(u) - zeta``."""
-    return _gradient(problem, greens, area, u, "rpm", _check_reference_point(zeta))
+    return _gradient(problem, greens, area, u, "rpm", zeta)

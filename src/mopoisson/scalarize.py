@@ -18,22 +18,14 @@ import numpy as np
 from .control import BoxBounds, prolong
 from .fem import LINEAR_TOL, SolverError, StiffnessSystem
 from .mesh import TriMesh
-from .objective import (
-    ObjectivePair,
-    ProblemData,
-    _check_reference_point,
-    _check_weights,
-    coefficient_map,
-    eval_objectives,
-    gram_matrix,
-    greens_function_means,
-)
+from .objective import ObjectivePair, ProblemData, coefficient_map, eval_objectives, level_operators
 
 __all__ = [
     "BBConfig",
     "SolveReport",
     "FrontEntry",
     "ParetoFront",
+    "check_sweep",
     "bb_projected_gradient",
     "solve_wsm",
     "solve_rpm",
@@ -101,7 +93,7 @@ def _check_eps(eps: float) -> None:
         raise ValueError("eps must lie in (0, 0.5)")
 
 
-def _check_sweep(l_max, eps: float, *offsets: float) -> None:
+def check_sweep(l_max, eps: float, *offsets: float) -> None:
     """An integer sweep size of at least 2, :func:`_check_eps`, and positive finite reference-point offsets."""
     if not (isinstance(l_max, numbers.Integral) and l_max >= 2):
         raise ValueError(f"front sizes must be at least 2 and an integer, got {l_max!r}")
@@ -244,26 +236,21 @@ def _solve(
     """BB iteration of :func:`bb_projected_gradient` from ``u_start``.
 
     Minimizes ``alpha . j`` for ``method`` "wsm" with weights ``alpha =
-    parameter``, else ``|j - zeta|^2 / 2`` with ``zeta = parameter``.
-    The problem's first solve at a mesh level computes the Green's function
-    means there, one solve per observation point, and their Gram matrix,
-    and keeps both on the problem; those solves are the report's
-    ``solve_count``, which is 0 for every later solve at that level.  The BB
-    loop runs on the means, their Gram matrix and the
-    :func:`~mopoisson.objective.coefficient_map` of the scalarization; the
-    report's pair is formed once, from the returned control.
+    parameter``, or ``|j - zeta|^2 / 2`` for "rpm" with ``zeta =
+    parameter``.  The BB loop runs on the level's Green's function means
+    and their Gram matrix from :func:`~mopoisson.objective.level_operators`,
+    whose linear solves are the report's ``solve_count``, and on the
+    :func:`~mopoisson.objective.coefficient_map` of the scalarization, which
+    checks the parameter before anything is built.  The report's pair is
+    formed once, from the returned control.
     """
     mesh = system.mesh
-    own = mesh.level not in problem._greens
-    if own:
-        greens = greens_function_means(problem, system)
-        problem._greens[mesh.level] = greens, gram_matrix(greens)
-    greens, gram = problem._greens[mesh.level]
     area = mesh.element_area
     rule = coefficient_map(problem, area, method, parameter)
+    greens, gram, solves = level_operators(problem, system)
     report = bb_projected_gradient(greens, gram, rule, mesh, problem.bounds, config or BBConfig(), u_start)
     report.objectives = eval_objectives(problem, greens, area, report.control)[1]
-    report.solve_count = len(greens) if own else 0
+    report.solve_count = solves
     return report
 
 
@@ -275,7 +262,7 @@ def solve_wsm(
     u_start: np.ndarray | None = None,
 ) -> SolveReport:
     """Minimize the weighted sum of the two criteria over the box."""
-    return _solve(problem, system, config, u_start, "wsm", _check_weights(alpha))
+    return _solve(problem, system, config, u_start, "wsm", alpha)
 
 
 def solve_rpm(
@@ -286,7 +273,7 @@ def solve_rpm(
     u_start: np.ndarray | None = None,
 ) -> SolveReport:
     """Minimize the squared distance of the objective pair to ``zeta``."""
-    return _solve(problem, system, config, u_start, "rpm", _check_reference_point(zeta))
+    return _solve(problem, system, config, u_start, "rpm", zeta)
 
 
 def wsm_front(
@@ -304,7 +291,7 @@ def wsm_front(
     previous solution unless ``cold_start`` is set; non-converged entries
     are recorded and the sweep continues.
     """
-    _check_sweep(l_max, eps)
+    check_sweep(l_max, eps)
     entries = []
     warm = None
     for ell in range(1, l_max + 1):
@@ -352,7 +339,7 @@ def rpm_front(
     passes the ending objective value or ``l_max - 1`` points were placed.
     Entries are ordered along the sweep with both endpoints included.
     """
-    _check_sweep(l_max, eps, h_perp, h_par)
+    check_sweep(l_max, eps, h_perp, h_par)
     report_init = solve_wsm(problem, system, (1.0 - eps, eps), config)
     report_end = solve_wsm(problem, system, (eps, 1.0 - eps), config)
     j_end_1 = report_end.objectives.j1

@@ -11,17 +11,18 @@ import pytest
 import mopoisson
 
 ORACLES = Path(__file__).resolve().parent / "oracles.py"
+PACKAGE = Path(mopoisson.__file__).resolve().parent
 # The solver's evaluation formulas; the oracles recompute all of them by the PDE route.
 SOLVER_FORMULAS = {
     "eval_objectives", "coefficient_map", "gram_matrix", "grad_wsm", "grad_rpm", "greens_function_means",
-    "_pair", "_gradient",
+    "level_operators", "_pair", "_gradient",
 }
 # The study API the package exports: entry points, the inputs a caller builds
 # and the error a caller catches.  Layer functions are imported from their modules.
 PACKAGE_API = {
     "BBConfig", "BoxBounds", "ExperimentConfig", "ProblemData", "SolverError",
     "benchmark_problem", "export_csv", "ideal_vector", "read_control", "rpm_front",
-    "run_convergence_rpm", "run_convergence_wsm", "run_front", "shared_system",
+    "run_convergence", "run_front", "shared_system",
     "solve_rpm", "solve_wsm", "wsm_front", "write_control",
 }
 
@@ -49,11 +50,43 @@ def test_every_exported_name_is_defined(name):
     assert not missing
 
 
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _bound_names(tree: ast.Module) -> set:
+    """Names a module defines: functions, classes, assigned names and fields, and ``self.<name>`` attributes."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                if isinstance(target, ast.Name):
+                    bound.add(target.id)
+                elif isinstance(target, ast.Attribute) and getattr(target.value, "id", None) == "self":
+                    bound.add(target.attr)
+    return bound
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.stem)
+def test_modules_use_no_private_name_of_another_module(path):
+    """A ``_``-prefixed name is read only where it is defined; a rule other modules need is public."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound = _bound_names(tree)
+    crossing = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            crossing += [f"line {node.lineno}: imports {a.name}" for a in node.names if _private(a.name)]
+        elif isinstance(node, ast.Attribute) and _private(node.attr) and node.attr not in bound:
+            crossing.append(f"line {node.lineno}: uses .{node.attr}")
+    assert not crossing
+
+
 def test_src_imports_only_stdlib_and_numpy():
-    package = Path(mopoisson.__file__).resolve().parent
     allowed = set(sys.stdlib_module_names) | {"numpy"}
     imported = set()
-    for path in package.glob("*.py"):
+    for path in PACKAGE.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Import):
                 imported.update(alias.name.split(".")[0] for alias in node.names)
@@ -62,7 +95,7 @@ def test_src_imports_only_stdlib_and_numpy():
     assert imported and imported <= allowed, imported - allowed
 
     tomllib = pytest.importorskip("tomllib")
-    pyproject = package.parents[1] / "pyproject.toml"
+    pyproject = PACKAGE.parents[1] / "pyproject.toml"
     dependencies = tomllib.loads(pyproject.read_text())["project"]["dependencies"]
     assert [re.match(r"[A-Za-z0-9_.-]+", d).group() for d in dependencies] == ["numpy"]
 
@@ -73,9 +106,8 @@ MEMOIZED = []
 
 
 def test_only_the_per_level_builders_are_memoized():
-    package = Path(mopoisson.__file__).resolve().parent
     found = []
-    for path in sorted(package.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         decorated = {}
         for node in ast.walk(tree):

@@ -50,7 +50,8 @@ def test_invalid_arguments_exit_two(tmp_path, capsys):
     # repeated study levels and empty parameter lists
     for extra in (["--levels", "2,2"], ["--levels", "2", "--alphas", ";"]):
         assert main(["convergence", "--method", "wsm", "--ref-level", "3", *extra, "--out", str(tmp_path)]) == 2
-    assert main(["convergence", "--method", "rpm", "--zetas", ";", "--out", str(tmp_path)]) == 2
+    for zetas in (["--zetas", ";"], ["--zetas="]):  # an empty list is no request for the default sweep
+        assert main(["convergence", "--method", "rpm", *zetas, "--out", str(tmp_path)]) == 2
     assert not list(tmp_path.iterdir())
     assert capsys.readouterr().out == ""
 
@@ -67,11 +68,26 @@ def test_bad_study_levels_exit_two_before_any_reference_solve(tmp_path, solve_ca
     ["--method", "wsm", "--alphas", "1,0"],
     ["--method", "rpm", "--zetas", "nan,1"],
     ["--method", "rpm", "--zetas", "1e308,1e308"],
+    # the list of the method that does not run is checked too
+    ["--method", "rpm", "--alphas", "0.5,0.6"],
+    ["--method", "wsm", "--zetas", "1e200,0"],
+    ["--method", "wsm", "--zetas", "garbage"],
 ])
 def test_bad_study_parameters_exit_two_before_any_reference_solve(tmp_path, solve_calls, args):
-    assert main(["convergence", *args, "--levels", "2,3", "--ref-level", "5", "--out", str(tmp_path)]) == 2
+    out = tmp_path / "out"
+    assert main(["convergence", *args, "--levels", "2,3", "--ref-level", "5", "--out", str(out)]) == 2
     assert not solve_calls
-    assert not (tmp_path / "cache").exists()
+    assert not out.exists()
+
+
+def test_config_file_with_lists_for_both_methods_runs_either(tmp_path, capsys):
+    config = tmp_path / "study.cfg"
+    config.write_text("levels=2\nref_level=3\nalphas=0.5,0.5\nzetas=17,2\n")
+    for method, label in (("wsm", "alpha=(0.5,0.5)"), ("rpm", "zeta=(17,2)")):
+        out = tmp_path / method
+        assert main(["convergence", "--method", method, "--config", str(config), "--out", str(out)]) == 0
+        assert capsys.readouterr().out.startswith(f"{label}: rate=")
+        assert (out / f"convergence_{method}.csv").exists()
 
 
 def test_unusable_paths_exit_two(tmp_path, capsys):

@@ -10,8 +10,7 @@ from mopoisson import (
     benchmark_problem,
     export_csv,
     read_control,
-    run_convergence_rpm,
-    run_convergence_wsm,
+    run_convergence,
     run_front,
     write_control,
 )
@@ -81,13 +80,13 @@ def test_config_validation(tmp_path):
 def test_convergence_study_without_reference_level_is_refused(tmp_path):
     config = small_config(benchmark_problem(), tmp_path, reference_level=None)
     with pytest.raises(ValueError, match="needs a reference level"):
-        run_convergence_wsm(config, [(0.5, 0.5)])
+        run_convergence(config, "wsm", [(0.5, 0.5)])
     assert not list(tmp_path.iterdir())
 
 
 def test_wsm_convergence_small_study(tmp_path):
     config = small_config(benchmark_problem(), tmp_path)
-    table = run_convergence_wsm(config, [(0.5, 0.5)])
+    table = run_convergence(config, "wsm", [(0.5, 0.5)])
     assert table.errors.shape == (2, 1)
     assert np.all(np.diff(table.errors[:, 0]) < -1e-12)  # strictly decreasing
     assert 0.6 <= table.rates[0] <= 1.4
@@ -95,13 +94,13 @@ def test_wsm_convergence_small_study(tmp_path):
 
 def test_reference_cache_round_trip(tmp_path):
     config = small_config(benchmark_problem(), tmp_path)
-    table_first = run_convergence_wsm(config, [(0.5, 0.5)])
+    table_first = run_convergence(config, "wsm", [(0.5, 0.5)])
     cache_files = sorted((tmp_path / "cache").glob("wsm_*.ctrl"))
     assert len(cache_files) == 1
     cached = read_control(cache_files[0], 4)
 
     cache_files[0].unlink()
-    table_second = run_convergence_wsm(config, [(0.5, 0.5)])
+    table_second = run_convergence(config, "wsm", [(0.5, 0.5)])
     recomputed = read_control(sorted((tmp_path / "cache").glob("wsm_*.ctrl"))[0], 4)
     from mopoisson.control import l2_error
 
@@ -126,7 +125,7 @@ def test_nested_and_cold_references_agree(tmp_path, method, parameters, bound):
     from mopoisson.control import l2_error
 
     config = small_config(benchmark_problem(), tmp_path, reference_level=5)
-    (run_convergence_wsm if method == "wsm" else run_convergence_rpm)(config, parameters)
+    run_convergence(config, method, parameters)
     for parameter in parameters:
         nested = read_control(tmp_path / "cache" / f"{method}_{_cache_key(config, method, parameter, 5, '3')}.ctrl", 5)
         cold = solve_at_level(config, method, parameter, 5)
@@ -139,12 +138,12 @@ def test_another_finest_study_level_is_a_cache_miss(tmp_path, monkeypatch):
     config = small_config(benchmark_problem(), tmp_path)
     keys = {_cache_key(config, "wsm", (0.5, 0.5), 4, start) for start in ("cold", "0", "1", "2", "3")}
     assert len(keys) == 5
-    run_convergence_wsm(config, [(0.5, 0.5)])
+    run_convergence(config, "wsm", [(0.5, 0.5)])
     reads, solves = [], []
     monkeypatch.setattr(mopoisson.experiments, "read_control", lambda *a: reads.append(a) or read_control(*a))
     monkeypatch.setattr(mopoisson.experiments, "solve_at_level",
                         lambda config, *a: solves.append(a[:3]) or solve_at_level(config, *a))
-    run_convergence_wsm(small_config(benchmark_problem(), tmp_path, levels=(2,)), [(0.5, 0.5)])
+    run_convergence(small_config(benchmark_problem(), tmp_path, levels=(2,)), "wsm", [(0.5, 0.5)])
     assert reads == [] and solves == [("wsm", (0.5, 0.5), 2), ("wsm", (0.5, 0.5), 4)]
     assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == sorted(
         f"wsm_{_cache_key(config, 'wsm', (0.5, 0.5), 4, start)}.ctrl" for start in ("2", "3"))
@@ -167,7 +166,7 @@ def test_previous_format_cache_file_is_a_miss(tmp_path, monkeypatch):
     import mopoisson.experiments
 
     config = small_config(benchmark_problem(), tmp_path)
-    fresh = run_convergence_wsm(small_config(benchmark_problem(), tmp_path / "fresh"), [(0.5, 0.5)])
+    fresh = run_convergence(small_config(benchmark_problem(), tmp_path / "fresh"), "wsm", [(0.5, 0.5)])
     old_key = _parent_key(config, "wsm", (0.5, 0.5), 4)
     assert old_key not in {_cache_key(config, "wsm", (0.5, 0.5), 4, start) for start in ("cold", "2", "3")}
     previous = tmp_path / "cache" / f"wsm_{old_key}.ctrl"
@@ -178,7 +177,7 @@ def test_previous_format_cache_file_is_a_miss(tmp_path, monkeypatch):
     monkeypatch.setattr(mopoisson.experiments, "read_control", lambda *a: reads.append(a) or read_control(*a))
     monkeypatch.setattr(mopoisson.experiments, "solve_at_level",
                         lambda config, *a: solves.append(a[:3]) or solve_at_level(config, *a))
-    table = run_convergence_wsm(config, [(0.5, 0.5)])
+    table = run_convergence(config, "wsm", [(0.5, 0.5)])
     assert reads == [] and ("wsm", (0.5, 0.5), 4) in solves  # a miss: solved at the reference level
     assert np.array_equal(table.errors, fresh.errors)
     assert previous.read_bytes() == before
@@ -189,7 +188,7 @@ def test_previous_format_cache_file_is_a_miss(tmp_path, monkeypatch):
 @pytest.mark.parametrize("damage", ["truncated", "nan", "level-3", "level-5"])
 def test_truncated_cache_file_is_recomputed(tmp_path, damage):
     config = small_config(benchmark_problem(), tmp_path)
-    table_first = run_convergence_wsm(config, [(0.5, 0.5)])
+    table_first = run_convergence(config, "wsm", [(0.5, 0.5)])
     (cache_file,) = (tmp_path / "cache").glob("wsm_*.ctrl")
     complete = cache_file.read_bytes()
     if damage == "truncated":
@@ -200,7 +199,7 @@ def test_truncated_cache_file_is_recomputed(tmp_path, damage):
         level = int(damage.split("-")[1])
         write_control(np.ones(2 * 4 ** level), cache_file)
     with pytest.warns(RuntimeWarning, match="unreadable reference cache"):
-        table_second = run_convergence_wsm(config, [(0.5, 0.5)])
+        table_second = run_convergence(config, "wsm", [(0.5, 0.5)])
     assert cache_file.read_bytes() == complete
     assert np.array_equal(table_first.errors, table_second.errors)
     assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == [cache_file.name]
@@ -213,7 +212,7 @@ def test_wrong_level_cache_file_is_rejected_from_its_header(tmp_path, monkeypatc
     import mopoisson.experiments
 
     config = small_config(benchmark_problem(), tmp_path, reference_level=6)
-    table_first = run_convergence_wsm(config, [(0.5, 0.5)])
+    table_first = run_convergence(config, "wsm", [(0.5, 0.5)])
     (cache_file,) = (tmp_path / "cache").glob("wsm_*.ctrl")
     complete = cache_file.read_bytes()
     if slot == "level-7":
@@ -233,7 +232,7 @@ def test_wrong_level_cache_file_is_rejected_from_its_header(tmp_path, monkeypatc
     tracemalloc.start()
     try:
         with pytest.warns(RuntimeWarning, match="unreadable reference cache"):
-            table_second = run_convergence_wsm(config, [(0.5, 0.5)])
+            table_second = run_convergence(config, "wsm", [(0.5, 0.5)])
     finally:
         tracemalloc.stop()
     # the study levels 2 and 3 come first; the peak is taken up to the recompute of the reference
@@ -256,7 +255,7 @@ def test_failed_cache_write_leaves_no_temp_file(tmp_path, monkeypatch):
 
     monkeypatch.setattr(mopoisson.experiments, "write_control", full_disk)
     with pytest.raises(OSError, match="No space left"):
-        run_convergence_wsm(small_config(benchmark_problem(), tmp_path), [(0.5, 0.5)])
+        run_convergence(small_config(benchmark_problem(), tmp_path), "wsm", [(0.5, 0.5)])
     assert list((tmp_path / "cache").iterdir()) == []
 
 
@@ -264,7 +263,7 @@ def test_unconverged_reference_leaves_its_column_nan_and_no_cache_file(tmp_path,
     import mopoisson.experiments
 
     alphas = [(0.5, 0.5), (0.2, 0.8)]
-    full = run_convergence_wsm(small_config(benchmark_problem(), tmp_path / "full"), alphas)
+    full = run_convergence(small_config(benchmark_problem(), tmp_path / "full"), "wsm", alphas)
     solve_wsm = mopoisson.experiments.solve_wsm
 
     def capped_reference(problem, system, alpha, config, u_start):
@@ -274,7 +273,7 @@ def test_unconverged_reference_leaves_its_column_nan_and_no_cache_file(tmp_path,
 
     monkeypatch.setattr(mopoisson.experiments, "solve_wsm", capped_reference)
     config = small_config(benchmark_problem(), tmp_path / "capped")
-    table = run_convergence_wsm(config, alphas)
+    table = run_convergence(config, "wsm", alphas)
     assert np.all(np.isnan(table.errors[:, 0])) and np.isnan(table.rates[0])
     assert np.array_equal(table.errors[:, 1], full.errors[:, 1]) and table.rates[1] == full.rates[1]
     assert table.notes == ["alpha=(0.5,0.5): reference at level 4 did not converge"] and full.notes == []
@@ -294,10 +293,10 @@ def test_unconverged_study_level_is_noted_and_the_reference_starts_below_it(tmp_
         starts.append(None if u_start is None else len(u_start))
         return solve_at_level(config, method, parameter, level, u_start)
 
-    full = run_convergence_wsm(small_config(benchmark_problem(), tmp_path / "full"), [(0.5, 0.5)])
+    full = run_convergence(small_config(benchmark_problem(), tmp_path / "full"), "wsm", [(0.5, 0.5)])
     monkeypatch.setattr(mopoisson.experiments, "solve_at_level", capped_level_3)
     config = small_config(benchmark_problem(), tmp_path / "capped")
-    table = run_convergence_wsm(config, [(0.5, 0.5)])
+    table = run_convergence(config, "wsm", [(0.5, 0.5)])
     assert starts == [None, None, 2 * 4 ** 2]  # the reference starts from level 2
     assert table.notes == ["alpha=(0.5,0.5): level 3 did not converge"]
     assert np.isnan(table.errors[1, 0]) and abs(table.errors[0, 0] - full.errors[0, 0]) <= 1e-9
@@ -311,7 +310,7 @@ def test_text_era_cache_file_is_never_read_or_removed(tmp_path):
     from mopoisson.experiments import _problem_fingerprint
 
     config = small_config(benchmark_problem(), tmp_path)
-    fresh = run_convergence_wsm(small_config(benchmark_problem(), tmp_path / "fresh"), [(0.5, 0.5)])
+    fresh = run_convergence(small_config(benchmark_problem(), tmp_path / "fresh"), "wsm", [(0.5, 0.5)])
     # the reference's file before the npy1 format: keyed without a format
     # tag, a level header and one value per line
     fingerprint = _problem_fingerprint(config.problem)
@@ -320,7 +319,7 @@ def test_text_era_cache_file_is_never_read_or_removed(tmp_path):
     text_era.parent.mkdir()
     text_era.write_text("level=4\n" + "0\n" * 512)
     before = text_era.read_bytes()
-    table = run_convergence_wsm(config, [(0.5, 0.5)])  # any read would warn, and warnings fail
+    table = run_convergence(config, "wsm", [(0.5, 0.5)])  # any read would warn, and warnings fail
     assert text_era.read_bytes() == before
     assert np.array_equal(table.errors, fresh.errors)
     assert len(list(text_era.parent.glob("wsm_*.ctrl"))) == 2
@@ -350,11 +349,11 @@ def test_study_computes_greens_means_once_per_level(tmp_path, solve_calls, n_wei
     alphas = [(a, 1.0 - a) for a in np.linspace(0.2, 0.8, n_weights)]
     # cold cache: one solve per observation point on each of the levels 2, 3 and 4,
     # however many weight vectors the study runs
-    run_convergence_wsm(small_config(benchmark_problem(), tmp_path), alphas)
+    run_convergence(small_config(benchmark_problem(), tmp_path), "wsm", alphas)
     assert len(solve_calls) == 6
     # warm cache, fresh problem: the study levels only
     solve_calls.clear()
-    run_convergence_wsm(small_config(benchmark_problem(), tmp_path), alphas)
+    run_convergence(small_config(benchmark_problem(), tmp_path), "wsm", alphas)
     assert len(solve_calls) == 4
 
 
@@ -383,13 +382,13 @@ def test_study_solves_each_column_before_its_reference(tmp_path, monkeypatch):
     alphas = [(0.3, 0.7), (0.7, 0.3)]
     for reference in ("reference", "read"):  # cold pass, then cached pass
         calls.clear()
-        run_convergence_wsm(config, alphas)
+        run_convergence(config, "wsm", alphas)
         assert calls == ["cell", "cell", reference, "error", "error"] * 2
 
 
 def test_rpm_convergence_with_explicit_zetas(tmp_path):
     config = small_config(benchmark_problem(), tmp_path)
-    table = run_convergence_rpm(config, [(17.0, 2.0)])
+    table = run_convergence(config, "rpm", [(17.0, 2.0)])
     assert table.errors.shape == (2, 1)
     assert np.all(np.isfinite(table.errors))
     assert np.all(np.diff(table.errors[:, 0]) < 0)
@@ -498,7 +497,7 @@ def test_single_solves_and_fronts_reject_unknown_methods(tmp_path):
 
 def test_degenerate_single_row_table(tmp_path):
     config = small_config(benchmark_problem(), tmp_path, levels=(3,), reference_level=4)
-    table = run_convergence_wsm(config, [(0.5, 0.5)])
+    table = run_convergence(config, "wsm", [(0.5, 0.5)])
     assert table.errors.shape == (1, 1)
     assert np.isnan(table.rates[0])
 
@@ -513,6 +512,6 @@ def test_rpm_self_consistency_rate(tmp_path):
     anchor = solve_rpm(problem, system, (17.0, 2.0))
     zeta = (anchor.objectives.j1, anchor.objectives.j2)
     config = small_config(problem, tmp_path, levels=(2, 3, 4), reference_level=5)
-    table = run_convergence_rpm(config, [zeta])
+    table = run_convergence(config, "rpm", [zeta])
     assert np.all(np.isfinite(table.errors))
     assert 0.6 <= table.rates[0] <= 1.4

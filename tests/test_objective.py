@@ -10,6 +10,8 @@ from mopoisson.control import pi0_project
 from mopoisson.fem import assemble_point_load, assemble_stiffness, evaluate, solve_spd
 from mopoisson.mesh import build_uniform_mesh
 from mopoisson.objective import (
+    check_parameter,
+    coefficient_map,
     eval_objectives,
     grad_rpm,
     grad_wsm,
@@ -197,6 +199,18 @@ def test_grad_wsm_rejects_degenerate_weights(setup):
     for alpha in [(1.0, 0.0), (0.0, 1.0), (-0.2, 1.2), (0.5, 0.6), (np.nan, np.nan), (0.5, np.nan)]:
         with pytest.raises(ValueError):
             grad_wsm(problem, greens, mesh.element_area, u, alpha)
+
+
+def test_one_rule_checks_the_parameter_of_each_method(bench):
+    assert check_parameter("wsm", np.array([0.25, 0.75])) == (0.25, 0.75)
+    assert check_parameter("rpm", (-3, 1e100)) == (-3.0, 1e100)
+    refused = [("nbi", (0.5, 0.5), "unknown method 'nbi'"), ("wsm", (0.5, 0.6), "sum to one"),
+               ("wsm", (1.0, 0.0), "strictly positive"), ("rpm", (1e200, 0.0), "at most 1e\\+100")]
+    for method, parameter, message in refused:
+        with pytest.raises(ValueError, match=message):
+            check_parameter(method, parameter)
+        with pytest.raises(ValueError, match=message):  # no method falls through to another's rule
+            coefficient_map(bench, 1.0, method, parameter)
 
 
 def test_grad_rpm_trivial_cases(setup, rng):

@@ -362,6 +362,11 @@ def test_solve_counts_are_audited(bench, level3, system_for, solve_calls):
     system = level3[2]
     problem = _off_node_problem(bench.bounds)
     full = len(problem.obs1) + len(problem.obs2)
+    # a bad parameter is refused before the level's means are built
+    for solve, parameter in ((solve_wsm, (0.5, 0.6)), (solve_rpm, (1e200, 0.0))):
+        with pytest.raises(ValueError):
+            solve(problem, system, parameter)
+    assert not solve_calls
     # the first solve at a level: one Green's function per observation point, no solve per BB pass
     report = solve_wsm(problem, system, (0.5, 0.5), BBConfig(max_iter=2))
     assert report.solve_count == full == len(solve_calls)
